@@ -78,7 +78,8 @@ def main(argv=None) -> int:
 
 def measure(args, workdir: Path) -> int:
     rng = np.random.default_rng([args.seed, sorted(WORKLOADS).index(args.workload)])
-    wl = WORKLOADS[args.workload](rng, workdir, args.population)
+    population = {"population": args.population} if args.workload == "design" else {}
+    wl = WORKLOADS[args.workload](rng, workdir, **population)
     correct = True
     for item in wl.round(0)[:WARMUP_OPS]:
         errors: list[str] = []
@@ -152,8 +153,6 @@ def measure(args, workdir: Path) -> int:
     )
     if tracer:
         result["layers"] = tracer.metrics(scales)
-        trace_file = Path(__file__).resolve().parent / "out" / f"trace-{args.workload}-{args.seed}.json"
-        trace_file.write_text(json.dumps(tracer.dump(scales)))
     print(json.dumps(result))
     return 0
 

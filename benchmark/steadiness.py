@@ -1,9 +1,10 @@
 """Steadiness report: do two sets of runs of the same commit agree?
 
-    python3 benchmark/steadiness.py [--runs 10] [--sets 2] [--workloads design,study,verify]
+    python3 benchmark/steadiness.py
 
-Runs run.py --runs times per set on every workload, each run with its own
-seed (set s, run i uses seed 100 * s + i + 1), interleaving the workloads so
+Runs run.py RUNS times in each of two sets on every workload of
+BENCHMARK.json for its run_seconds, each run with its own seed (set s,
+run i uses seed 100 * s + i + 1), interleaving the workloads so
 that slow drift of the host falls on all of them alike. For each end-to-end
 metric it prints, per set, the median and quartiles, the spread (Q3 - Q1) /
 median, and the second median's change against the first in the metric's
@@ -16,7 +17,6 @@ benchmark/out/steadiness.json.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -25,6 +25,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10
+SETS = 2
 
 
 def run(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
@@ -41,23 +43,17 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def main(argv=None) -> int:
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    ap.add_argument("--no-trace", action="store_true", help="skip the traced runs")
-    args = ap.parse_args(argv)
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m for m in spec["end_to_end"]}
 
-    results = {w: [[] for _ in range(args.sets)] for w in workloads}
-    for s in range(args.sets):
-        for i in range(args.runs):
+    results = {w: [[] for _ in range(SETS)] for w in workloads}
+    for s in range(SETS):
+        for i in range(RUNS):
             for w in workloads:
-                out, raw = run(w, 100 * s + i + 1, args.seconds, 0)
+                out, raw = run(w, 100 * s + i + 1, seconds, 0)
                 results[w][s].append({"out": out, "raw": raw})
                 m = out["metrics"]
                 print(f"set {s} run {i} {w:7s} op_s.p50 {m['op_s.p50']['value']:.5g} "
@@ -76,7 +72,7 @@ def main(argv=None) -> int:
             rows = [quartiles(v) for v in sets]
             spreads = [(q3 - q1) / q2 for q1, q2, q3 in rows]
             sign = 1.0 if b["better"] == "lower" else -1.0
-            drift = sign * (rows[-1][1] / rows[0][1] - 1.0)
+            drift = sign * (rows[1][1] / rows[0][1] - 1.0)
             cells = "  ".join(f"set{s}: {q2:.6g} [{q1:.6g}, {q3:.6g}] spread {sp:.3f}"
                               for s, ((q1, q2, q3), sp) in enumerate(zip(rows, spreads)))
             print(f"{name:13s} {cells}  worse-by {drift:+.3f}  bound {b['bound']}")
@@ -91,16 +87,15 @@ def main(argv=None) -> int:
                 f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in map(quartiles, raw)))
     print(f"\nlargest spread or drift as a share of its bound: {worst:.3f}")
 
-    if not args.no_trace:
-        for w in workloads:
-            out, _ = run(w, 1, args.seconds, 1)
-            untraced = statistics.median(
-                r["out"]["metrics"]["op_s.p50"]["value"] for runs in results[w] for r in runs)
-            traced = out["metrics"]["trace.op_s.p50"]["value"]
-            report["traced"][w] = {"metrics": out["metrics"], "overhead_s": traced - untraced}
-            print(f"\n== {w} traced (seed 1): overhead {traced - untraced:+.4g} s on op_s.p50 {untraced:.4g} s")
-            for name, m in out["metrics"].items():
-                print(f"  {name:46s} {m['value']:.6g} {m['unit']}")
+    for w in workloads:
+        out, _ = run(w, 1, seconds, 1)
+        untraced = statistics.median(
+            r["out"]["metrics"]["op_s.p50"]["value"] for runs in results[w] for r in runs)
+        traced = out["metrics"]["trace.op_s.p50"]["value"]
+        report["traced"][w] = {"metrics": out["metrics"], "overhead_s": traced - untraced}
+        print(f"\n== {w} traced (seed 1): overhead {traced - untraced:+.4g} s on op_s.p50 {untraced:.4g} s")
+        for name, m in out["metrics"].items():
+            print(f"  {name:46s} {m['value']:.6g} {m['unit']}")
 
     (HERE / "out").mkdir(exist_ok=True)
     (HERE / "out" / "steadiness.json").write_text(json.dumps(report, indent=1))

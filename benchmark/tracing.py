@@ -4,9 +4,10 @@
 in every pooltest module that holds it (``dp_table`` lives in both
 ``pooltest.optimize`` and ``pooltest.study``, ``dp_ordered`` and the
 oracles in ``pooltest.cli``, and so on), so calls between modules are seen
-too. Each call inside an op becomes a span (name, start, end, parent, work);
-a span's self time is its duration less its child spans. Work counts are
-computed from the call's input sizes, not counted inside the program.
+too. Each call inside an op becomes a span (name, start, end, parent, and
+for layers with a work count the call's arguments and result); a span's
+self time is its duration less its child spans. Work counts are computed
+from the call's input sizes after the op, not counted inside the program.
 Untraced runs never import this module.
 """
 
@@ -81,43 +82,43 @@ class Tracer:
         self.spans: list = []
         self.stack: list[int] = []
         self.active = False
-        self.ops: list[dict] = []  # per op: {"self": {layer: s}, "calls": {layer: n}, "work": {(layer, kind): [amount, self_s]}}
+        self.signatures: dict = {}
+        self.ops: list[dict] = []  # per op: {"self": {layer: s}, "dp_table_calls": n, "work": {(layer, kind): [amount, self_s]}}
 
     def install(self) -> None:
         modules = [m for name, m in list(sys.modules.items()) if name == "pooltest" or name.startswith("pooltest.")]
         for layer, work in LAYERS.items():
             module, attr = layer.split(".")
             original = getattr(importlib.import_module(f"pooltest.{module}"), attr)
-            wrapper = self._wrap(layer, original, work)
+            self.signatures[layer] = inspect.signature(original)
+            wrapper = self._wrap(layer, original, work is not None)
             for m in modules:
                 for name, value in list(vars(m).items()):
                     if value is original:
                         setattr(m, name, wrapper)
 
-    def _wrap(self, layer, fn, work):
-        signature = inspect.signature(fn)
-        spans, stack = self.spans, self.stack
+    def _wrap(self, layer, fn, keep_call):
+        spans, stack, clock = self.spans, self.stack, time.perf_counter
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
             if not self.active:
                 return fn(*args, **kwargs)
-            index = len(spans)
-            spans.append(None)
-            parent = stack[-1] if stack else -1
-            stack.append(index)
-            start = time.perf_counter()
+            # The clock is read before and after the wrapper's bookkeeping, so
+            # what the wrapper costs lands on this layer, not on its caller.
+            # The call's work is computed in end_op, outside the op.
+            start = clock()
+            span = [layer, start, start, stack[-1] if stack else -1, None]
+            stack.append(len(spans))
+            spans.append(span)
             try:
                 result = fn(*args, **kwargs)
+                if keep_call:
+                    span[4] = (args, kwargs, result)
+                return result
             finally:
-                end = time.perf_counter()
                 stack.pop()
-                spans[index] = [layer, start, end, parent, None]
-            if work is not None:
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                spans[index][4] = work(bound.arguments, result)
-            return result
+                span[2] = clock()
 
         return traced
 
@@ -129,17 +130,22 @@ class Tracer:
         """Fold the op's spans into per-layer self times and work."""
         self.active = False
         child_time = [0.0] * len(self.spans)
-        for name, start, end, parent, _ in self.spans:
+        for _, start, end, parent, _ in self.spans:
             if parent >= 0:
                 child_time[parent] += end - start
-        op = {"self": {}, "calls": {}, "work": {}}
-        for (name, start, end, _, work), child in zip(self.spans, child_time):
+        op = {"self": {}, "dp_table_calls": 0, "work": {}}
+        for (name, start, end, _, call), child in zip(self.spans, child_time):
             self_s = end - start - child
             op["self"][name] = op["self"].get(name, 0.0) + self_s
-            op["calls"][name] = op["calls"].get(name, 0) + 1
-            if work is not None:
-                acc = op["work"].setdefault((name, work[0]), [0, 0.0])
-                acc[0] += work[1]
+            if name == "optimize.dp_table":
+                op["dp_table_calls"] += 1
+            if call is not None:
+                args, kwargs, result = call
+                bound = self.signatures[name].bind(*args, **kwargs)
+                bound.apply_defaults()
+                kind, amount = LAYERS[name](bound.arguments, result)
+                acc = op["work"].setdefault((name, kind), [0, 0.0])
+                acc[0] += amount
                 acc[1] += self_s
         self.ops.append(op)
 
@@ -151,23 +157,9 @@ class Tracer:
             out[f"{layer}.self_s"] = statistics.median(
                 op["self"].get(layer, 0.0) * sc for op, sc in zip(self.ops, scales)
             )
-        out["optimize.dp_table.calls"] = statistics.median(
-            op["calls"].get("optimize.dp_table", 0) for op in self.ops
-        )
+        out["optimize.dp_table.calls"] = statistics.median(op["dp_table_calls"] for op in self.ops)
         for metric, key in RATE_METRICS.items():
             amount = sum(op["work"].get(key, (0, 0.0))[0] for op in self.ops)
             seconds = sum(op["work"].get(key, (0, 0.0))[1] * sc for op, sc in zip(self.ops, scales))
             out[metric] = amount / seconds if seconds > 0 else 0.0
         return out
-
-    def dump(self, scales: list[float]) -> list[dict]:
-        """The folded spans of every op, for writing out after the run."""
-        return [
-            {
-                "scale": sc,
-                "self_s": op["self"],
-                "calls": op["calls"],
-                "work": [[layer, kind, amount, self_s] for (layer, kind), (amount, self_s) in op["work"].items()],
-            }
-            for op, sc in zip(self.ops, scales)
-        ]

@@ -142,7 +142,7 @@ class Study:
     M = 10
     STD_TOLERANCE = 0.35  # relative; the sample std of N*M = 1000 draws has a relative SE of at most 0.045
 
-    def __init__(self, rng: np.random.Generator, workdir, population: int = 150):
+    def __init__(self, rng: np.random.Generator, workdir):
         self.rng = rng
 
     def round(self, r: int):
@@ -185,7 +185,7 @@ class Verify:
     REPLICATES = 1200
     DECK = 4  # instances, cycled; few, so a 4-SE Monte Carlo check rarely trips by chance
 
-    def __init__(self, rng: np.random.Generator, workdir, population: int = 150):
+    def __init__(self, rng: np.random.Generator, workdir):
         self.items = []
         for d in range(self.DECK):
             small = draw_risks(rng, self.ORACLE_N, self.RISK)
