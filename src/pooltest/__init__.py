@@ -15,7 +15,6 @@ from .bounds import (
     ungar_threshold,
 )
 from .cost import (
-    ArrangedGroup,
     arrange_for_modified_dorfman,
     arrange_for_sterrett,
     arranged_cost,

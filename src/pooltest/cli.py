@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .bounds import all_above_ungar, check_bounds, ungar_threshold
 from .cost import evaluate_plan
 from .model import (
+    PROCEDURES,
+    STERRETT_RULES,
     EmptyInputError,
     InstanceTooLargeError,
     OrderedPartition,
@@ -113,18 +114,6 @@ def _plan_from_args(args, pv: ProbabilityVector) -> OrderedPartition | SetPartit
     if args.single_group:
         return SetPartition(blocks=(tuple(range(pv.n)),))
     return _read_plan(args.plan)
-
-
-def _check_thread_cap() -> None:
-    raw = os.environ.get("POOLTEST_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UnknownFormatError(f"POOLTEST_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UnknownFormatError(f"POOLTEST_THREADS must be a positive integer, got {raw!r}")
 
 
 def _cmd_eval(args) -> int:
@@ -275,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--procedure",
             required=True,
-            choices=["D", "Dp", "S"],
+            choices=PROCEDURES,
             help="D=Dorfman, Dp=modified Dorfman, S=Sterrett",
         )
 
@@ -355,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_study.add_argument(
         "--sterrett-rule",
-        choices=["smallest-last", "optimal"],
+        choices=STERRETT_RULES,
         default="smallest-last",
         help="within-block arrangement for the S column; smallest-last "
         "reproduces published tables, optimal is strictly better",
@@ -376,7 +365,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_cap()
         return args.func(args)
     except InstanceTooLargeError as e:
         return _fail(str(e), EXIT_GUARD)

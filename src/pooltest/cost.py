@@ -18,19 +18,37 @@ middle positions are best sorted ascending (an adjacent swap changes one
 suffix product, which grows when the larger value sits later). What
 remains is the choice of the last value, which trades its exclusion from
 the head sum against its weight on the suffix chain; no closed-form rule
-picks it, so the minimizer enumerates the k possible last values. The
-often-quoted simpler rule "ascending head, smallest q last" agrees with
-this optimum for k <= 3 but is strictly beaten for most groups of four or
-more; it is kept available in the optimizer for reproducing published
-comparison tables.
+picks it, so the minimizer scores all k possible last values, each in
+O(1) from shared suffix sums. The often-quoted simpler rule "ascending
+head, smallest q last" agrees with this optimum for k <= 3 but is
+strictly beaten for most groups of four or more; it is kept available in
+the optimizer for reproducing published comparison tables.
+
+Each procedure's cost is written here in two forms:
+
+  given order   ``_cost_dorfman_q``, ``_cost_modified_dorfman_q`` and
+                ``_cost_sterrett_q`` cost a q sequence in test order; the
+                ``cost_*`` functions apply them to a Group.
+  arranged      ``_arranged_cost_q`` costs a block whose q values ascend
+                under its procedure's arrangement: the given-order form on
+                the arranged order for D, Dp and S smallest-last, and the
+                O(k) minimizer ``_optimal_sterrett_ascending`` for S
+                optimal. Both exhaustive oracles in ``optimize`` call it,
+                and ``arrange_for_sterrett`` takes its order from the same
+                minimizer.
+
+``optimize.dp_table`` keeps its own incremental loops: it grows each block
+one item at a time, updating running sums in O(1) (O(k) for S optimal)
+where a one-shot call would start over.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 from .model import (
+    STERRETT_RULES,
     BlockCost,
     CostReport,
     Group,
@@ -40,48 +58,29 @@ from .model import (
     sort_ascending,
 )
 
-ARRANGE_RULES = ("as-given", "optimal-Dp", "optimal-S")
-
-
-@dataclass(frozen=True)
-class ArrangedGroup:
-    """A group whose test order has been fixed by one of the arrangement rules."""
-
-    group: Group
-    rule: str
-
-    def __post_init__(self):
-        if self.rule not in ARRANGE_RULES:
-            raise ValueError(f"unknown arrangement rule {self.rule!r}")
-
-
 # ---------------------------------------------------------------------------
 # closed forms on a q-sequence (test order = sequence order)
 # ---------------------------------------------------------------------------
+# Products are taken in the order given. Callers pass the product terms
+# ascending, so that every order of one multiset costs bit-identically.
 
 
-def _canonical_prod(values) -> float:
-    # multiply in sorted order so mathematically tied orders of the same
-    # multiset produce bit-identical results
-    return math.prod(sorted(values))
-
-
-def _cost_dorfman_q(q: tuple[float, ...]) -> float:
+def _cost_dorfman_q(q: Sequence[float]) -> float:
     k = len(q)
     if k == 1:
         return 1.0
-    return 1.0 + k - k * _canonical_prod(q)
+    return 1.0 + k - k * math.prod(q)
 
 
-def _cost_modified_dorfman_q(q: tuple[float, ...]) -> float:
+def _cost_modified_dorfman_q(q: Sequence[float]) -> float:
     k = len(q)
     if k == 1:
         return 1.0
-    prod_head = _canonical_prod(q[:-1])
+    prod_head = math.prod(q[:-1])
     return 1.0 + k - k * prod_head * q[-1] - prod_head * (1.0 - q[-1])
 
 
-def _cost_sterrett_q(q: tuple[float, ...]) -> float:
+def _cost_sterrett_q(q: Sequence[float]) -> float:
     # Single right-to-left pass: the suffix-product chain is accumulated
     # Horner-style so each product is reused, O(k) total.
     k = len(q)
@@ -96,15 +95,73 @@ def _cost_sterrett_q(q: tuple[float, ...]) -> float:
     return (2.0 * k - 1.0) - head - chain
 
 
+def _optimal_sterrett_ascending(v: Sequence[float]) -> tuple[float, int]:
+    """Minimum Sterrett cost of a block whose q values ``v`` ascend, and the
+    index b of the value that goes last in an order attaining it.
+
+    One candidate order per last value v[b]: the smallest remaining value
+    goes first (its position never enters the cost) and the rest sit
+    ascending in between. With w = v[1:], suffix-product tail sums G_t of w
+    give every candidate in O(1), so the whole block costs O(k). A
+    candidate whose last value equals the previous candidate's is the same
+    order by value and is skipped, so ties go to the smallest b.
+    """
+    m = len(v)
+    if m == 1:
+        return 1.0, 0
+    total = math.fsum(v)
+    prod = math.prod(v)
+    w = v[1:]
+    r = len(w)
+    # G[t] = sum over u >= t of (w_u * w_{u+1} * ... * w_r), 1-based
+    G = [0.0] * (r + 2)
+    acc = 1.0
+    for t in range(r, 0, -1):
+        acc *= w[t - 1]
+        G[t] = acc + G[t + 1]
+    two_m1 = 2.0 * m - 1.0
+    # b = 0: smallest value last, w[0] first, middle = w[1:]
+    best = two_m1 - (total - v[0]) - prod - v[0] * G[2]
+    best_b = 0
+    g1 = G[1]
+    # b = j >= 1: value w[j-1] = v[j] last, v[0] first, middle = w without w[j-1]
+    for j in range(1, r + 1):
+        wj = w[j - 1]
+        if wj == v[j - 1]:
+            continue
+        e = two_m1 - total + wj - prod - wj * G[j + 1] - (g1 - G[j])
+        if e < best:
+            best = e
+            best_b = j
+    return best, best_b
+
+
+def _arranged_cost_q(v: Sequence[float], procedure: str, s_rule: str = "optimal") -> float:
+    """Cost of a block whose q values ``v`` ascend, in the order the
+    procedure's arrangement gives it (``s_rule`` picks Sterrett's)."""
+    if procedure == "D":
+        return _cost_dorfman_q(v)
+    if procedure == "Dp":
+        return _cost_modified_dorfman_q((*v[1:], v[0]))
+    if procedure != "S":
+        raise ValueError(f"unknown procedure {procedure!r}")
+    if s_rule == "optimal":
+        return _optimal_sterrett_ascending(v)[0]
+    if s_rule == "smallest-last":
+        return _cost_sterrett_q((*v[1:], v[0]))
+    raise ValueError(f"unknown Sterrett rule {s_rule!r}")
+
+
 def cost_dorfman(group: Group, pv: ProbabilityVector) -> float:
     """Expected tests under Dorfman pooling; invariant to the group order."""
-    return _cost_dorfman_q(group.qs(pv))
+    return _cost_dorfman_q(sorted(group.qs(pv)))
 
 
 def cost_dorfman_modified(group: Group, pv: ProbabilityVector) -> float:
     """Expected tests under modified Dorfman; the LAST item is the one whose
     individual test may be skipped, so order matters."""
-    return _cost_modified_dorfman_q(group.qs(pv))
+    *head, last = group.qs(pv)
+    return _cost_modified_dorfman_q((*sorted(head), last))
 
 
 def cost_sterrett(group: Group, pv: ProbabilityVector) -> float:
@@ -190,45 +247,31 @@ def sterrett_smallest_last_order(group: Group, pv: ProbabilityVector) -> Group:
     return Group(items=tuple(reversed(v[: k - 1])) + (v[k - 1],))
 
 
-def arrange_for_sterrett(group: Group, pv: ProbabilityVector) -> ArrangedGroup:
+def arrange_for_sterrett(group: Group, pv: ProbabilityVector) -> Group:
     """Reorder a group to minimize the Sterrett cost over all k! orders.
 
     The first position's value only absorbs one member (it never enters
     the cost except through order-invariant terms), and between the first
     and last positions the values must ascend. That leaves k candidate
     orders, one per choice of last value; each candidate places the
-    smallest remaining value first and the rest ascending in between. The
-    candidates are costed directly and the cheapest kept, ties going to
-    the smaller last value (then to the lower item index, via the sort).
+    smallest remaining value first and the rest ascending in between.
+    ``_optimal_sterrett_ascending`` picks the cheapest, ties going to the
+    smaller last value (then to the lower item index, via the sort).
     """
     group.check_against(pv)
     asc = sorted(group.items, key=lambda i: (1.0 - pv.probs[i], i))  # ascending q
-    k = len(asc)
-    if k == 1:
-        return ArrangedGroup(group=Group(items=tuple(asc)), rule="optimal-S")
-    qs = {i: 1.0 - pv.probs[i] for i in asc}
-    best_order: tuple[int, ...] | None = None
-    best_cost = math.inf
-    for b in range(k):
-        rest = asc[:b] + asc[b + 1 :]
-        order = (rest[0], *rest[1:], asc[b])
-        c = _cost_sterrett_q(tuple(qs[i] for i in order))
-        if c < best_cost:
-            best_cost = c
-            best_order = order
-    assert best_order is not None
-    return ArrangedGroup(group=Group(items=best_order), rule="optimal-S")
+    _, b = _optimal_sterrett_ascending([1.0 - pv.probs[i] for i in asc])
+    return Group(items=(*asc[:b], *asc[b + 1 :], asc[b]))
 
 
-def arrange_for_modified_dorfman(group: Group, pv: ProbabilityVector) -> ArrangedGroup:
+def arrange_for_modified_dorfman(group: Group, pv: ProbabilityVector) -> Group:
     """Reorder a group to minimize the modified-Dorfman cost.
 
     Only the last position matters: it must hold the smallest q. The other
     positions are fixed to descending q (ties by index) for deterministic
     reports.
     """
-    v = _sorted_desc_q(group, pv)
-    return ArrangedGroup(group=Group(items=tuple(v)), rule="optimal-Dp")
+    return Group(items=tuple(_sorted_desc_q(group, pv)))
 
 
 def arranged_cost(
@@ -240,19 +283,19 @@ def arranged_cost(
     or "smallest-last" (the simple published rule); D and Dp ignore it.
     """
     if procedure == "D":
-        return group, cost_dorfman(group, pv)
-    if procedure == "Dp":
-        g = arrange_for_modified_dorfman(group, pv).group
-        return g, cost_dorfman_modified(g, pv)
-    if procedure == "S":
-        if s_rule == "smallest-last":
-            g = sterrett_smallest_last_order(group, pv)
-        elif s_rule == "optimal":
-            g = arrange_for_sterrett(group, pv).group
-        else:
+        g = group
+    elif procedure == "Dp":
+        g = arrange_for_modified_dorfman(group, pv)
+    elif procedure == "S":
+        if s_rule not in STERRETT_RULES:
             raise ValueError(f"unknown Sterrett rule {s_rule!r}")
-        return g, cost_sterrett(g, pv)
-    raise ValueError(f"unknown procedure {procedure!r}")
+        if s_rule == "optimal":
+            g = arrange_for_sterrett(group, pv)
+        else:
+            g = sterrett_smallest_last_order(group, pv)
+    else:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    return g, group_cost(g, pv, procedure)
 
 
 def group_cost(group: Group, pv: ProbabilityVector, procedure: str) -> float:

@@ -22,6 +22,10 @@ from typing import Any, Iterable, Sequence
 
 PROCEDURES = ("D", "Dp", "S")  # Dorfman, modified Dorfman, Sterrett
 
+# Within-block arrangements of Sterrett blocks: the true minimum, or the
+# simple published rule (ascending head, smallest q last).
+STERRETT_RULES = ("optimal", "smallest-last")
+
 REL_TOL = 1e-12  # default relative tolerance for cost comparisons
 
 

@@ -7,15 +7,21 @@ With C(0) = 0 and C(1) = 1, the cost-to-go of the first k sorted items is
     C(k) = min over 0 <= i <= k-1 of  E(block i+1..k) + C(i)
 
 where each candidate block is costed under its within-block arrangement.
-For D and Dp, block costs are maintained incrementally while i sweeps from
-k-1 down to 0, so the table costs O(N^2) arithmetic. Sterrett blocks are
-arranged by one of two rules:
+Block costs are maintained incrementally while i sweeps from k-1 down to
+0, so D, Dp and smallest-last Sterrett tables cost O(N^2) arithmetic.
+Sterrett blocks are arranged by one of two rules:
 
-  "optimal"        the true minimum over block orders (enumerates the
-                   last-position value per block; O(N^3) overall)
+  "optimal"        the true minimum over block orders (scores every
+                   last-position value per block; O(N^3) overall, so
+                   guarded at N <= 1000)
   "smallest-last"  the simple ascending-head rule, optimal only for
                    blocks of up to three items but O(N^2) overall and the
                    rule behind published comparison tables
+
+These incremental loops are the only incremental form of the block costs.
+The exhaustive oracles cost each block afresh with the one-shot
+``cost._arranged_cost_q``, so the ordered oracle also checks the loops
+against an independent implementation.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bounds import ungar_threshold
-from .cost import evaluate_plan
+from .cost import _arranged_cost_q, evaluate_plan
 from .model import (
+    PROCEDURES,
+    STERRETT_RULES,
     CostReport,
     InstanceTooLargeError,
     NotSortedError,
@@ -38,9 +46,9 @@ from .model import (
 
 MAX_EXHAUSTIVE_ORDERED = 20
 MAX_EXHAUSTIVE_SET = 13
+MAX_STERRETT_OPTIMAL_DP = 1000  # O(N^3) pure Python: about a minute at the guard
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
-STERRETT_RULES = ("optimal", "smallest-last")
 
 
 @dataclass(frozen=True)
@@ -111,43 +119,6 @@ def _check_sorted(pv: ProbabilityVector) -> None:
             raise NotSortedError("population must be sorted ascending by p")
 
 
-def _optimal_sterrett_cost_ascending(v: list[float]) -> float:
-    """Minimum Sterrett cost of a block whose q values are given ascending.
-
-    One candidate order per choice of last value b: the smallest remaining
-    value goes first (its position never enters the cost) and the rest sit
-    ascending in between. With w = v[1:], suffix-product tail sums G_t of w
-    give every candidate in O(1), so the whole block costs O(m).
-    """
-    m = len(v)
-    if m == 1:
-        return 1.0
-    total = math.fsum(v)
-    prod = math.prod(v)
-    w = v[1:]
-    r = len(w)
-    # G[t] = sum over u >= t of (w_u * w_{u+1} * ... * w_r), 1-based
-    G = [0.0] * (r + 2)
-    acc_suffix = [0.0] * (r + 2)
-    acc = 1.0
-    for t in range(r, 0, -1):
-        acc *= w[t - 1]
-        acc_suffix[t] = acc
-    for t in range(r, 0, -1):
-        G[t] = acc_suffix[t] + G[t + 1]
-    two_m1 = 2.0 * m - 1.0
-    # b = 1: smallest value last, w[0] first, middle = w[1:]
-    best = two_m1 - (total - v[0]) - prod - v[0] * G[2]
-    g1 = G[1]
-    # b >= 2: value w[j-1] last, v[0] first, middle = w without w[j-1]
-    for j in range(1, r + 1):
-        wj = w[j - 1]
-        e = two_m1 - total + wj - prod - wj * G[j + 1] - (g1 - G[j])
-        if e < best:
-            best = e
-    return best
-
-
 def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> DpTable:
     """Run the ordered-partition DP on an already sorted population.
 
@@ -155,10 +126,12 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
     (see the module docstring); it is ignored for D and Dp.
     """
     _check_sorted(pv)
-    if procedure not in ("D", "Dp", "S"):
+    if procedure not in PROCEDURES:
         raise ValueError(f"unknown procedure {procedure!r}")
     if s_rule not in STERRETT_RULES:
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
+    if procedure == "S" and s_rule == "optimal" and pv.n > MAX_STERRETT_OPTIMAL_DP:
+        raise InstanceTooLargeError(pv.n, MAX_STERRETT_OPTIMAL_DP, "Sterrett-optimal DP")
     qs = pv.q  # descending
     n = pv.n
     cost = [0.0] * (n + 1)
@@ -256,55 +229,13 @@ def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
 # ---------------------------------------------------------------------------
 
 
-def _arranged_block_cost_q(v: list[float], procedure: str, s_rule: str = "optimal") -> float:
-    """Arranged cost of a block with q values ``v`` sorted descending."""
-    m = len(v)
-    if m == 1:
-        return 1.0
-    if procedure == "D":
-        return 1.0 + m - m * math.prod(v)
-    if procedure == "Dp":
-        prod_head = math.prod(v[:-1])
-        return 1.0 + m - m * prod_head * v[-1] - prod_head * (1.0 - v[-1])
-    if s_rule == "optimal":
-        return _optimal_sterrett_cost_ascending(v[::-1])
-    # smallest-last rule: (2m-1) - sum of first m-1 values - v_m * (P_1+...+P_{m-1})
-    head = 0.0
-    acc = 1.0
-    chain = 0.0
-    for x in v[:-1]:
-        head += x
-        acc *= x
-        chain += acc
-    return (2.0 * m - 1.0) - head - v[-1] * chain
-
-
 def _block_cost_table(qs: tuple[float, ...], procedure: str, s_rule: str) -> list[list[float]]:
     """bc[i][j] = arranged cost of sorted items i..j-1 (q descending)."""
     n = len(qs)
     bc = [[0.0] * (n + 1) for _ in range(n)]
     for j in range(1, n + 1):
-        qlast = qs[j - 1]
-        prod = qlast
-        prod_head = 1.0
-        head_sum = 0.0
-        prefix_chain = 0.0
-        bc[j - 1][j] = 1.0
-        for i in range(j - 2, -1, -1):
-            qi = qs[i]
-            prod *= qi
-            prod_head *= qi
-            head_sum += qi
-            prefix_chain = qi * (1.0 + prefix_chain)
-            m = j - i
-            if procedure == "D":
-                bc[i][j] = 1.0 + m - m * prod
-            elif procedure == "Dp":
-                bc[i][j] = 1.0 + m - m * prod - prod_head * (1.0 - qlast)
-            elif s_rule == "optimal":
-                bc[i][j] = _optimal_sterrett_cost_ascending(list(qs[i:j])[::-1])
-            else:
-                bc[i][j] = (2.0 * m - 1.0) - head_sum - qlast * prefix_chain
+        for i in range(j):
+            bc[i][j] = _arranged_cost_q(qs[i:j][::-1], procedure, s_rule)
     return bc
 
 
@@ -390,8 +321,7 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     for blocks in iter_set_partitions(n):
         total = 0.0
         for b in blocks:
-            v = sorted((qs[i] for i in b), reverse=True)
-            total += _arranged_block_cost_q(v, procedure)
+            total += _arranged_cost_q(sorted([qs[i] for i in b]), procedure)
         if total < best:
             best = total
             best_blocks = blocks

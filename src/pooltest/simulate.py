@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import MAX_OUTCOME_N
 from .cost import arranged_cost, resolve_plan
 from .model import (
     Group,
+    InstanceTooLargeError,
     OrderedPartition,
     ProbabilityVector,
     SetPartition,
@@ -30,10 +32,17 @@ from .model import (
 )
 
 
+def stream_generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """Generator of the child stream ``key`` of base ``seed``, built directly
+    from its address, so no sibling streams are spawned."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass(frozen=True)
 class RngSpec:
-    """Deterministic stream addressing: replicate r of a run with base
-    ``seed`` draws from the child stream (seed, r)."""
+    """Deterministic stream addressing under a base ``seed``: ``generator()``
+    draws from the child stream (stream,), and replicate r of
+    ``estimate_cost`` draws from the child stream (stream, r)."""
 
     seed: int
     stream: int = 0
@@ -45,8 +54,7 @@ class RngSpec:
             raise ValueError("stream index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.PCG64(ss))
+        return stream_generator(self.seed, (self.stream,))
 
 
 @dataclass(frozen=True)
@@ -157,7 +165,10 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     """Probability-weighted test count over all 2^k defect vectors.
 
     Exhaustive-outcome oracle for the closed forms; no sampling involved.
+    Groups above ``bounds.MAX_OUTCOME_N`` items are refused.
     """
+    if group.size > MAX_OUTCOME_N:
+        raise InstanceTooLargeError(group.size, MAX_OUTCOME_N, "outcome enumeration")
     run = PROTOCOLS[procedure]
     probs = [pv.probs[i] for i in group.items]
     k = len(probs)
@@ -179,10 +190,10 @@ def estimate_cost(
 ) -> SimulationSummary:
     """Monte Carlo estimate of a plan's expected total tests.
 
-    Each of the ``m`` replicates draws an independent defect vector (item i
-    defective with probability p_i) from its own child stream of
-    ``rng.seed`` and runs the protocol on every block. The standard error
-    is the sample standard deviation over replicates divided by sqrt(m).
+    Replicate r draws an independent defect vector (item i defective with
+    probability p_i) from the child stream (rng.stream, r) of ``rng.seed``
+    and runs the protocol on every block. The standard error is the sample
+    standard deviation over replicates divided by sqrt(m).
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
@@ -194,11 +205,9 @@ def estimate_cost(
         raise ValueError(f"arrange must be 'optimal' or 'given', got {arrange!r}")
     p = np.asarray(pv.probs)
     block_items = [list(g.items) for g in groups]
-    children = np.random.SeedSequence(entropy=rng.seed).spawn(m)
     totals = np.empty(m)
     for r in range(m):
-        gen = np.random.Generator(np.random.PCG64(children[r]))
-        defective = gen.random(pv.n) < p
+        defective = stream_generator(rng.seed, (rng.stream, r)).random(pv.n) < p
         tests = 0
         for g, items in zip(groups, block_items):
             tests += run(g, defective[items]).tests_performed

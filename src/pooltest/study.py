@@ -22,9 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import entropy_bits
-from .model import EmptyInputError, ProbabilityVector, UnknownFormatError
+from .model import (
+    PROCEDURES,
+    STERRETT_RULES,
+    EmptyInputError,
+    ProbabilityVector,
+    UnknownFormatError,
+)
 from .optimize import dp_table
-from .simulate import sample_beta_one
+from .simulate import sample_beta_one, stream_generator
 
 DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
@@ -61,7 +67,7 @@ class StudyConfig:
             raise ValueError("at least two replicates are required")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.sterrett_rule not in ("smallest-last", "optimal"):
+        if self.sterrett_rule not in STERRETT_RULES:
             raise ValueError(f"unknown Sterrett rule {self.sterrett_rule!r}")
 
 
@@ -100,33 +106,29 @@ def _draw_risks(n: int, beta: float, rng: np.random.Generator) -> list[float]:
     return [sample_beta_one(beta, rng) for _ in range(n)]
 
 
-def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
 def run_study(config: StudyConfig) -> list[StudyRow]:
     """Run the full study; deterministic for a fixed config."""
     rows = []
     for t, p in enumerate(config.p_targets):
         beta = (1.0 - p) / p
-        per_proc = {"D": [], "Dp": [], "S": []}
+        per_proc = {proc: [] for proc in PROCEDURES}
         entropies = []
         all_draws: list[float] = []
         for r in range(config.m):
             if config.common_draws:
-                risks = _draw_risks(config.n, beta, _stream(config.seed, (t, r)))
+                risks = _draw_risks(config.n, beta, stream_generator(config.seed, (t, r)))
                 all_draws.extend(risks)
                 pv = ProbabilityVector(probs=tuple(sorted(risks)))
-                for proc in ("D", "Dp", "S"):
+                for proc in PROCEDURES:
                     per_proc[proc].append(dp_table(pv, proc, s_rule=config.sterrett_rule).total)
                 entropies.append(entropy_bits(pv))
             else:
-                for c, proc in enumerate(("D", "Dp", "S")):
-                    risks = _draw_risks(config.n, beta, _stream(config.seed, (t, r, c)))
+                for c, proc in enumerate(PROCEDURES):
+                    risks = _draw_risks(config.n, beta, stream_generator(config.seed, (t, r, c)))
                     all_draws.extend(risks)
                     pv = ProbabilityVector(probs=tuple(sorted(risks)))
                     per_proc[proc].append(dp_table(pv, proc, s_rule=config.sterrett_rule).total)
-                risks = _draw_risks(config.n, beta, _stream(config.seed, (t, r, 3)))
+                risks = _draw_risks(config.n, beta, stream_generator(config.seed, (t, r, 3)))
                 all_draws.extend(risks)
                 entropies.append(entropy_bits(ProbabilityVector(probs=tuple(risks))))
 

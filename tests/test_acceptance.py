@@ -108,9 +108,9 @@ def test_criterion_4_arrangement_optimality():
             g = Group(items=tuple(range(k)))
             perms = list(itertools.permutations(range(k)))
             best_s = min(cost_sterrett(Group(items=p), pv) for p in perms)
-            assert cost_sterrett(arrange_for_sterrett(g, pv).group, pv) == best_s
+            assert cost_sterrett(arrange_for_sterrett(g, pv), pv) == best_s
             best_dp = min(cost_dorfman_modified(Group(items=p), pv) for p in perms)
-            arranged = arrange_for_modified_dorfman(g, pv).group
+            arranged = arrange_for_modified_dorfman(g, pv)
             assert cost_dorfman_modified(arranged, pv) == best_dp
 
 

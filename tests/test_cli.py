@@ -145,6 +145,14 @@ class TestOptimize:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["optimize", "--procedure", "S"], ["oracle", "--procedure", "S"], ["bounds"]]
+    )
+    def test_sterrett_dp_guard_exit_code(self, capsys, probs_file, argv):
+        code, _, err = run_cli(capsys, argv[0], "--probs", probs_file([0.1] * 1001), *argv[1:])
+        assert code == 3
+        assert "guard" in err
+
 
 class TestOracle:
     def test_counterexample_instance(self, capsys, probs_file):
@@ -263,22 +271,3 @@ class TestCounterexample:
         code, out, _ = run_cli(capsys, "counterexample")
         assert code == 4
         assert "FAIL" in out
-
-
-class TestThreadCap:
-    def test_invalid_value_rejected(self, capsys, probs_file, monkeypatch):
-        monkeypatch.setenv("POOLTEST_THREADS", "zero")
-        code, _, err = run_cli(
-            capsys, "eval", "--probs", probs_file([0.5]), "--procedure", "S",
-            "--single-group",
-        )
-        assert code == 2
-        assert "POOLTEST_THREADS" in err
-
-    def test_valid_value_accepted(self, capsys, probs_file, monkeypatch):
-        monkeypatch.setenv("POOLTEST_THREADS", "4")
-        code, _, _ = run_cli(
-            capsys, "eval", "--probs", probs_file([0.5]), "--procedure", "S",
-            "--single-group",
-        )
-        assert code == 0

@@ -131,31 +131,31 @@ class TestArrangements:
     def test_sterrett_triple_example(self):
         pv = pv_from_q([0.95, 0.9, 0.6])
         arranged = arrange_for_sterrett(whole_group(pv), pv)
-        assert pv.q[arranged.group.items[0]] == 0.9
-        assert pv.q[arranged.group.items[1]] == 0.95
-        assert pv.q[arranged.group.items[2]] == 0.6
-        assert cost_sterrett(arranged.group, pv) == pytest.approx(2.067, abs=1e-12)
+        assert pv.q[arranged.items[0]] == 0.9
+        assert pv.q[arranged.items[1]] == 0.95
+        assert pv.q[arranged.items[2]] == 0.6
+        assert cost_sterrett(arranged, pv) == pytest.approx(2.067, abs=1e-12)
 
     def test_sterrett_pair_larger_q_first(self):
         pv = pv_from_q([0.8, 0.9])
         arranged = arrange_for_sterrett(whole_group(pv), pv)
-        assert [pv.q[i] for i in arranged.group.items] == [0.9, 0.8]
+        assert [pv.q[i] for i in arranged.items] == [0.9, 0.8]
 
     def test_sterrett_singleton_unchanged(self):
         pv = validate_probability_vector([0.2])
         arranged = arrange_for_sterrett(whole_group(pv), pv)
-        assert arranged.group.items == (0,)
+        assert arranged.items == (0,)
 
     def test_modified_dorfman_smallest_q_last(self):
         pv = pv_from_q([0.6, 0.99])
         arranged = arrange_for_modified_dorfman(whole_group(pv), pv)
-        assert [pv.q[i] for i in arranged.group.items] == [0.99, 0.6]
-        assert cost_dorfman_modified(arranged.group, pv) == pytest.approx(1.416, abs=1e-12)
+        assert [pv.q[i] for i in arranged.items] == [0.99, 0.6]
+        assert cost_dorfman_modified(arranged, pv) == pytest.approx(1.416, abs=1e-12)
 
     def test_modified_dorfman_equal_q_invariant(self):
         pv = pv_from_q([0.9, 0.9, 0.9])
         arranged = arrange_for_modified_dorfman(whole_group(pv), pv)
-        assert cost_dorfman_modified(arranged.group, pv) == pytest.approx(1.732, abs=1e-12)
+        assert cost_dorfman_modified(arranged, pv) == pytest.approx(1.732, abs=1e-12)
 
     # dyadic grid values keep every product exactly representable, so the
     # exact-tie assertion cannot be disturbed by rounding
@@ -170,7 +170,7 @@ class TestArrangements:
             cost_sterrett(Group(items=perm), pv)
             for perm in itertools.permutations(range(pv.n))
         )
-        assert cost_sterrett(arrange_for_sterrett(g, pv).group, pv) == best
+        assert cost_sterrett(arrange_for_sterrett(g, pv), pv) == best
 
     @given(st.lists(dyadic_q, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -181,14 +181,14 @@ class TestArrangements:
             cost_dorfman_modified(Group(items=perm), pv)
             for perm in itertools.permutations(range(pv.n))
         )
-        assert cost_dorfman_modified(arrange_for_modified_dorfman(g, pv).group, pv) == best
+        assert cost_dorfman_modified(arrange_for_modified_dorfman(g, pv), pv) == best
 
     def test_sterrett_beats_smallest_last_rule_on_larger_groups(self):
         # the simple rule is exact for k <= 3; from k = 4 it is usually beaten
         pv = pv_from_q([0.507, 0.949, 0.969, 0.992])
         g = whole_group(pv)
         simple = cost_sterrett(sterrett_smallest_last_order(g, pv), pv)
-        optimal = cost_sterrett(arrange_for_sterrett(g, pv).group, pv)
+        optimal = cost_sterrett(arrange_for_sterrett(g, pv), pv)
         brute = min(
             cost_sterrett(Group(items=perm), pv)
             for perm in itertools.permutations(range(pv.n))

@@ -155,6 +155,9 @@ class TestExhaustiveSet:
         pv = validate_probability_vector([0.1] * 21)
         with pytest.raises(InstanceTooLargeError):
             exhaustive_ordered(pv, "S")
+        pv = validate_probability_vector([0.1] * 1001)
+        with pytest.raises(InstanceTooLargeError):
+            dp_table(pv, "S")
 
     def test_report_matches_reevaluation(self):
         pv = validate_probability_vector(COUNTEREXAMPLE)
@@ -164,19 +167,30 @@ class TestExhaustiveSet:
 
 
 def test_fast_block_cost_matches_arrangement_route():
-    # the DP's O(m) block formula and the public arrange-then-cost path are
-    # independent implementations of the same quantity
-    from pooltest.cost import arrange_for_sterrett, cost_sterrett
+    # the oracles' one-shot block cost on ascending q values and the public
+    # arrange-then-cost path must agree for every procedure and rule
+    from pooltest.cost import (
+        _arranged_cost_q,
+        _optimal_sterrett_ascending,
+        arrange_for_sterrett,
+        arranged_cost,
+        cost_sterrett,
+    )
     from pooltest.model import Group
-    from pooltest.optimize import _optimal_sterrett_cost_ascending
 
     rng = random.Random(53)
     for _ in range(300):
         k = rng.randint(1, 12)
         pv = random_pv(rng, k)
-        fast = _optimal_sterrett_cost_ascending(sorted(pv.q))
-        g = arrange_for_sterrett(Group(items=tuple(range(k))), pv).group
-        slow = cost_sterrett(g, pv)
+        v = sorted(pv.q)
+        g = Group(items=tuple(range(k)))
+        for procedure, s_rule in (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"),
+                                  ("S", "smallest-last")):
+            fast = _arranged_cost_q(v, procedure, s_rule)
+            _, slow = arranged_cost(g, pv, procedure, s_rule)
+            assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
+        fast, _ = _optimal_sterrett_ascending(v)
+        slow = cost_sterrett(arrange_for_sterrett(g, pv), pv)
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
 
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pooltest.cost import cost_dorfman, cost_dorfman_modified, cost_sterrett, evaluate_plan
-from pooltest.model import Group, OrderedPartition, SetPartition, validate_probability_vector
+from pooltest.model import (
+    Group,
+    InstanceTooLargeError,
+    OrderedPartition,
+    SetPartition,
+    validate_probability_vector,
+)
+from pooltest.optimize import dp_ordered
 from pooltest.simulate import (
     PROTOCOLS,
     RngSpec,
@@ -123,6 +130,11 @@ class TestExactExpectation:
             cost_sterrett(g, pv), abs=1e-12
         )
 
+    def test_refuses_groups_above_outcome_guard(self):
+        pv = validate_probability_vector([0.1] * 21)
+        with pytest.raises(InstanceTooLargeError):
+            exact_expected_tests(group_of(21), pv, "S")
+
 
 class TestRngSpec:
     def test_same_spec_same_draws(self):
@@ -169,6 +181,13 @@ class TestEstimateCost:
         a = estimate_cost(plan, pv, "Dp", 500, RngSpec(seed=5))
         b = estimate_cost(plan, pv, "Dp", 500, RngSpec(seed=5))
         assert a == b
+
+    def test_stream_selects_the_draws(self):
+        pv = validate_probability_vector([0.05] * 30)
+        plan = dp_ordered(pv, "S").plan
+        a = estimate_cost(plan, pv, "S", 500, RngSpec(seed=3, stream=0))
+        b = estimate_cost(plan, pv, "S", 500, RngSpec(seed=3, stream=1))
+        assert a.mean_tests != b.mean_tests
 
     def test_rejects_single_replicate(self):
         pv = validate_probability_vector([0.2])
