@@ -15,8 +15,6 @@ from .bounds import (
     ungar_threshold,
 )
 from .cost import (
-    arrange_for_modified_dorfman,
-    arrange_for_sterrett,
     arranged_cost,
     cost_dorfman,
     cost_dorfman_modified,
@@ -26,7 +24,6 @@ from .cost import (
     evaluate_plan,
     group_cost,
     resolve_plan,
-    sterrett_smallest_last_order,
 )
 from .model import (
     PROCEDURES,

@@ -65,24 +65,16 @@ def huffman_length(pv: ProbabilityVector) -> float:
     defect patterns.
 
     Uses the classic two-least-merge construction; L equals the sum of all
-    merge weights, which is invariant to how ties are broken. Ties are
-    nevertheless resolved toward the earliest-created node so the merge
-    sequence is deterministic.
+    merge weights. The weights merged depend only on the multiset in the
+    heap, not on how ties are broken, so plain floats are heaped.
     """
-    dist = outcome_distribution(pv).tolist()
-    if len(dist) == 1:  # unreachable: N >= 1 gives at least two patterns
-        return 0.0
-    heap = [(w, i) for i, w in enumerate(dist)]
+    heap = outcome_distribution(pv).tolist()
     heapq.heapify(heap)
-    counter = len(heap)
     length = 0.0
     while len(heap) > 1:
-        wa, _ = heapq.heappop(heap)
-        wb, _ = heapq.heappop(heap)
-        merged = wa + wb
+        merged = heapq.heappop(heap) + heap[0]
+        heapq.heapreplace(heap, merged)
         length += merged
-        heapq.heappush(heap, (merged, counter))
-        counter += 1
     return length
 
 

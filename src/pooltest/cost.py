@@ -21,21 +21,23 @@ the head sum against its weight on the suffix chain; no closed-form rule
 picks it, so the minimizer scores all k possible last values, each in
 O(1) from shared suffix sums. The often-quoted simpler rule "ascending
 head, smallest q last" agrees with this optimum for k <= 3 but is
-strictly beaten for most groups of four or more; it is kept available in
-the optimizer for reproducing published comparison tables.
+strictly beaten for most groups of four or more; it stays available as
+``arranged_cost(group, pv, "S", "smallest-last")`` and in the optimizer
+for reproducing published comparison tables.
 
 Each procedure's cost is written here in two forms:
 
   given order   ``_cost_dorfman_q``, ``_cost_modified_dorfman_q`` and
                 ``_cost_sterrett_q`` cost a q sequence in test order; the
                 ``cost_*`` functions apply them to a Group.
-  arranged      ``_arranged_cost_q`` costs a block whose q values ascend
-                under its procedure's arrangement: the given-order form on
-                the arranged order for D, Dp and S smallest-last, and the
-                O(k) minimizer ``_optimal_sterrett_ascending`` for S
-                optimal. Both exhaustive oracles in ``optimize`` call it,
-                and ``arrange_for_sterrett`` takes its order from the same
-                minimizer.
+  arranged      ``_arranged_cost_q`` takes a block's q values ascending,
+                decides its test order (which value goes last) and costs
+                it: the given-order form on that order for D, Dp and S
+                smallest-last, and the O(k) minimizer
+                ``_optimal_sterrett_ascending`` for S optimal. It is the
+                only place an arrangement is decided: both exhaustive
+                oracles in ``optimize`` call it, and ``arranged_cost``
+                applies its order to a Group for reports and simulation.
 
 ``optimize.dp_table`` keeps its own incremental loops: it grows each block
 one item at a time, updating running sums in O(1) (O(k) for S optimal)
@@ -48,7 +50,6 @@ import math
 from typing import Sequence
 
 from .model import (
-    STERRETT_RULES,
     BlockCost,
     CostReport,
     Group,
@@ -136,19 +137,28 @@ def _optimal_sterrett_ascending(v: Sequence[float]) -> tuple[float, int]:
     return best, best_b
 
 
-def _arranged_cost_q(v: Sequence[float], procedure: str, s_rule: str = "optimal") -> float:
-    """Cost of a block whose q values ``v`` ascend, in the order the
-    procedure's arrangement gives it (``s_rule`` picks Sterrett's)."""
+def _arranged_cost_q(
+    v: Sequence[float], procedure: str, s_rule: str = "optimal"
+) -> tuple[float, int]:
+    """Cost of a block whose q values ``v`` ascend, arranged for the
+    procedure (``s_rule`` picks Sterrett's), and the index b of the value
+    tested last: the test order is v without v[b], then v[b].
+
+    This is the one place a block's arrangement is decided. D costs the
+    same in every order (b = k - 1 keeps v as given); Dp and smallest-last
+    S put the smallest q last (b = 0); optimal S takes b from the O(k)
+    minimizer.
+    """
     if procedure == "D":
-        return _cost_dorfman_q(v)
+        return _cost_dorfman_q(v), len(v) - 1
     if procedure == "Dp":
-        return _cost_modified_dorfman_q((*v[1:], v[0]))
+        return _cost_modified_dorfman_q((*v[1:], v[0])), 0
     if procedure != "S":
         raise ValueError(f"unknown procedure {procedure!r}")
     if s_rule == "optimal":
-        return _optimal_sterrett_ascending(v)[0]
+        return _optimal_sterrett_ascending(v)
     if s_rule == "smallest-last":
-        return _cost_sterrett_q((*v[1:], v[0]))
+        return _cost_sterrett_q((*v[1:], v[0])), 0
     raise ValueError(f"unknown Sterrett rule {s_rule!r}")
 
 
@@ -226,75 +236,22 @@ def cost_sterrett_equal_prob(k: int, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_desc_q(group: Group, pv: ProbabilityVector) -> list[int]:
-    group.check_against(pv)
-    # descending q, ties broken by original index ascending
-    return sorted(group.items, key=lambda i: (-(1.0 - pv.probs[i]), i))
-
-
-def sterrett_smallest_last_order(group: Group, pv: ProbabilityVector) -> Group:
-    """The simple rule: positions 1..k-1 ascending by q, smallest q last.
-
-    Minimizes the Sterrett cost for k <= 3 only; for larger groups
-    arrange_for_sterrett finds strictly cheaper orders on most inputs.
-    Published comparison tables are built on this rule, so the optimizer
-    can be switched to it for reproduction runs.
-    """
-    v = _sorted_desc_q(group, pv)
-    k = len(v)
-    if k <= 1:
-        return Group(items=tuple(v))
-    return Group(items=tuple(reversed(v[: k - 1])) + (v[k - 1],))
-
-
-def arrange_for_sterrett(group: Group, pv: ProbabilityVector) -> Group:
-    """Reorder a group to minimize the Sterrett cost over all k! orders.
-
-    The first position's value only absorbs one member (it never enters
-    the cost except through order-invariant terms), and between the first
-    and last positions the values must ascend. That leaves k candidate
-    orders, one per choice of last value; each candidate places the
-    smallest remaining value first and the rest ascending in between.
-    ``_optimal_sterrett_ascending`` picks the cheapest, ties going to the
-    smaller last value (then to the lower item index, via the sort).
-    """
-    group.check_against(pv)
-    asc = sorted(group.items, key=lambda i: (1.0 - pv.probs[i], i))  # ascending q
-    _, b = _optimal_sterrett_ascending([1.0 - pv.probs[i] for i in asc])
-    return Group(items=(*asc[:b], *asc[b + 1 :], asc[b]))
-
-
-def arrange_for_modified_dorfman(group: Group, pv: ProbabilityVector) -> Group:
-    """Reorder a group to minimize the modified-Dorfman cost.
-
-    Only the last position matters: it must hold the smallest q. The other
-    positions are fixed to descending q (ties by index) for deterministic
-    reports.
-    """
-    return Group(items=tuple(_sorted_desc_q(group, pv)))
-
-
 def arranged_cost(
     group: Group, pv: ProbabilityVector, procedure: str, s_rule: str = "optimal"
 ) -> tuple[Group, float]:
-    """The arranged group and its cost under ``procedure``.
+    """The group in its cheapest test order under ``procedure``, and its cost.
 
-    ``s_rule`` picks the Sterrett arrangement: "optimal" (the true minimum)
-    or "smallest-last" (the simple published rule); D and Dp ignore it.
+    ``s_rule`` picks the Sterrett arrangement: "optimal" (the true minimum
+    over all k! orders) or "smallest-last" (the simple published rule,
+    optimal only for k <= 3); D and Dp ignore it. The members are sorted
+    by (q, index) and ``_arranged_cost_q`` picks the last one, so ties go
+    to the lower index; D, which costs the same in every order, keeps the
+    given order. The cost is that of the returned order under
+    ``group_cost``.
     """
-    if procedure == "D":
-        g = group
-    elif procedure == "Dp":
-        g = arrange_for_modified_dorfman(group, pv)
-    elif procedure == "S":
-        if s_rule not in STERRETT_RULES:
-            raise ValueError(f"unknown Sterrett rule {s_rule!r}")
-        if s_rule == "optimal":
-            g = arrange_for_sterrett(group, pv)
-        else:
-            g = sterrett_smallest_last_order(group, pv)
-    else:
-        raise ValueError(f"unknown procedure {procedure!r}")
+    qs, items = zip(*sorted(zip(group.qs(pv), group.items)))
+    _, b = _arranged_cost_q(qs, procedure, s_rule)
+    g = group if procedure == "D" else Group(items=(*items[:b], *items[b + 1 :], items[b]))
     return g, group_cost(g, pv, procedure)
 
 

@@ -20,8 +20,10 @@ Sterrett blocks are arranged by one of two rules:
 
 These incremental loops are the only incremental form of the block costs.
 The exhaustive oracles cost each block afresh with the one-shot
-``cost._arranged_cost_q``, so the ordered oracle also checks the loops
-against an independent implementation.
+``cost._arranged_cost_q``, which also decides the block orders that
+``evaluate_plan`` reports, so the ordered oracle checks the loops against
+an independent implementation. The set-partition oracle enumerates all
+Bell(N) partitions and is guarded at N <= 11.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bounds import ungar_threshold
-from .cost import _arranged_cost_q, evaluate_plan
+from .bounds import all_above_ungar
+from .cost import _arranged_cost_q, _cost_sterrett_q, evaluate_plan
 from .model import (
     PROCEDURES,
     STERRETT_RULES,
@@ -45,7 +47,7 @@ from .model import (
 )
 
 MAX_EXHAUSTIVE_ORDERED = 20
-MAX_EXHAUSTIVE_SET = 13
+MAX_EXHAUSTIVE_SET = 11  # Bell(11) = 678 570 partitions: about 9 s for S on 2 vCPUs
 MAX_STERRETT_OPTIMAL_DP = 1000  # O(N^3) pure Python: about a minute at the guard
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
@@ -215,7 +217,7 @@ def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     returned directly.
     """
     sorted_pv, perm = sort_ascending(pv)
-    if min(pv.probs) >= ungar_threshold():
+    if all_above_ungar(pv):
         plan = OrderedPartition(sizes=(1,) * pv.n)
     else:
         table = dp_table(sorted_pv, procedure)
@@ -235,7 +237,7 @@ def _block_cost_table(qs: tuple[float, ...], procedure: str, s_rule: str) -> lis
     bc = [[0.0] * (n + 1) for _ in range(n)]
     for j in range(1, n + 1):
         for i in range(j):
-            bc[i][j] = _arranged_cost_q(qs[i:j][::-1], procedure, s_rule)
+            bc[i][j] = _arranged_cost_q(qs[i:j][::-1], procedure, s_rule)[0]
     return bc
 
 
@@ -287,30 +289,30 @@ def iter_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = [0] * n
-    while True:
-        nblocks = max(a) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for idx, label in enumerate(a):
-            blocks[label].append(idx)
-        yield tuple(tuple(b) for b in blocks)
-        # odometer step: rightmost position that may grow by one
-        for i in range(n - 1, 0, -1):
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, n):
-                    a[j] = 0
-                break
-        else:
+
+    def place(i: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        # item i joins each existing block in creation order, then a new one
+        if i == n:
+            yield tuple(map(tuple, blocks))
             return
+        for b in blocks:
+            b.append(i)
+            yield from place(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from place(i + 1, blocks)
+        blocks.pop()
+
+    yield from place(1, [[0]])
 
 
 def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     """Global minimum over ALL set partitions, each block arranged optimally.
 
-    This is the unordered-plan oracle; guarded at N <= 13 (Bell(13) is
-    about 2.8e7). Ties keep the first partition in enumeration order, i.e.
-    the lexicographically smallest restricted growth string.
+    This is the unordered-plan oracle; guarded at N <= 11 (Bell(11) is
+    678 570; each further item multiplies the time by about six). Ties
+    keep the first partition in enumeration order, i.e. the
+    lexicographically smallest restricted growth string.
     """
     n = pv.n
     if n > MAX_EXHAUSTIVE_SET:
@@ -321,7 +323,7 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     for blocks in iter_set_partitions(n):
         total = 0.0
         for b in blocks:
-            total += _arranged_cost_q(sorted([qs[i] for i in b]), procedure)
+            total += _arranged_cost_q(sorted([qs[i] for i in b]), procedure)[0]
         if total < best:
             best = total
             best_blocks = blocks
@@ -364,10 +366,7 @@ def pair_interchange_costs(
         if not (0.0 < q < 1.0):
             raise ValueError(f"q values must lie strictly inside (0, 1), got {q}")
 
-    def pair(a: float, b: float) -> float:
-        # two-item cost, identical for Dp and S
-        return 3.0 - a - a * b
-
-    ordered = pair(q1, q2) + pair(q3, q4)
-    swapped = pair(q1, q3) + pair(q2, q4)
+    # the two-item cost is identical for Dp and S
+    ordered = _cost_sterrett_q((q1, q2)) + _cost_sterrett_q((q3, q4))
+    swapped = _cost_sterrett_q((q1, q3)) + _cost_sterrett_q((q2, q4))
     return ordered, swapped

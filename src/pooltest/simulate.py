@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import MAX_OUTCOME_N
-from .cost import arranged_cost, resolve_plan
+from .cost import evaluate_plan
 from .model import (
     Group,
     InstanceTooLargeError,
@@ -190,19 +190,18 @@ def estimate_cost(
 ) -> SimulationSummary:
     """Monte Carlo estimate of a plan's expected total tests.
 
-    Replicate r draws an independent defect vector (item i defective with
-    probability p_i) from the child stream (rng.stream, r) of ``rng.seed``
-    and runs the protocol on every block. The standard error is the sample
-    standard deviation over replicates divided by sqrt(m).
+    Each block runs in the test order that ``evaluate_plan`` reports for
+    ``arrange`` ("optimal" or "given"). Replicate r draws an independent
+    defect vector (item i defective with probability p_i) from the child
+    stream (rng.stream, r) of ``rng.seed`` and runs the protocol on every
+    block. The standard error is the sample standard deviation over
+    replicates divided by sqrt(m).
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
     run = PROTOCOLS[procedure]
-    groups = resolve_plan(plan, pv)
-    if arrange == "optimal":
-        groups = [arranged_cost(g, pv, procedure)[0] for g in groups]
-    elif arrange != "given":
-        raise ValueError(f"arrange must be 'optimal' or 'given', got {arrange!r}")
+    report = evaluate_plan(plan, pv, procedure, arrange=arrange)
+    groups = [Group(items=b.order) for b in report.per_block]
     p = np.asarray(pv.probs)
     block_items = [list(g.items) for g in groups]
     totals = np.empty(m)

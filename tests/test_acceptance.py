@@ -17,8 +17,7 @@ from contextlib import contextmanager
 
 from pooltest.bounds import entropy_bits, huffman_length
 from pooltest.cost import (
-    arrange_for_modified_dorfman,
-    arrange_for_sterrett,
+    arranged_cost,
     cost_dorfman,
     cost_dorfman_modified,
     cost_sterrett,
@@ -108,9 +107,9 @@ def test_criterion_4_arrangement_optimality():
             g = Group(items=tuple(range(k)))
             perms = list(itertools.permutations(range(k)))
             best_s = min(cost_sterrett(Group(items=p), pv) for p in perms)
-            assert cost_sterrett(arrange_for_sterrett(g, pv), pv) == best_s
+            assert cost_sterrett(arranged_cost(g, pv, "S")[0], pv) == best_s
             best_dp = min(cost_dorfman_modified(Group(items=p), pv) for p in perms)
-            arranged = arrange_for_modified_dorfman(g, pv)
+            arranged = arranged_cost(g, pv, "Dp")[0]
             assert cost_dorfman_modified(arranged, pv) == best_dp
 
 

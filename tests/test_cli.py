@@ -145,6 +145,15 @@ class TestOptimize:
         assert code == 3
         assert "guard" in err
 
+    def test_exhaustive_set_refuses_twelve_items(self, capsys, probs_file):
+        # Bell(12) partitions would take over a minute; the guard stops at 11
+        code, _, err = run_cli(
+            capsys, "optimize", "--probs", probs_file([0.1] * 12), "--procedure", "Dp",
+            "--search", "exhaustive-set",
+        )
+        assert code == 3
+        assert "guard" in err
+
     @pytest.mark.parametrize(
         "argv", [["optimize", "--procedure", "S"], ["oracle", "--procedure", "S"], ["bounds"]]
     )

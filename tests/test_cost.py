@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pooltest.cost import (
-    arrange_for_modified_dorfman,
-    arrange_for_sterrett,
+    arranged_cost,
     cost_dorfman,
     cost_dorfman_modified,
     cost_sterrett,
     cost_sterrett_equal_prob,
     cost_sterrett_recursive,
     evaluate_plan,
-    sterrett_smallest_last_order,
 )
 from pooltest.model import Group, OrderedPartition, SetPartition, validate_probability_vector
 
@@ -130,7 +128,7 @@ class TestEqualProbability:
 class TestArrangements:
     def test_sterrett_triple_example(self):
         pv = pv_from_q([0.95, 0.9, 0.6])
-        arranged = arrange_for_sterrett(whole_group(pv), pv)
+        arranged = arranged_cost(whole_group(pv), pv, "S")[0]
         assert pv.q[arranged.items[0]] == 0.9
         assert pv.q[arranged.items[1]] == 0.95
         assert pv.q[arranged.items[2]] == 0.6
@@ -138,23 +136,23 @@ class TestArrangements:
 
     def test_sterrett_pair_larger_q_first(self):
         pv = pv_from_q([0.8, 0.9])
-        arranged = arrange_for_sterrett(whole_group(pv), pv)
+        arranged = arranged_cost(whole_group(pv), pv, "S")[0]
         assert [pv.q[i] for i in arranged.items] == [0.9, 0.8]
 
     def test_sterrett_singleton_unchanged(self):
         pv = validate_probability_vector([0.2])
-        arranged = arrange_for_sterrett(whole_group(pv), pv)
+        arranged = arranged_cost(whole_group(pv), pv, "S")[0]
         assert arranged.items == (0,)
 
     def test_modified_dorfman_smallest_q_last(self):
         pv = pv_from_q([0.6, 0.99])
-        arranged = arrange_for_modified_dorfman(whole_group(pv), pv)
+        arranged = arranged_cost(whole_group(pv), pv, "Dp")[0]
         assert [pv.q[i] for i in arranged.items] == [0.99, 0.6]
         assert cost_dorfman_modified(arranged, pv) == pytest.approx(1.416, abs=1e-12)
 
     def test_modified_dorfman_equal_q_invariant(self):
         pv = pv_from_q([0.9, 0.9, 0.9])
-        arranged = arrange_for_modified_dorfman(whole_group(pv), pv)
+        arranged = arranged_cost(whole_group(pv), pv, "Dp")[0]
         assert cost_dorfman_modified(arranged, pv) == pytest.approx(1.732, abs=1e-12)
 
     # dyadic grid values keep every product exactly representable, so the
@@ -170,7 +168,7 @@ class TestArrangements:
             cost_sterrett(Group(items=perm), pv)
             for perm in itertools.permutations(range(pv.n))
         )
-        assert cost_sterrett(arrange_for_sterrett(g, pv), pv) == best
+        assert cost_sterrett(arranged_cost(g, pv, "S")[0], pv) == best
 
     @given(st.lists(dyadic_q, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -181,14 +179,14 @@ class TestArrangements:
             cost_dorfman_modified(Group(items=perm), pv)
             for perm in itertools.permutations(range(pv.n))
         )
-        assert cost_dorfman_modified(arrange_for_modified_dorfman(g, pv), pv) == best
+        assert cost_dorfman_modified(arranged_cost(g, pv, "Dp")[0], pv) == best
 
     def test_sterrett_beats_smallest_last_rule_on_larger_groups(self):
         # the simple rule is exact for k <= 3; from k = 4 it is usually beaten
         pv = pv_from_q([0.507, 0.949, 0.969, 0.992])
         g = whole_group(pv)
-        simple = cost_sterrett(sterrett_smallest_last_order(g, pv), pv)
-        optimal = cost_sterrett(arrange_for_sterrett(g, pv), pv)
+        simple = cost_sterrett(arranged_cost(g, pv, "S", "smallest-last")[0], pv)
+        optimal = cost_sterrett(arranged_cost(g, pv, "S")[0], pv)
         brute = min(
             cost_sterrett(Group(items=perm), pv)
             for perm in itertools.permutations(range(pv.n))

@@ -138,6 +138,15 @@ class TestExhaustiveSet:
             items = sorted(i for b in blocks for i in b)
             assert items == [0, 1, 2, 3]
 
+    def test_restricted_growth_strings_increase(self):
+        for n in range(1, 9):
+            strings = []
+            for blocks in iter_set_partitions(n):
+                label = {i: t for t, b in enumerate(blocks) for i in b}
+                strings.append(tuple(label[i] for i in range(n)))
+            assert all(a < b for a, b in zip(strings, strings[1:]))
+            assert len(strings) == count_partitions(n)[0]
+
     def test_sandwich_below_dp(self):
         rng = random.Random(31)
         for _ in range(25):
@@ -149,9 +158,10 @@ class TestExhaustiveSet:
                 assert ordered <= pv.n + 1e-12
 
     def test_guards(self):
-        pv = validate_probability_vector([0.1] * 14)
-        with pytest.raises(InstanceTooLargeError):
-            exhaustive_set(pv, "S")
+        for n in (12, 14):
+            pv = validate_probability_vector([0.1] * n)
+            with pytest.raises(InstanceTooLargeError):
+                exhaustive_set(pv, "S")
         pv = validate_probability_vector([0.1] * 21)
         with pytest.raises(InstanceTooLargeError):
             exhaustive_ordered(pv, "S")
@@ -172,7 +182,6 @@ def test_fast_block_cost_matches_arrangement_route():
     from pooltest.cost import (
         _arranged_cost_q,
         _optimal_sterrett_ascending,
-        arrange_for_sterrett,
         arranged_cost,
         cost_sterrett,
     )
@@ -186,11 +195,11 @@ def test_fast_block_cost_matches_arrangement_route():
         g = Group(items=tuple(range(k)))
         for procedure, s_rule in (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"),
                                   ("S", "smallest-last")):
-            fast = _arranged_cost_q(v, procedure, s_rule)
+            fast = _arranged_cost_q(v, procedure, s_rule)[0]
             _, slow = arranged_cost(g, pv, procedure, s_rule)
             assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
         fast, _ = _optimal_sterrett_ascending(v)
-        slow = cost_sterrett(arrange_for_sterrett(g, pv), pv)
+        slow = cost_sterrett(arranged_cost(g, pv, "S")[0], pv)
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
 
 
