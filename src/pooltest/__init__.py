@@ -46,12 +46,10 @@ from .model import (
 from .optimize import (
     DpTable,
     PlanResult,
-    count_partitions,
     dp_ordered,
     dp_table,
     exhaustive_ordered,
     exhaustive_set,
-    iter_set_partitions,
     pair_interchange_costs,
 )
 from .simulate import (

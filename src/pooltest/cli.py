@@ -13,6 +13,7 @@ with 1-based item indices for arbitrary disjoint groups.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -162,10 +163,7 @@ def _cmd_simulate(args) -> int:
     summary = estimate_cost(
         plan, pv, args.procedure, args.replicates, RngSpec(seed=args.seed), arrange=args.arrange
     )
-    expected = evaluate_plan(plan, pv, args.procedure, arrange=args.arrange).total
-    payload = summary.to_json()
-    payload["expected_total"] = expected
-    _print_json(payload)
+    _print_json(summary.to_json())
     return EXIT_OK
 
 
@@ -197,15 +195,7 @@ def _cmd_study(args) -> int:
         sterrett_rule=args.sterrett_rule,
     )
     rows = run_study(config)
-    metadata = {
-        "p_targets": list(config.p_targets),
-        "n": config.n,
-        "m": config.m,
-        "seed": config.seed,
-        "common_draws": config.common_draws,
-        "sterrett_rule": config.sterrett_rule,
-    }
-    text = emit_table(rows, args.format, metadata=metadata)
+    text = emit_table(rows, args.format, metadata=dataclasses.asdict(config))
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -12,7 +12,8 @@ JSON interchange forms (indices are 1-based on the wire, 0-based in memory):
     SetPartition        {"blocks": [[...], [...]]}
     CostReport          {"procedure": ..., "per_block": [...], "total": ...}
     SimulationSummary   {"procedure": ..., "plan": ..., "replicates": ...,
-                         "mean_tests": ..., "std_error": ..., "seed": ...}
+                         "mean_tests": ..., "std_error": ..., "seed": ...,
+                         "expected_total": ...}
 """
 
 from __future__ import annotations
@@ -322,7 +323,8 @@ class CostReport:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Monte Carlo estimate of a plan's expected total tests."""
+    """Monte Carlo estimate of a plan's expected total tests, with the exact
+    expectation ``expected_total`` of the block orders it ran."""
 
     procedure: str
     plan: OrderedPartition | SetPartition
@@ -330,6 +332,7 @@ class SimulationSummary:
     mean_tests: float
     std_error: float
     seed: int
+    expected_total: float
 
     def __post_init__(self):
         if self.procedure not in PROCEDURES:
@@ -347,6 +350,7 @@ class SimulationSummary:
             "mean_tests": self.mean_tests,
             "std_error": self.std_error,
             "seed": self.seed,
+            "expected_total": self.expected_total,
         }
 
     @classmethod
@@ -358,4 +362,5 @@ class SimulationSummary:
             mean_tests=float(d["mean_tests"]),
             std_error=float(d["std_error"]),
             seed=int(d["seed"]),
+            expected_total=float(d["expected_total"]),
         )

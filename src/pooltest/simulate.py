@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MAX_OUTCOME_N
+from .bounds import outcome_distribution
 from .cost import evaluate_plan
 from .model import (
     Group,
-    InstanceTooLargeError,
     OrderedPartition,
     ProbabilityVector,
     SetPartition,
@@ -165,17 +164,15 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     """Probability-weighted test count over all 2^k defect vectors.
 
     Exhaustive-outcome oracle for the closed forms; no sampling involved.
-    Groups above ``bounds.MAX_OUTCOME_N`` items are refused.
+    The weights are ``bounds.outcome_distribution`` of the group's members,
+    which refuses groups above ``bounds.MAX_OUTCOME_N`` items.
     """
-    if group.size > MAX_OUTCOME_N:
-        raise InstanceTooLargeError(group.size, MAX_OUTCOME_N, "outcome enumeration")
     run = PROTOCOLS[procedure]
-    probs = [pv.probs[i] for i in group.items]
-    k = len(probs)
+    weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
+    k = group.size
     total = 0.0
-    for mask in range(1 << k):
+    for mask, w in enumerate(weights.tolist()):
         d = tuple(bool(mask >> t & 1) for t in range(k))
-        w = math.prod(p if x else 1.0 - p for p, x in zip(probs, d))
         total += w * run(group, d).tests_performed
     return total
 
@@ -195,7 +192,8 @@ def estimate_cost(
     defect vector (item i defective with probability p_i) from the child
     stream (rng.stream, r) of ``rng.seed`` and runs the protocol on every
     block. The standard error is the sample standard deviation over
-    replicates divided by sqrt(m).
+    replicates divided by sqrt(m). ``expected_total`` is the report's exact
+    expectation of those block orders.
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
@@ -220,6 +218,7 @@ def estimate_cost(
         mean_tests=mean,
         std_error=sd / math.sqrt(m),
         seed=rng.seed,
+        expected_total=report.total,
     )
 
 

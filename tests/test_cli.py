@@ -139,17 +139,16 @@ class TestOptimize:
 
     def test_guard_exit_code(self, capsys, probs_file):
         code, _, err = run_cli(
-            capsys, "optimize", "--probs", probs_file([0.1] * 14), "--procedure", "S",
+            capsys, "optimize", "--probs", probs_file([0.1] * 16), "--procedure", "S",
             "--search", "exhaustive-set",
         )
         assert code == 3
         assert "guard" in err
 
-    def test_exhaustive_set_refuses_twelve_items(self, capsys, probs_file):
-        # Bell(12) partitions would take over a minute; the guard stops at 11
+    def test_exhaustive_set_refuses_sixteen_items(self, capsys, probs_file):
+        # oracle runs the set-partition search too, whose guard stops at 15
         code, _, err = run_cli(
-            capsys, "optimize", "--probs", probs_file([0.1] * 12), "--procedure", "Dp",
-            "--search", "exhaustive-set",
+            capsys, "oracle", "--probs", probs_file([0.1] * 16), "--procedure", "Dp"
         )
         assert code == 3
         assert "guard" in err
@@ -186,6 +185,25 @@ class TestSimulate:
         assert payload["mean_tests"] == 2.0
         assert payload["std_error"] == 0.0
         assert payload["expected_total"] == 2.0
+
+    def test_evaluates_the_plan_once(self, capsys, probs_file, monkeypatch):
+        import pooltest.cli
+        import pooltest.simulate
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_plan(*args, **kwargs)
+
+        monkeypatch.setattr(pooltest.cli, "evaluate_plan", counted)
+        monkeypatch.setattr(pooltest.simulate, "evaluate_plan", counted)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--probs", probs_file([0.1, 0.2, 0.3]), "--procedure", "S",
+            "--single-group", "--replicates", "50",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_deterministic_output(self, capsys, probs_file):
         args = (

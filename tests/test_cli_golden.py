@@ -33,6 +33,12 @@ CASES = {
         f"exhaustive-set-{p}": ["optimize", "--procedure", p, "--search", "exhaustive-set"]
         for p in ("D", "Dp", "S")
     },
+    **{
+        f"simulate-{p}": [
+            "simulate", "--procedure", p, "--single-group", "--replicates", "300", "--seed", "5"
+        ]
+        for p in ("D", "Dp", "S")
+    },
 }
 
 

@@ -181,5 +181,6 @@ def test_simulation_summary_roundtrip():
         mean_tests=2.5,
         std_error=0.01,
         seed=42,
+        expected_total=2.4,
     )
     assert _roundtrip(summary, SimulationSummary.from_json) == summary

@@ -3,20 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pooltest.cost import evaluate_plan
+from pooltest.cost import _arranged_cost_q, evaluate_plan
 from pooltest.model import (
+    REL_TOL,
     InstanceTooLargeError,
     NotSortedError,
     sort_ascending,
     validate_probability_vector,
 )
 from pooltest.optimize import (
-    count_partitions,
     dp_ordered,
     dp_table,
     exhaustive_ordered,
     exhaustive_set,
-    iter_set_partitions,
     pair_interchange_costs,
 )
 
@@ -27,6 +26,34 @@ COUNTEREXAMPLE = [0.4, 0.4, 0.01, 0.01]
 
 def random_pv(rng, n, lo=0.01, hi=0.99):
     return validate_probability_vector([rng.uniform(lo, hi) for _ in range(n)])
+
+
+def set_partitions(n):
+    """All set partitions of {0..n-1}, blocks in creation order, in
+    increasing restricted-growth-string order: item i joins each existing
+    block in turn, then a new one."""
+
+    def place(i, blocks):
+        if i == n:
+            yield tuple(map(tuple, blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            yield from place(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from place(i + 1, blocks)
+        blocks.pop()
+
+    yield from place(1, [[0]])
+
+
+def restricted_growth_string(blocks, n):
+    label = {i: t for t, b in enumerate(sorted(blocks, key=min)) for i in b}
+    return tuple(label[i] for i in range(n))
+
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 
 
 class TestCounterexampleInstance:
@@ -129,23 +156,50 @@ class TestDpAgainstExhaustive:
 
 
 class TestExhaustiveSet:
+    # the first three check the brute-force reference ``set_partitions``
     def test_enumeration_counts_match_bell_numbers(self):
-        assert sum(1 for _ in iter_set_partitions(3)) == 5
-        assert sum(1 for _ in iter_set_partitions(5)) == 52
+        assert sum(1 for _ in set_partitions(3)) == 5
+        assert sum(1 for _ in set_partitions(5)) == 52
 
     def test_partitions_are_partitions(self):
-        for blocks in iter_set_partitions(4):
+        for blocks in set_partitions(4):
             items = sorted(i for b in blocks for i in b)
             assert items == [0, 1, 2, 3]
 
     def test_restricted_growth_strings_increase(self):
         for n in range(1, 9):
-            strings = []
-            for blocks in iter_set_partitions(n):
-                label = {i: t for t, b in enumerate(blocks) for i in b}
-                strings.append(tuple(label[i] for i in range(n)))
+            strings = [restricted_growth_string(b, n) for b in set_partitions(n)]
             assert all(a < b for a, b in zip(strings, strings[1:]))
-            assert len(strings) == count_partitions(n)[0]
+            assert len(strings) == BELL[n]
+
+    def test_matches_brute_force_and_tie_rule(self):
+        # plans within REL_TOL of the minimum tie; the oracle must return the
+        # one with the lexicographically smallest restricted growth string
+        rng = random.Random(59)
+        for trial in range(300):
+            n = rng.randint(1, 8)
+            if trial % 2:
+                pool = [rng.uniform(0.01, 0.45) for _ in range(rng.randint(1, 3))]
+                pv = validate_probability_vector([rng.choice(pool) for _ in range(n)])
+            else:
+                pv = random_pv(rng, n, hi=0.5)
+            for proc in ("D", "Dp", "S"):
+                block_cost = {}
+                totals = []
+                for blocks in set_partitions(n):
+                    total = 0.0
+                    for b in blocks:
+                        if b not in block_cost:
+                            v = sorted(pv.q[i] for i in b)
+                            block_cost[b] = _arranged_cost_q(v, proc)[0]
+                        total += block_cost[b]
+                    totals.append((total, blocks))
+                best = min(t for t, _ in totals)
+                tied = [b for t, b in totals if t - best <= REL_TOL * best]
+                want = min(restricted_growth_string(b, n) for b in tied)
+                result = exhaustive_set(pv, proc)
+                assert abs(result.total - best) <= REL_TOL * best
+                assert restricted_growth_string(result.plan.blocks, n) == want, (pv.probs, proc)
 
     def test_sandwich_below_dp(self):
         rng = random.Random(31)
@@ -158,7 +212,7 @@ class TestExhaustiveSet:
                 assert ordered <= pv.n + 1e-12
 
     def test_guards(self):
-        for n in (12, 14):
+        for n in (16, 18):
             pv = validate_probability_vector([0.1] * n)
             with pytest.raises(InstanceTooLargeError):
                 exhaustive_set(pv, "S")
@@ -201,14 +255,6 @@ def test_fast_block_cost_matches_arrangement_route():
         fast, _ = _optimal_sterrett_ascending(v)
         slow = cost_sterrett(arranged_cost(g, pv, "S")[0], pv)
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
-
-
-def test_count_partitions_values():
-    assert count_partitions(1) == (1, 1)
-    assert count_partitions(3) == (5, 4)
-    assert count_partitions(5) == (52, 16)
-    assert count_partitions(10) == (115975, 512)
-    assert count_partitions(13) == (27644437, 4096)
 
 
 class TestInterchange:
