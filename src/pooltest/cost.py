@@ -40,8 +40,8 @@ Each procedure's cost is written here in two forms:
                 applies its order to a Group for reports and simulation.
 
 ``optimize.dp_table`` keeps its own incremental loops: it grows each block
-one item at a time, updating running sums in O(1) (O(k) for S optimal)
-where a one-shot call would start over.
+one item at a time, updating running sums (for S optimal, also a running
+minimum over the last value) in O(1) where a one-shot call would start over.
 """
 
 from __future__ import annotations

@@ -2,28 +2,32 @@
 oracles over all ordered partitions and all set partitions for small N.
 
 The DP works on the population sorted ascending by p (descending by q).
-With C(0) = 0 and C(1) = 1, the cost-to-go of the first k sorted items is
+With F(0) = 0 and F(1) = 1, the cost-to-go of the first k sorted items is
 
-    C(k) = min over 0 <= i <= k-1 of  E(block i+1..k) + C(i)
+    F(k) = min over 0 <= i <= k-1 of  E(block i+1..k) + F(i)
 
-where each candidate block is costed under its within-block arrangement.
-Block costs are maintained incrementally while i sweeps from k-1 down to
-0, so D, Dp and smallest-last Sterrett tables cost O(N^2) arithmetic.
-Sterrett blocks are arranged by one of two rules:
+where each candidate block is costed under its within-block arrangement:
+for D and Dp the cheapest order, for S one of two rules, "optimal" (the
+true minimum over block orders) or "smallest-last" (the ascending-head
+rule behind published comparison tables, optimal only up to three items).
+Block costs are kept as running sums, O(1) per (block start, block end),
+so every table costs O(N^2) arithmetic.
 
-  "optimal"        the true minimum over block orders (scores every
-                   last-position value per block; O(N^3) overall, so
-                   guarded at N <= 1000)
-  "smallest-last"  the simple ascending-head rule, optimal only for
-                   blocks of up to three items but O(N^2) overall and the
-                   rule behind published comparison tables
+For S optimal, take the block of m = k - i sorted items i..k-1, P(i,a) =
+qs[i]...qs[a] and C(i,a) = P(i,i) + ... + P(i,a-1). Its best order
+testing qs[a] last costs (2m - 1) - (qs[i] + ... + qs[k-1]) - P(i,k-1) -
+C(i,k-1) + phi(i,a), phi(i,a) = qs[a] + (1 - qs[a]) C(i,a) + P(i,a).
+Only phi depends on a, and it reads no item past a, so it does not depend
+on k: extending the block adds the one candidate a = k-1. A running
+minimum of phi per block start replaces the scan over last values, which
+makes this table O(N^2) too; it is guarded at N <= 2800.
 
-These incremental loops are the only incremental form of the block costs.
+These running sums are the only incremental form of the block costs.
 The exhaustive oracles cost each block afresh with the one-shot
 ``cost._arranged_cost_q``, which also decides the block orders that
-``evaluate_plan`` reports, so the ordered oracle checks the loops against
-an independent implementation. The set-partition oracle is an exact DP
-over subsets, O(3^N) after 2^N block costs, and is guarded at N <= 15.
+``evaluate_plan`` reports, so the ordered oracle checks the DP against an
+independent implementation. The set-partition oracle is an exact DP over
+subsets, O(3^N) after 2^N block costs, and is guarded at N <= 15.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .model import (
 
 MAX_EXHAUSTIVE_ORDERED = 20
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
-MAX_STERRETT_OPTIMAL_DP = 1000  # O(N^3) pure Python: about a minute at the guard
+MAX_STERRETT_OPTIMAL_DP = 2800  # `optimize --procedure S`: about 1.8 s (Python 3.11, 2 vCPUs)
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
 
@@ -59,7 +63,9 @@ class DpTable:
 
     ``cost_to_go[k]`` is the optimal cost of the first k sorted items;
     ``split[k]`` is the chosen i, i.e. the last block covers sorted items
-    i+1..k. Ties pick the largest i (smallest trailing block).
+    i+1..k. Ties pick the largest i (smallest trailing block): the DP tries
+    i from k-1 down, and a smaller i wins only if it is cheaper by more
+    than REL_TOL relative.
     """
 
     procedure: str
@@ -138,8 +144,12 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
     n = pv.n
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
-    cost[1] = 1.0
-    for k in range(2, n + 1):
+    s_optimal = procedure == "S" and s_rule == "optimal"
+    if s_optimal:
+        # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
+        # T = qs[i] + ... + qs[k-1] and M = min over i <= a <= k-1 of phi(i,a)
+        P, C, T, M = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    for k in range(1, n + 1):
         qlast = qs[k - 1]
         one_minus_qlast = 1.0 - qlast
         prod = qlast  # product of qs[i..k-1]
@@ -147,61 +157,53 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
         head_sum = 0.0  # sum of qs[i..k-2]
         prefix_chain = 0.0  # qs[i] + qs[i]qs[i+1] + ... + qs[i]..qs[k-2]
         best = cost[k - 1] + 1.0  # i = k-1: trailing singleton
+        bound = best - REL_TOL * best
         best_i = k - 1
-        if procedure == "S" and s_rule == "optimal":
-            # Ascending block values v = (qs[k-1], ..., qs[i]) gain their
-            # largest element as i falls, so the suffix tail sums G over
-            # w = v[1:] update in place: G[t] <- qi * (G[t] + 1).
-            total = qlast
-            G = [0.0] * (k + 1)
+        m = 1.0  # size of the block i..k-1, a float to keep the arithmetic in floats
+        if s_optimal:
             for i in range(k - 2, -1, -1):
-                qi = qs[i]
-                total += qi
-                prod *= qi
-                m = k - i
-                r = m - 1
-                for t in range(1, r + 1):
-                    G[t] = qi * (G[t] + 1.0)
-                g1 = G[1]
-                two_m1 = 2.0 * m - 1.0
-                blk = two_m1 - (total - qlast) - prod - qlast * G[2]
-                for j in range(1, r + 1):
-                    wj = qs[k - 1 - j]
-                    e = two_m1 - total + wj - prod - wj * G[j + 1] - (g1 - G[j])
-                    if e < blk:
-                        blk = e
-                cand = blk + cost[i]
-                if cand < best:
-                    best = cand
-                    best_i = i
+                c = C[i] + P[i]
+                p = P[i] * qlast
+                t = T[i] + qlast
+                phi = qlast + one_minus_qlast * c + p
+                mi = M[i]
+                if phi < mi:
+                    M[i] = mi = phi
+                P[i] = p
+                C[i] = c
+                T[i] = t
+                m += 1.0
+                cand = (2.0 * m - 1.0) - t - p - c + mi + cost[i]
+                if cand < bound:
+                    best, bound, best_i = cand, cand - REL_TOL * cand, i
+            # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 qs[k-1]
+            P[k - 1] = T[k - 1] = qlast
+            M[k - 1] = 2.0 * qlast
         elif procedure == "S":
             for i in range(k - 2, -1, -1):
                 qi = qs[i]
                 head_sum += qi
                 prefix_chain = qi * (1.0 + prefix_chain)
-                m = k - i
+                m += 1.0
                 cand = (2.0 * m - 1.0) - head_sum - qlast * prefix_chain + cost[i]
-                if cand < best:
-                    best = cand
-                    best_i = i
+                if cand < bound:
+                    best, bound, best_i = cand, cand - REL_TOL * cand, i
         elif procedure == "Dp":
             for i in range(k - 2, -1, -1):
                 qi = qs[i]
                 prod *= qi
                 prod_head *= qi
-                m = k - i
+                m += 1.0
                 cand = 1.0 + m - m * prod - prod_head * one_minus_qlast + cost[i]
-                if cand < best:
-                    best = cand
-                    best_i = i
+                if cand < bound:
+                    best, bound, best_i = cand, cand - REL_TOL * cand, i
         else:
             for i in range(k - 2, -1, -1):
                 prod *= qs[i]
-                m = k - i
+                m += 1.0
                 cand = 1.0 + m - m * prod + cost[i]
-                if cand < best:
-                    best = cand
-                    best_i = i
+                if cand < bound:
+                    best, bound, best_i = cand, cand - REL_TOL * cand, i
         cost[k] = best
         split[k] = best_i
     return DpTable(procedure=procedure, cost_to_go=tuple(cost), split=tuple(split))
@@ -247,7 +249,9 @@ def exhaustive_ordered(
     """Brute-force minimum over all 2^(N-1) ordered partitions.
 
     Verification oracle for dp_ordered; guarded at N <= 20. ``s_rule``
-    must match the rule used by the DP being checked.
+    must match the rule used by the DP being checked. Ties go as in the DP:
+    bit t of a mask cuts after sorted position t, the masks count down from
+    all cuts, and a later plan wins only if cheaper by more than REL_TOL.
     """
     n = pv.n
     if n > MAX_EXHAUSTIVE_ORDERED:
@@ -256,9 +260,9 @@ def exhaustive_ordered(
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
     sorted_pv, perm = sort_ascending(pv)
     bc = _block_cost_table(sorted_pv.q, procedure, s_rule)
-    best = math.inf
+    bound = math.inf
     best_mask = 0
-    for mask in range(1 << (n - 1)):
+    for mask in range((1 << (n - 1)) - 1, -1, -1):
         total = 0.0
         start = 0
         for t in range(n - 1):
@@ -266,17 +270,10 @@ def exhaustive_ordered(
                 total += bc[start][t + 1]
                 start = t + 1
         total += bc[start][n]
-        if total < best:
-            best = total
-            best_mask = mask
-    sizes: list[int] = []
-    start = 0
-    for t in range(n - 1):
-        if best_mask & (1 << t):
-            sizes.append(t + 1 - start)
-            start = t + 1
-    sizes.append(n - start)
-    plan = OrderedPartition(sizes=tuple(sizes))
+        if total < bound:
+            bound, best_mask = total - REL_TOL * total, mask
+    edges = [0, *(t + 1 for t in range(n - 1) if best_mask >> t & 1), n]
+    plan = OrderedPartition(sizes=tuple(b - a for a, b in zip(edges, edges[1:])))
     report = evaluate_plan(plan, pv, procedure, arrange="optimal", s_rule=s_rule)
     return PlanResult(plan=plan, report=report, search="exhaustive-ordered", permutation=perm)
 

@@ -157,7 +157,7 @@ class TestOptimize:
         "argv", [["optimize", "--procedure", "S"], ["oracle", "--procedure", "S"], ["bounds"]]
     )
     def test_sterrett_dp_guard_exit_code(self, capsys, probs_file, argv):
-        code, _, err = run_cli(capsys, argv[0], "--probs", probs_file([0.1] * 1001), *argv[1:])
+        code, _, err = run_cli(capsys, argv[0], "--probs", probs_file([0.1] * 2801), *argv[1:])
         assert code == 3
         assert "guard" in err
 

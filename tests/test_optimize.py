@@ -28,6 +28,42 @@ def random_pv(rng, n, lo=0.01, hi=0.99):
     return validate_probability_vector([rng.uniform(lo, hi) for _ in range(n)])
 
 
+# exact ties abound when risks are drawn from a few rationals
+TIED_RISKS = (1 / 10, 1 / 20, 1 / 50, 1 / 5, 1 / 100, 3 / 10, 1 / 2)
+
+PROCEDURE_RULES = (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"), ("S", "smallest-last"))
+
+
+def risk_corpus(rng, count, max_n):
+    """Uniform, tied and log-uniform risk vectors, sorted ascending by p."""
+    for trial in range(count):
+        n = rng.randint(1, max_n)
+        if trial % 3 == 0:
+            probs = [rng.uniform(0.001, 0.5) for _ in range(n)]
+        elif trial % 3 == 1:
+            pool = rng.sample(TIED_RISKS, rng.randint(1, 3))
+            probs = [rng.choice(pool) for _ in range(n)]
+        else:
+            probs = [10 ** rng.uniform(-6, -0.3) for _ in range(n)]
+        yield sort_ascending(validate_probability_vector(probs))[0]
+
+
+def reference_dp(qs, procedure, s_rule):
+    """The ordered-partition DP with every block costed afresh by the
+    one-shot kernel, O(N^3), under dp_table's tie rule."""
+    n = len(qs)
+    cost = [0.0] * (n + 1)
+    split = [0] * (n + 1)
+    for k in range(1, n + 1):
+        best = bound = float("inf")
+        for i in range(k - 1, -1, -1):
+            cand = _arranged_cost_q(qs[i:k][::-1], procedure, s_rule)[0] + cost[i]
+            if cand < bound:
+                best, bound, split[k] = cand, cand - REL_TOL * cand, i
+        cost[k] = best
+    return cost, split
+
+
 def set_partitions(n):
     """All set partitions of {0..n-1}, blocks in creation order, in
     increasing restricted-growth-string order: item i joins each existing
@@ -154,6 +190,33 @@ class TestDpAgainstExhaustive:
         assert exhaustive_ordered(pv, "S").total == 1.0
         assert dp_ordered(pv, "S").total == 1.0
 
+    @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+    def test_same_plan_on_tied_risks(self, procedure, s_rule):
+        # both searches prefer the smallest trailing block, then the smallest
+        # block before it, and switch only on a gain above REL_TOL
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            pool = rng.sample(TIED_RISKS, rng.randint(1, 3))
+            pv, _ = sort_ascending(validate_probability_vector([rng.choice(pool) for _ in range(n)]))
+            dp = dp_table(pv, procedure, s_rule)
+            brute = exhaustive_ordered(pv, procedure, s_rule)
+            assert dp.plan_sizes() == brute.plan.sizes, (pv.probs, procedure, s_rule)
+
+
+class TestDpAgainstReference:
+    @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+    def test_matches_one_shot_block_costs(self, procedure, s_rule):
+        # beyond exhaustive_ordered's guard: the running sums against blocks
+        # costed afresh, same table entries and same splits
+        rng = random.Random(67)
+        for pv in risk_corpus(rng, 30, 60):
+            table = dp_table(pv, procedure, s_rule)
+            cost, split = reference_dp(pv.q, procedure, s_rule)
+            for a, b in zip(table.cost_to_go, cost):
+                assert abs(a - b) <= REL_TOL * b, (pv.probs, procedure, s_rule)
+            assert table.split == tuple(split), (pv.probs, procedure, s_rule)
+
 
 class TestExhaustiveSet:
     # the first three check the brute-force reference ``set_partitions``
@@ -219,7 +282,7 @@ class TestExhaustiveSet:
         pv = validate_probability_vector([0.1] * 21)
         with pytest.raises(InstanceTooLargeError):
             exhaustive_ordered(pv, "S")
-        pv = validate_probability_vector([0.1] * 1001)
+        pv = validate_probability_vector([0.1] * 2801)
         with pytest.raises(InstanceTooLargeError):
             dp_table(pv, "S")
 
