@@ -18,12 +18,12 @@ middle positions are best sorted ascending (an adjacent swap changes one
 suffix product, which grows when the larger value sits later). What
 remains is the choice of the last value, which trades its exclusion from
 the head sum against its weight on the suffix chain; no closed-form rule
-picks it, so the minimizer scores all k possible last values, each in
-O(1) from shared suffix sums. The often-quoted simpler rule "ascending
-head, smallest q last" agrees with this optimum for k <= 3 but is
-strictly beaten for most groups of four or more; it stays available as
-``arranged_cost(group, pv, "S", "smallest-last")`` and in the optimizer
-for reproducing published comparison tables.
+picks it, so the minimizer keeps a running minimum of phi over all k
+last values (derived at ``_optimal_sterrett_ascending``). The often-quoted
+simpler rule "ascending head, smallest q last" agrees with this optimum for
+k <= 3 but is strictly beaten for most groups of four or more; it stays
+available as ``arranged_cost(group, pv, "S", "smallest-last")`` and in the
+optimizer for reproducing published comparison tables.
 
 Each procedure's cost is written here in two forms:
 
@@ -33,15 +33,15 @@ Each procedure's cost is written here in two forms:
   arranged      ``_arranged_cost_q`` takes a block's q values ascending,
                 decides its test order (which value goes last) and costs
                 it: the given-order form on that order for D, Dp and S
-                smallest-last, and the O(k) minimizer
+                smallest-last, and the O(k) phi walk
                 ``_optimal_sterrett_ascending`` for S optimal. It is the
                 only place an arrangement is decided: both exhaustive
                 oracles in ``optimize`` call it, and ``arranged_cost``
                 applies its order to a Group for reports and simulation.
 
 ``optimize.dp_table`` keeps its own incremental loops: it grows each block
-one item at a time, updating running sums (for S optimal, also a running
-minimum over the last value) in O(1) where a one-shot call would start over.
+one item at a time, updating running sums (for S optimal, the phi walk's,
+one per block start) in O(1) where a one-shot call would start over.
 """
 
 from __future__ import annotations
@@ -100,41 +100,37 @@ def _optimal_sterrett_ascending(v: Sequence[float]) -> tuple[float, int]:
     """Minimum Sterrett cost of a block whose q values ``v`` ascend, and the
     index b of the value that goes last in an order attaining it.
 
-    One candidate order per last value v[b]: the smallest remaining value
-    goes first (its position never enters the cost) and the rest sit
-    ascending in between. With w = v[1:], suffix-product tail sums G_t of w
-    give every candidate in O(1), so the whole block costs O(k). A
-    candidate whose last value equals the previous candidate's is the same
-    order by value and is skipped, so ties go to the smallest b.
+    Walk v from its largest value down, qs[a] = v[m - 1 - a] = v[b], with
+    P(a) = qs[0]...qs[a] and C(a) = P(0) + ... + P(a-1). Testing qs[a] last,
+    after the others ascending, gives the suffix products qs[a] P(0), ...,
+    qs[a] P(a-1), P(a+1), ..., P(m-1), so the m items cost
+
+        (2m - 1) - (qs[0] + ... + qs[m-1]) - P(m-1) - C(m-1) + phi(a),
+        phi(a) = qs[a] + (1 - qs[a]) C(a) + P(a).
+
+    phi(a) reads nothing past a, so the walk keeps its running minimum in
+    O(k). ``optimize.dp_table`` keeps the same minimum per block start in
+    the same arithmetic order, so a one-shot cost equals its increment bit
+    for bit. Ties go to the smallest b; a run of equal values is one order
+    by value and stands as its smallest b.
     """
     m = len(v)
     if m == 1:
         return 1.0, 0
-    total = math.fsum(v)
-    prod = math.prod(v)
-    w = v[1:]
-    r = len(w)
-    # G[t] = sum over u >= t of (w_u * w_{u+1} * ... * w_r), 1-based
-    G = [0.0] * (r + 2)
-    acc = 1.0
-    for t in range(r, 0, -1):
-        acc *= w[t - 1]
-        G[t] = acc + G[t + 1]
-    two_m1 = 2.0 * m - 1.0
-    # b = 0: smallest value last, w[0] first, middle = w[1:]
-    best = two_m1 - (total - v[0]) - prod - v[0] * G[2]
-    best_b = 0
-    g1 = G[1]
-    # b = j >= 1: value w[j-1] = v[j] last, v[0] first, middle = w without w[j-1]
-    for j in range(1, r + 1):
-        wj = w[j - 1]
-        if wj == v[j - 1]:
-            continue
-        e = two_m1 - total + wj - prod - wj * G[j + 1] - (g1 - G[j])
-        if e < best:
-            best = e
-            best_b = j
-    return best, best_b
+    p = t = v[-1]
+    c = 0.0
+    best, best_b = 2.0 * p, m - 1
+    for b in range(m - 2, -1, -1):
+        x = v[b]
+        c += p
+        p *= x
+        t += x
+        phi = x + (1.0 - x) * c + p
+        if phi <= best:
+            best, best_b = phi, b
+        elif x == v[b + 1] and best_b == b + 1:
+            best_b = b
+    return (2.0 * m - 1.0) - t - p - c + best, best_b
 
 
 def _arranged_cost_q(

@@ -11,16 +11,11 @@ for D and Dp the cheapest order, for S one of two rules, "optimal" (the
 true minimum over block orders) or "smallest-last" (the ascending-head
 rule behind published comparison tables, optimal only up to three items).
 Block costs are kept as running sums, O(1) per (block start, block end),
-so every table costs O(N^2) arithmetic.
-
-For S optimal, take the block of m = k - i sorted items i..k-1, P(i,a) =
-qs[i]...qs[a] and C(i,a) = P(i,i) + ... + P(i,a-1). Its best order
-testing qs[a] last costs (2m - 1) - (qs[i] + ... + qs[k-1]) - P(i,k-1) -
-C(i,k-1) + phi(i,a), phi(i,a) = qs[a] + (1 - qs[a]) C(i,a) + P(i,a).
-Only phi depends on a, and it reads no item past a, so it does not depend
-on k: extending the block adds the one candidate a = k-1. A running
-minimum of phi per block start replaces the scan over last values, which
-makes this table O(N^2) too; it is guarded at N <= 2800.
+so every table costs O(N^2) arithmetic. For S optimal the sums are those
+of ``cost._optimal_sterrett_ascending``, which derives the cost of the
+order testing qs[a] last through phi(i,a): phi reads no item past a, so
+extending the block i..k-1 adds the one candidate a = k-1 to a running
+minimum per block start. That table is guarded at N <= 2800.
 
 These running sums are the only incremental form of the block costs.
 The exhaustive oracles cost each block afresh with the one-shot

@@ -167,6 +167,9 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     The weights are ``bounds.outcome_distribution`` of the group's members,
     which refuses groups above ``bounds.MAX_OUTCOME_N`` items.
     """
+    if procedure not in PROTOCOLS:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    group.check_against(pv)
     run = PROTOCOLS[procedure]
     weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
     k = group.size
@@ -197,8 +200,8 @@ def estimate_cost(
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
+    report = evaluate_plan(plan, pv, procedure, arrange=arrange)  # checks the procedure
     run = PROTOCOLS[procedure]
-    report = evaluate_plan(plan, pv, procedure, arrange=arrange)
     groups = [Group(items=b.order) for b in report.per_block]
     p = np.asarray(pv.probs)
     block_items = [list(g.items) for g in groups]

@@ -194,6 +194,15 @@ class TestArrangements:
         assert optimal == brute
         assert optimal < simple - 1e-6
 
+    @given(st.lists(st.sampled_from([0.5, 0.7, 0.8, 0.9, 0.95, 0.99]), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_sterrett_tied_values_send_the_lowest_index_last(self, qs):
+        # equal q values make one order by value; of the value that goes
+        # last, the lowest-indexed item is the one moved to the end
+        pv = pv_from_q(qs)
+        last = arranged_cost(whole_group(pv), pv, "S")[0].items[-1]
+        assert last == qs.index(qs[last])
+
 
 @given(q_lists)
 def test_cost_ranges(qs):

@@ -135,6 +135,14 @@ class TestExactExpectation:
         with pytest.raises(InstanceTooLargeError):
             exact_expected_tests(group_of(21), pv, "S")
 
+    def test_bad_inputs_raise_value_error(self):
+        # the CLI maps ValueError to exit 2, as for group_cost and the searches
+        pv = validate_probability_vector([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="unknown procedure"):
+            exact_expected_tests(group_of(3), pv, "X")
+        with pytest.raises(ValueError, match="out of range"):
+            exact_expected_tests(Group(items=(0, 5)), pv, "S")
+
 
 class TestRngSpec:
     def test_same_spec_same_draws(self):
@@ -193,6 +201,11 @@ class TestEstimateCost:
         pv = validate_probability_vector([0.2])
         with pytest.raises(ValueError):
             estimate_cost(OrderedPartition(sizes=(1,)), pv, "S", 1, RngSpec(seed=1))
+
+    def test_rejects_unknown_procedure(self):
+        pv = validate_probability_vector([0.2, 0.3])
+        with pytest.raises(ValueError, match="unknown procedure"):
+            estimate_cost(OrderedPartition(sizes=(2,)), pv, "X", 10, RngSpec(seed=1))
 
     def test_given_order_matches_its_own_closed_form(self):
         # blocks costed exactly as written: the risky item first is the
