@@ -5,12 +5,12 @@ Shannon entropy H (in bits) lower-bounds the expected number of binary
 tests of any classification strategy, and the expected codeword length L
 of an optimal prefix code over the patterns is a sharper lower bound with
 H <= L <= H + 1. L is exact but needs the full outcome distribution, so
-it is guarded at N <= 20.
+it is guarded at N <= 20. It is built by van Leeuwen's (1976) two-queue
+Huffman merge after one sort of the 2^N pattern probabilities.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -64,16 +64,40 @@ def huffman_length(pv: ProbabilityVector) -> float:
     """Expected codeword length L of an optimal prefix code over the 2^N
     defect patterns.
 
-    Uses the classic two-least-merge construction; L equals the sum of all
-    merge weights. The weights merged depend only on the multiset in the
-    heap, not on how ties are broken, so plain floats are heaped.
+    Huffman's two-least-merge construction; L equals the sum of all merge
+    weights. It runs as van Leeuwen's (1976) two-queue merge: the pattern
+    probabilities are sorted once, and merged weights, which never
+    decrease, queue up behind them, so each step takes the two smallest
+    queue heads. The weights merged depend only on the multiset of
+    remaining weights, not on how ties are broken, so every merge is the
+    same float sum as a heap would give, added to L in the same order.
     """
-    heap = outcome_distribution(pv).tolist()
-    heapq.heapify(heap)
+    leaves = np.sort(outcome_distribution(pv)).tolist()
+    merges = len(leaves) - 1
+    leaves.append(math.inf)
+    # merged weights in the order made; unwritten slots read as +inf, and
+    # taken ones are cleared so at N = 20 they do not all stay alive
+    sums = [math.inf] * (merges + 1)
+    i = j = 0
     length = 0.0
-    while len(heap) > 1:
-        merged = heapq.heappop(heap) + heap[0]
-        heapq.heapreplace(heap, merged)
+    for w in range(merges):
+        x, y = leaves[i], sums[j]
+        if y < x:
+            a = y
+            sums[j] = None
+            j += 1
+        else:
+            a = x
+            i += 1
+        x, y = leaves[i], sums[j]
+        if y < x:
+            merged = a + y
+            sums[j] = None
+            j += 1
+        else:
+            merged = a + x
+            i += 1
+        sums[w] = merged
         length += merged
     return length
 
@@ -109,7 +133,12 @@ BOUND_SLACK = 1e-9
 
 
 def check_bounds(pv: ProbabilityVector, achieved_cost: float) -> BoundReport:
-    """Compare an achieved expected-test count against H and (when feasible) L."""
+    """Compare an achieved expected-test count against H and (when feasible) L.
+
+    A non-finite ``achieved_cost`` raises ``ValueError``.
+    """
+    if not math.isfinite(achieved_cost):
+        raise ValueError(f"achieved cost must be a finite number, got {achieved_cost!r}")
     h = entropy_bits(pv)
     if pv.n <= MAX_OUTCOME_N:
         length = huffman_length(pv)

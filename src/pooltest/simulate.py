@@ -10,7 +10,11 @@ interesting output is how many tests it took.
 The primary validator is ``exact_expected_tests``: it enumerates all 2^k
 defect vectors of a group and weights each trace by its probability, which
 must reproduce the closed forms without any sampling noise. Monte Carlo
-(``estimate_cost``) is for whole plans and larger groups.
+(``estimate_cost``) is for whole plans and larger groups. It draws each
+replicate from its own child stream, as the executors would, but counts the
+tests of a chunk of replicates at once with array operations
+(``_block_tests``); the executors are the oracle those counts are tested
+against.
 """
 
 from __future__ import annotations
@@ -180,6 +184,45 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     return total
 
 
+# Replicates whose defect vectors are held at once; bounds the (replicates,
+# N) boolean matrix, so memory does not grow with m.
+CHUNK_REPLICATES = 4096
+
+
+def _block_tests(defects: np.ndarray, procedure: str) -> np.ndarray:
+    """Tests each replicate's run of ``procedure`` takes on one block.
+
+    ``defects`` is a (replicates, k) boolean matrix whose columns are in
+    test order. The counts equal ``PROTOCOLS[procedure]``'s
+    ``tests_performed`` row by row. Sterrett is a k-step scan carrying,
+    per replicate, whether a window starts at the current position
+    (``fresh``) and whether the window is being tested one by one
+    (``serial``).
+    """
+    reps, k = defects.shape
+    if k == 1:
+        return np.ones(reps, dtype=np.int64)
+    positive = defects.any(axis=1)
+    if procedure == "D":
+        return 1 + k * positive
+    if procedure == "Dp":
+        # only the last item positive: it is inferred, not tested
+        return 1 + k * positive - (positive & ~defects[:, : k - 1].any(axis=1))
+    # suffix[:, t]: some item at position t or later is defective
+    suffix = np.logical_or.accumulate(defects[:, ::-1], axis=1)[:, ::-1]
+    tests = np.zeros(reps, dtype=np.int64)
+    fresh = np.ones(reps, dtype=bool)
+    serial = np.zeros(reps, dtype=bool)
+    for t in range(k - 1):
+        tests += fresh  # pool test of positions t..k-1
+        serial |= fresh & suffix[:, t]
+        tests += serial  # individual test of position t
+        fresh = serial & defects[:, t]
+        serial &= ~defects[:, t]
+    # a window of one is tested; a serial run reaching the last item infers it
+    return tests + fresh
+
+
 def estimate_cost(
     plan: OrderedPartition | SetPartition,
     pv: ProbabilityVector,
@@ -197,21 +240,26 @@ def estimate_cost(
     block. The standard error is the sample standard deviation over
     replicates divided by sqrt(m). ``expected_total`` is the report's exact
     expectation of those block orders.
+
+    The draws are stacked ``CHUNK_REPLICATES`` replicates at a time, and
+    each block's test counts are computed for the whole chunk by array
+    operations (``_block_tests``). They equal the protocol executors'
+    counts, which stay the trace oracle for ``exact_expected_tests``.
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
     report = evaluate_plan(plan, pv, procedure, arrange=arrange)  # checks the procedure
-    run = PROTOCOLS[procedure]
-    groups = [Group(items=b.order) for b in report.per_block]
     p = np.asarray(pv.probs)
-    block_items = [list(g.items) for g in groups]
-    totals = np.empty(m)
-    for r in range(m):
-        defective = stream_generator(rng.seed, (rng.stream, r)).random(pv.n) < p
-        tests = 0
-        for g, items in zip(groups, block_items):
-            tests += run(g, defective[items]).tests_performed
-        totals[r] = tests
+    block_items = [list(b.order) for b in report.per_block]
+    totals = np.zeros(m)
+    defects = np.empty((min(m, CHUNK_REPLICATES), pv.n), dtype=bool)
+    for lo in range(0, m, CHUNK_REPLICATES):
+        hi = min(m, lo + CHUNK_REPLICATES)
+        for r in range(lo, hi):
+            draws = stream_generator(rng.seed, (rng.stream, r)).random(pv.n)
+            np.less(draws, p, out=defects[r - lo])
+        for items in block_items:
+            totals[lo:hi] += _block_tests(defects[: hi - lo, items], procedure)
     mean = float(totals.mean())
     sd = float(totals.std(ddof=1))
     return SimulationSummary(

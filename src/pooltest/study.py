@@ -30,7 +30,7 @@ from .model import (
     UnknownFormatError,
 )
 from .optimize import dp_table
-from .simulate import sample_beta_one, stream_generator
+from .simulate import stream_generator
 
 DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
@@ -103,7 +103,21 @@ class StudyRow:
 
 
 def _draw_risks(n: int, beta: float, rng: np.random.Generator) -> list[float]:
-    return [sample_beta_one(beta, rng) for _ in range(n)]
+    """n Beta(1, beta) draws, equal to n ``sample_beta_one`` calls on ``rng``.
+
+    The uniforms come from one ``rng.random`` call, and the quantile is
+    Python's scalar power per element (``np.power`` can differ in the last
+    bits). Values landing exactly on 0 or 1 are dropped and made up by
+    further draws, so the stream is consumed in the same order.
+    """
+    exponent = 1.0 / beta
+    risks: list[float] = []
+    while len(risks) < n:
+        for u in rng.random(n - len(risks)).tolist():
+            x = 1.0 - (1.0 - u) ** exponent
+            if 0.0 < x < 1.0:
+                risks.append(x)
+    return risks
 
 
 def run_study(config: StudyConfig) -> list[StudyRow]:

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import numpy as np
@@ -96,6 +97,37 @@ class TestHuffman:
         h = entropy_bits(v)
         length = huffman_length(v)
         assert h - 1e-9 <= length <= h + 1.0 + 1e-9
+
+
+def heap_huffman_length(v):
+    """Reference Huffman construction with a binary heap."""
+    heap = outcome_distribution(v).tolist()
+    heapq.heapify(heap)
+    length = 0.0
+    while len(heap) > 1:
+        merged = heapq.heappop(heap) + heapq.heappop(heap)
+        heapq.heappush(heap, merged)
+        length += merged
+    return length
+
+
+class TestTwoQueueMatchesHeap:
+    def test_random_risks(self):
+        rng = random.Random(8)
+        for _ in range(150):
+            v = pv([rng.uniform(1e-4, 0.95) for _ in range(rng.randint(1, 12))])
+            assert huffman_length(v) == heap_huffman_length(v)
+
+    def test_tied_risks(self):
+        rng = random.Random(9)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            v = pv([rng.choice([0.05, 0.1, 0.2, 0.5]) for _ in range(n)])
+            assert huffman_length(v) == heap_huffman_length(v)
+
+    @pytest.mark.parametrize("p", [1e-9, 0.37, 0.5, 0.99])
+    def test_single_item(self, p):
+        assert huffman_length(pv([p])) == heap_huffman_length(pv([p]))
 
 
 class TestTwoItemOptimality:

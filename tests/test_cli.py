@@ -226,6 +226,15 @@ class TestBounds:
         assert payload["achieved_ok"] and payload["coding_ok"]
         assert payload["achieved_source"] == "flag"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_achieved(self, capsys, probs_file, value):
+        code, out, err = run_cli(
+            capsys, "bounds", "--probs", probs_file([0.1, 0.2]), f"--achieved={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_default_achieved_from_dp(self, capsys, probs_file):
         code, out, _ = run_cli(capsys, "bounds", "--probs", probs_file(E3_PROBS))
         assert code == 0

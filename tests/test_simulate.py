@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -15,8 +16,10 @@ from pooltest.model import (
 )
 from pooltest.optimize import dp_ordered
 from pooltest.simulate import (
+    CHUNK_REPLICATES,
     PROTOCOLS,
     RngSpec,
+    _block_tests,
     beta_one_quantile,
     estimate_cost,
     exact_expected_tests,
@@ -24,6 +27,7 @@ from pooltest.simulate import (
     run_dorfman_modified,
     run_sterrett,
     sample_beta_one,
+    stream_generator,
 )
 
 
@@ -104,6 +108,16 @@ def test_protocols_classify_correctly(procedure):
             assert trace.classifications == defects
             assert trace.inferred_without_test.isdisjoint(trace.tested_individually)
             assert trace.tests_performed >= 1
+
+
+@pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+def test_block_counter_matches_executors(procedure):
+    # every defect vector of every block size up to 10, one per row
+    run = PROTOCOLS[procedure]
+    for k in range(1, 11):
+        vectors = list(itertools.product([False, True], repeat=k))
+        counts = _block_tests(np.array(vectors, dtype=bool), procedure)
+        assert counts.tolist() == [run(group_of(k), d).tests_performed for d in vectors]
 
 
 class TestExactExpectation:
@@ -228,6 +242,64 @@ class TestEstimateCost:
             if abs(s.mean_tests - expected) <= 4 * s.std_error:
                 hits += 1
         assert hits >= 99
+
+
+def scalar_estimate(plan, pv, procedure, m, rng, arrange="optimal"):
+    """Reference copy of the per-replicate loop: each replicate's defect
+    vector runs through the scalar executors block by block."""
+    report = evaluate_plan(plan, pv, procedure, arrange=arrange)
+    p = np.asarray(pv.probs)
+    totals = np.empty(m)
+    for r in range(m):
+        defective = stream_generator(rng.seed, (rng.stream, r)).random(pv.n) < p
+        totals[r] = sum(
+            PROTOCOLS[procedure](Group(items=b.order), defective[list(b.order)]).tests_performed
+            for b in report.per_block
+        )
+    return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(m)
+
+
+class TestEstimateCostMatchesScalarLoop:
+    """The chunked array counts reproduce the per-replicate executor loop
+    bit for bit, on the same draws."""
+
+    PV = validate_probability_vector([0.02, 0.3, 0.05, 0.11, 0.4, 0.01, 0.2, 0.07, 0.15, 0.09])
+
+    def check(self, plan, procedure, m, rng, arrange="optimal"):
+        summary = estimate_cost(plan, self.PV, procedure, m, rng, arrange=arrange)
+        assert (summary.mean_tests, summary.std_error) == scalar_estimate(
+            plan, self.PV, procedure, m, rng, arrange=arrange
+        )
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    @pytest.mark.parametrize("arrange", ["optimal", "given"])
+    def test_ordered_plan(self, procedure, arrange):
+        plan = OrderedPartition(sizes=(1, 3, 4, 2))
+        self.check(plan, procedure, 700, RngSpec(seed=4), arrange)
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    @pytest.mark.parametrize("arrange", ["optimal", "given"])
+    def test_set_partition_plan(self, procedure, arrange):
+        plan = SetPartition(blocks=((4, 0, 7), (1, 5), (2, 9, 3, 8, 6)))
+        self.check(plan, procedure, 700, RngSpec(seed=9), arrange)
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    def test_second_stream(self, procedure):
+        plan = OrderedPartition(sizes=(6, 4))
+        self.check(plan, procedure, 500, RngSpec(seed=2, stream=1))
+
+    def test_replicates_across_a_chunk_boundary(self):
+        m = CHUNK_REPLICATES + 357
+        plan = SetPartition(blocks=((0, 2, 4, 6, 8), (1, 3, 5, 7, 9)))
+        self.check(plan, "S", m, RngSpec(seed=17, stream=3))
+
+    def test_small_chunks(self, monkeypatch):
+        # several whole chunks and a short last one
+        import pooltest.simulate
+
+        monkeypatch.setattr(pooltest.simulate, "CHUNK_REPLICATES", 64)
+        for procedure in ("D", "Dp", "S"):
+            self.check(OrderedPartition(sizes=(2, 5, 3)), procedure, 64 * 3 + 5, RngSpec(seed=6))
 
 
 class TestBetaSampler:

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from pooltest.model import EmptyInputError, UnknownFormatError
-from pooltest.study import COLUMNS, StudyConfig, emit_table, run_study
+from pooltest.simulate import sample_beta_one, stream_generator
+from pooltest.study import COLUMNS, StudyConfig, _draw_risks, emit_table, run_study
 
 SMALL = StudyConfig(p_targets=(0.05, 0.2), n=12, m=30, seed=77)
 
@@ -108,3 +109,13 @@ class TestEmitTable:
 
     def test_byte_identical_for_same_rows(self, small_rows):
         assert emit_table(small_rows, "csv") == emit_table(small_rows, "csv")
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 9.0, 999.0])
+def test_draw_risks_equals_scalar_sampler(beta):
+    # beta = 0.01 lands most draws exactly on 1.0, so redraws are exercised
+    for key in range(60):
+        n = 1 + key % 40
+        batch = _draw_risks(n, beta, stream_generator(5, (key,)))
+        rng = stream_generator(5, (key,))
+        assert batch == [sample_beta_one(beta, rng) for _ in range(n)]
