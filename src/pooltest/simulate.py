@@ -7,14 +7,14 @@ at position t), and a pool is positive iff it contains a defective item.
 Tests are error-free, so every run classifies all items correctly; the
 interesting output is how many tests it took.
 
-The primary validator is ``exact_expected_tests``: it enumerates all 2^k
-defect vectors of a group and weights each trace by its probability, which
-must reproduce the closed forms without any sampling noise. Monte Carlo
-(``estimate_cost``) is for whole plans and larger groups. It draws each
-replicate from its own child stream, as the executors would, but counts the
-tests of a chunk of replicates at once with array operations
-(``_block_tests``); the executors are the oracle those counts are tested
-against.
+Test counts are computed by array operations (``_block_tests``), a chunk
+of defect vectors at a time, and the executors are the oracle those counts
+are tested against. The primary validator is ``exact_expected_tests``: it
+counts all 2^k defect vectors of a group and weights each count by its
+probability, which must reproduce the closed forms without any sampling
+noise. Monte Carlo (``estimate_cost``) is for whole plans and larger
+groups; it draws each replicate from its own child stream and counts a
+chunk of replicates at once.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .bounds import outcome_distribution
 from .cost import evaluate_plan
 from .model import (
+    PROCEDURES,
     Group,
     OrderedPartition,
     ProbabilityVector,
@@ -164,40 +165,20 @@ def run_sterrett(group: Group, defects) -> ProtocolTrace:
 PROTOCOLS = {"D": run_dorfman, "Dp": run_dorfman_modified, "S": run_sterrett}
 
 
-def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) -> float:
-    """Probability-weighted test count over all 2^k defect vectors.
-
-    Exhaustive-outcome oracle for the closed forms; no sampling involved.
-    The weights are ``bounds.outcome_distribution`` of the group's members,
-    which refuses groups above ``bounds.MAX_OUTCOME_N`` items.
-    """
-    if procedure not in PROTOCOLS:
-        raise ValueError(f"unknown procedure {procedure!r}")
-    group.check_against(pv)
-    run = PROTOCOLS[procedure]
-    weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
-    k = group.size
-    total = 0.0
-    for mask, w in enumerate(weights.tolist()):
-        d = tuple(bool(mask >> t & 1) for t in range(k))
-        total += w * run(group, d).tests_performed
-    return total
-
-
-# Replicates whose defect vectors are held at once; bounds the (replicates,
-# N) boolean matrix, so memory does not grow with m.
+# Defect vectors held at once: Monte Carlo replicates, or exact-oracle
+# outcomes. Bounds the boolean defect matrix, so memory does not grow with m
+# or 2^k.
 CHUNK_REPLICATES = 4096
 
 
 def _block_tests(defects: np.ndarray, procedure: str) -> np.ndarray:
-    """Tests each replicate's run of ``procedure`` takes on one block.
+    """Tests each row's run of ``procedure`` takes on one block.
 
-    ``defects`` is a (replicates, k) boolean matrix whose columns are in
-    test order. The counts equal ``PROTOCOLS[procedure]``'s
-    ``tests_performed`` row by row. Sterrett is a k-step scan carrying,
-    per replicate, whether a window starts at the current position
-    (``fresh``) and whether the window is being tested one by one
-    (``serial``).
+    ``defects`` is a (rows, k) boolean matrix whose columns are in test
+    order. The counts equal ``PROTOCOLS[procedure]``'s ``tests_performed``
+    row by row. Sterrett is a k-step scan carrying, per row, whether a
+    window starts at the current position (``fresh``) and whether the
+    window is being tested one by one (``serial``).
     """
     reps, k = defects.shape
     if k == 1:
@@ -223,6 +204,30 @@ def _block_tests(defects: np.ndarray, procedure: str) -> np.ndarray:
     return tests + fresh
 
 
+def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) -> float:
+    """Probability-weighted test count over all 2^k defect vectors.
+
+    Exhaustive-outcome oracle for the closed forms; no sampling involved.
+    The weights are ``bounds.outcome_distribution`` of the group's members,
+    which refuses groups above ``bounds.MAX_OUTCOME_N`` items. Outcome mask
+    x is the defect vector whose bit t marks position t; the masks are
+    counted ``CHUNK_REPLICATES`` at a time by ``_block_tests`` and summed
+    in mask order.
+    """
+    if procedure not in PROCEDURES:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    group.check_against(pv)
+    weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
+    positions = np.arange(group.size)
+    total = 0.0
+    for lo in range(0, len(weights), CHUNK_REPLICATES):
+        hi = min(len(weights), lo + CHUNK_REPLICATES)
+        defects = (np.arange(lo, hi)[:, None] >> positions & 1).astype(bool)
+        for w, c in zip(weights[lo:hi].tolist(), _block_tests(defects, procedure).tolist()):
+            total += w * c
+    return total
+
+
 def estimate_cost(
     plan: OrderedPartition | SetPartition,
     pv: ProbabilityVector,
@@ -243,8 +248,7 @@ def estimate_cost(
 
     The draws are stacked ``CHUNK_REPLICATES`` replicates at a time, and
     each block's test counts are computed for the whole chunk by array
-    operations (``_block_tests``). They equal the protocol executors'
-    counts, which stay the trace oracle for ``exact_expected_tests``.
+    operations (``_block_tests``), as in ``exact_expected_tests``.
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
@@ -280,13 +284,22 @@ def beta_one_quantile(u: float, beta: float) -> float:
     return 1.0 - (1.0 - u) ** (1.0 / beta)
 
 
-def sample_beta_one(beta: float, rng: np.random.Generator) -> float:
-    """One Beta(1, beta) draw strictly inside (0, 1) by inverse transform.
+def _beta_one_draws(n: int, beta: float, rng: np.random.Generator) -> list[float]:
+    """n Beta(1, beta) draws strictly inside (0, 1) by inverse transform.
 
-    Draws landing exactly on 0 or 1 at floating-point boundaries are
-    rejected and redrawn.
+    One ``rng.random`` call, each uniform mapped by ``beta_one_quantile``
+    (``np.power`` can differ in the last bits). Values landing exactly on 0
+    or 1 are replaced by further draws, so this equals n single draws.
     """
-    while True:
-        x = beta_one_quantile(rng.random(), beta)
-        if 0.0 < x < 1.0:
-            return x
+    draws: list[float] = []
+    while len(draws) < n:
+        for u in rng.random(n - len(draws)).tolist():
+            x = beta_one_quantile(u, beta)
+            if 0.0 < x < 1.0:
+                draws.append(x)
+    return draws
+
+
+def sample_beta_one(beta: float, rng: np.random.Generator) -> float:
+    """One Beta(1, beta) draw strictly inside (0, 1); see ``_beta_one_draws``."""
+    return _beta_one_draws(1, beta, rng)[0]

@@ -30,7 +30,7 @@ from .model import (
     UnknownFormatError,
 )
 from .optimize import dp_table
-from .simulate import stream_generator
+from .simulate import _beta_one_draws, stream_generator
 
 DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
@@ -102,24 +102,6 @@ class StudyRow:
         )
 
 
-def _draw_risks(n: int, beta: float, rng: np.random.Generator) -> list[float]:
-    """n Beta(1, beta) draws, equal to n ``sample_beta_one`` calls on ``rng``.
-
-    The uniforms come from one ``rng.random`` call, and the quantile is
-    Python's scalar power per element (``np.power`` can differ in the last
-    bits). Values landing exactly on 0 or 1 are dropped and made up by
-    further draws, so the stream is consumed in the same order.
-    """
-    exponent = 1.0 / beta
-    risks: list[float] = []
-    while len(risks) < n:
-        for u in rng.random(n - len(risks)).tolist():
-            x = 1.0 - (1.0 - u) ** exponent
-            if 0.0 < x < 1.0:
-                risks.append(x)
-    return risks
-
-
 def run_study(config: StudyConfig) -> list[StudyRow]:
     """Run the full study; deterministic for a fixed config."""
     rows = []
@@ -128,9 +110,13 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
         per_proc = {proc: [] for proc in PROCEDURES}
         entropies = []
         all_draws: list[float] = []
+
+        def draw(*key: int) -> list[float]:
+            return _beta_one_draws(config.n, beta, stream_generator(config.seed, (t, *key)))
+
         for r in range(config.m):
             if config.common_draws:
-                risks = _draw_risks(config.n, beta, stream_generator(config.seed, (t, r)))
+                risks = draw(r)
                 all_draws.extend(risks)
                 pv = ProbabilityVector(probs=tuple(sorted(risks)))
                 for proc in PROCEDURES:
@@ -138,11 +124,11 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
                 entropies.append(entropy_bits(pv))
             else:
                 for c, proc in enumerate(PROCEDURES):
-                    risks = _draw_risks(config.n, beta, stream_generator(config.seed, (t, r, c)))
+                    risks = draw(r, c)
                     all_draws.extend(risks)
                     pv = ProbabilityVector(probs=tuple(sorted(risks)))
                     per_proc[proc].append(dp_table(pv, proc, s_rule=config.sterrett_rule).total)
-                risks = _draw_risks(config.n, beta, stream_generator(config.seed, (t, r, 3)))
+                risks = draw(r, 3)
                 all_draws.extend(risks)
                 entropies.append(entropy_bits(ProbabilityVector(probs=tuple(risks))))
 

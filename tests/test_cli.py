@@ -235,6 +235,16 @@ class TestBounds:
         assert out == ""
         assert "finite" in err
 
+    def test_space_separated_negative_infinity_is_refused(self, capsys, probs_file):
+        # argparse reads "-inf" after a space as an option and stops before
+        # the finite check; only the --achieved=-inf form reaches it
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--probs", probs_file([0.1, 0.2]), "--achieved", "-inf"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "expected one argument" in out.err
+
     def test_default_achieved_from_dp(self, capsys, probs_file):
         code, out, _ = run_cli(capsys, "bounds", "--probs", probs_file(E3_PROBS))
         assert code == 0

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pooltest.bounds import outcome_distribution
 from pooltest.cost import cost_dorfman, cost_dorfman_modified, cost_sterrett, evaluate_plan
 from pooltest.model import (
     Group,
     InstanceTooLargeError,
     OrderedPartition,
+    ProbabilityVector,
     SetPartition,
     validate_probability_vector,
 )
@@ -143,6 +145,64 @@ class TestExactExpectation:
         assert exact_expected_tests(g, pv, "S") == pytest.approx(
             cost_sterrett(g, pv), abs=1e-12
         )
+
+    @staticmethod
+    def executor_expected_tests(group, pv, procedure):
+        # reference: one executor trace per outcome, summed in mask order
+        run = PROTOCOLS[procedure]
+        weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
+        total = 0.0
+        for mask, w in enumerate(weights.tolist()):
+            d = tuple(bool(mask >> t & 1) for t in range(group.size))
+            total += w * run(group, d).tests_performed
+        return total
+
+    @staticmethod
+    def shuffled_group(rng, k, pv):
+        return Group(items=tuple(rng.sample(range(pv.n), k)))
+
+    def check(self, group, pv, procedure):
+        expected = self.executor_expected_tests(group, pv, procedure)
+        assert exact_expected_tests(group, pv, procedure) == expected
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    def test_equals_executor_loop(self, procedure):
+        # random and tied risks, members in shuffled order
+        rng = random.Random(11)
+        for k in range(1, 13):
+            for probs in (
+                [rng.uniform(0.01, 0.99) for _ in range(k + 2)],
+                [rng.choice([0.05, 0.3, 0.5]) for _ in range(k + 2)],
+            ):
+                pv = validate_probability_vector(probs)
+                self.check(self.shuffled_group(rng, k, pv), pv, procedure)
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    def test_two_chunks(self, procedure):
+        # 2^13 = 8192 outcomes, two whole chunks of CHUNK_REPLICATES
+        assert 2**13 == 2 * CHUNK_REPLICATES
+        rng = random.Random(13)
+        pv = validate_probability_vector([rng.uniform(0.01, 0.6) for _ in range(15)])
+        self.check(self.shuffled_group(rng, 13, pv), pv, procedure)
+
+    def test_small_chunks(self, monkeypatch):
+        import pooltest.simulate
+
+        monkeypatch.setattr(pooltest.simulate, "CHUNK_REPLICATES", 64)
+        rng = random.Random(17)
+        for k in (3, 9):  # one short chunk, then eight whole ones
+            pv = validate_probability_vector([rng.uniform(0.01, 0.99) for _ in range(k)])
+            g = self.shuffled_group(rng, k, pv)
+            for procedure in ("D", "Dp", "S"):
+                self.check(g, pv, procedure)
+
+    def test_guard_size(self):
+        # k = 20 is the largest group outcome_distribution accepts; the 2^k
+        # sum itself drifts about 1e-11 relative from the closed form there
+        rng = random.Random(20)
+        pv = validate_probability_vector([rng.uniform(0.01, 0.3) for _ in range(20)])
+        g = self.shuffled_group(rng, 20, pv)
+        assert exact_expected_tests(g, pv, "S") == pytest.approx(cost_sterrett(g, pv), rel=1e-9)
 
     def test_refuses_groups_above_outcome_guard(self):
         pv = validate_probability_vector([0.1] * 21)

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from pooltest.model import EmptyInputError, UnknownFormatError
-from pooltest.simulate import sample_beta_one, stream_generator
-from pooltest.study import COLUMNS, StudyConfig, _draw_risks, emit_table, run_study
+from pooltest.simulate import _beta_one_draws, sample_beta_one, stream_generator
+from pooltest.study import COLUMNS, StudyConfig, emit_table, run_study
 
 SMALL = StudyConfig(p_targets=(0.05, 0.2), n=12, m=30, seed=77)
 
@@ -111,11 +111,22 @@ class TestEmitTable:
         assert emit_table(small_rows, "csv") == emit_table(small_rows, "csv")
 
 
+def scalar_beta_one(beta, rng):
+    # reference: one uniform at a time, redrawn until strictly inside (0, 1)
+    while True:
+        x = 1.0 - (1.0 - rng.random()) ** (1.0 / beta)
+        if 0.0 < x < 1.0:
+            return x
+
+
 @pytest.mark.parametrize("beta", [0.01, 0.5, 9.0, 999.0])
 def test_draw_risks_equals_scalar_sampler(beta):
+    # the study's risk draws and sample_beta_one against the scalar loop;
     # beta = 0.01 lands most draws exactly on 1.0, so redraws are exercised
     for key in range(60):
         n = 1 + key % 40
-        batch = _draw_risks(n, beta, stream_generator(5, (key,)))
         rng = stream_generator(5, (key,))
-        assert batch == [sample_beta_one(beta, rng) for _ in range(n)]
+        expected = [scalar_beta_one(beta, rng) for _ in range(n)]
+        assert _beta_one_draws(n, beta, stream_generator(5, (key,))) == expected
+        rng = stream_generator(5, (key,))
+        assert [sample_beta_one(beta, rng) for _ in range(n)] == expected
