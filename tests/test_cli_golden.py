@@ -1,10 +1,13 @@
 """Byte-for-byte CLI outputs on two small committed inputs.
 
-Each case runs one command on a probability file in ``tests/golden`` and
-compares its stdout with the committed ``<input>.<case>.json`` beside it.
-``tied8`` has tied risks, so the tie-breaking of arrangements and plan
-searches shows up in the outputs too. After a change that is meant to
-alter an output, regenerate the goldens with
+Each case runs one command and compares its stdout with a committed file
+in ``tests/golden``. A case that reads a probability file runs on each
+input there and is compared with ``<input>.<case>.json``; a case that
+reads none (``counterexample``, ``study``) runs once and is compared with
+``<case>.json``, or ``<case>.csv`` for csv output. ``tied8`` has tied
+risks, so the tie-breaking of arrangements and plan searches shows up in
+the outputs too. After a change that is meant to alter an output,
+regenerate the goldens with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from pooltest.cli import main
+from pooltest.model import STERRETT_RULES
 
 GOLDEN = Path(__file__).with_name("golden")
 INPUTS = ("mixed9", "tied8")
@@ -39,24 +43,47 @@ CASES = {
         ]
         for p in ("D", "Dp", "S")
     },
+    "bounds": ["bounds"],
+}
+# cases that read no probability file
+NO_INPUT_CASES = {
+    "counterexample": ["counterexample", "--json"],
+    **{
+        f"study-{r}": ["study", "--m", "5", "--n", "12", "--format", "csv", "--sterrett-rule", r]
+        for r in STERRETT_RULES
+    },
 }
 
 
-def run(name: str, case: str) -> str:
+def run(name: str | None, case: str) -> str:
+    if name is None:
+        argv = NO_INPUT_CASES[case]
+    else:
+        argv = [*CASES[case], "--probs", str(GOLDEN / f"{name}.json")]
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main([*CASES[case], "--probs", str(GOLDEN / f"{name}.json")])
+        code = main(argv)
     assert code == 0
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("name", INPUTS)
+def golden(name: str | None, case: str) -> Path:
+    if name is None:
+        suffix = ".csv" if "csv" in NO_INPUT_CASES[case] else ".json"
+        return GOLDEN / f"{case}{suffix}"
+    return GOLDEN / f"{name}.{case}.json"
+
+
+RUNS = [(name, case) for name in INPUTS for case in CASES] + [
+    (None, case) for case in NO_INPUT_CASES
+]
+
+
+@pytest.mark.parametrize("name, case", RUNS, ids=[f"{n}-{c}" if n else c for n, c in RUNS])
 def test_output_matches_golden(name, case):
-    assert run(name, case) == (GOLDEN / f"{name}.{case}.json").read_text()
+    assert run(name, case) == golden(name, case).read_text()
 
 
 if __name__ == "__main__":
-    for name in INPUTS:
-        for case in CASES:
-            (GOLDEN / f"{name}.{case}.json").write_text(run(name, case))
+    for name, case in RUNS:
+        golden(name, case).write_text(run(name, case))
