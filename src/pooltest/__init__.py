@@ -16,9 +16,6 @@ from .bounds import (
 )
 from .cost import (
     arranged_cost,
-    cost_dorfman,
-    cost_dorfman_modified,
-    cost_sterrett,
     cost_sterrett_equal_prob,
     cost_sterrett_recursive,
     evaluate_plan,

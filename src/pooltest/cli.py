@@ -197,7 +197,10 @@ def _cmd_study(args) -> int:
     rows = run_study(config)
     text = emit_table(rows, args.format, metadata=dataclasses.asdict(config))
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _fail(f"{args.out}: {e.strerror}", EXIT_INPUT)
     else:
         sys.stdout.write(text)
     return EXIT_OK

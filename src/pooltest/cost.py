@@ -28,8 +28,8 @@ optimizer for reproducing published comparison tables.
 Each procedure's cost is written here in two forms:
 
   given order   ``_cost_dorfman_q``, ``_cost_modified_dorfman_q`` and
-                ``_cost_sterrett_q`` cost a q sequence in test order; the
-                ``cost_*`` functions apply them to a Group.
+                ``_cost_sterrett_q`` cost a q sequence in test order;
+                ``group_cost`` applies them to a Group.
   arranged      ``_arranged_cost_q`` takes a block's q values ascending,
                 decides its test order (which value goes last) and costs
                 it: the given-order form on that order for D, Dp and S
@@ -158,23 +158,6 @@ def _arranged_cost_q(
     raise ValueError(f"unknown Sterrett rule {s_rule!r}")
 
 
-def cost_dorfman(group: Group, pv: ProbabilityVector) -> float:
-    """Expected tests under Dorfman pooling; invariant to the group order."""
-    return _cost_dorfman_q(sorted(group.qs(pv)))
-
-
-def cost_dorfman_modified(group: Group, pv: ProbabilityVector) -> float:
-    """Expected tests under modified Dorfman; the LAST item is the one whose
-    individual test may be skipped, so order matters."""
-    *head, last = group.qs(pv)
-    return _cost_modified_dorfman_q((*sorted(head), last))
-
-
-def cost_sterrett(group: Group, pv: ProbabilityVector) -> float:
-    """Expected tests under the Sterrett procedure for the given test order."""
-    return _cost_sterrett_q(group.qs(pv))
-
-
 def cost_sterrett_recursive(group: Group, pv: ProbabilityVector) -> float:
     """Independent Sterrett oracle via the first-defective-position recursion.
 
@@ -186,7 +169,7 @@ def cost_sterrett_recursive(group: Group, pv: ProbabilityVector) -> float:
       first at j<=k-2   contributes  q_1...q_{j-1} (1-q_j) * (1 + j + E(j+1:k))
 
     where E(j+1:k) is the cost of a fresh run on the untested suffix.
-    Evaluated bottom-up over suffixes; shares no code with cost_sterrett.
+    Evaluated bottom-up over suffixes; shares no code with ``_cost_sterrett_q``.
     """
     q = group.qs(pv)
     k = len(q)
@@ -252,13 +235,19 @@ def arranged_cost(
 
 
 def group_cost(group: Group, pv: ProbabilityVector, procedure: str) -> float:
-    """Cost of a group exactly as ordered, under ``procedure``."""
+    """Cost of a group exactly as ordered, under ``procedure``.
+
+    D costs all q sorted, since its cost ignores the order; Dp sorts the
+    head and keeps the last item, whose individual test it may skip. So
+    orders that cost alike in exact arithmetic cost alike in floats too.
+    """
+    q = group.qs(pv)
     if procedure == "D":
-        return cost_dorfman(group, pv)
+        return _cost_dorfman_q(sorted(q))
     if procedure == "Dp":
-        return cost_dorfman_modified(group, pv)
+        return _cost_modified_dorfman_q((*sorted(q[:-1]), q[-1]))
     if procedure == "S":
-        return cost_sterrett(group, pv)
+        return _cost_sterrett_q(q)
     raise ValueError(f"unknown procedure {procedure!r}")
 
 

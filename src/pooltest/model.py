@@ -4,10 +4,12 @@ All types are immutable dataclasses built on tuples, so instances can be
 shared freely across threads. Failure probabilities q_i are always derived
 as 1 - p_i, never stored.
 
-JSON interchange forms (indices are 1-based on the wire, 0-based in memory):
+JSON forms (indices are 1-based on the wire, 0-based in memory). The
+probability vector is read only; an optional "ids" list must match "p" in
+length and is otherwise ignored. The plans are read and written; the
+reports are written only:
 
     ProbabilityVector   {"p": [...], "ids": [...]?}
-    Group               {"items": [...]}
     OrderedPartition    {"ordered_sizes": [...]}
     SetPartition        {"blocks": [[...], [...]]}
     CostReport          {"procedure": ..., "per_block": [...], "total": ...}
@@ -67,6 +69,16 @@ def _as_float_tuple(xs: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in xs)
 
 
+def _json_ints(xs: Iterable[Any], what: str) -> tuple[int, ...]:
+    """Integers read from a JSON list: integral numbers such as 2.0 pass, but
+    booleans, fractions and non-numbers fail, naming the 1-based entry."""
+    xs = list(xs)
+    for j, x in enumerate(xs, 1):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1:
+            raise ValueError(f"{what} entry {j}: {x!r} is not an integer")
+    return tuple(int(x) for x in xs)
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Defect probabilities p_1..p_N of a population of independent items.
@@ -76,7 +88,6 @@ class ProbabilityVector:
     """
 
     probs: tuple[float, ...]
-    ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _as_float_tuple(self.probs))
@@ -85,13 +96,6 @@ class ProbabilityVector:
         for i, p in enumerate(self.probs):
             if not (0.0 < p < 1.0):
                 raise OutOfRangeError(i + 1, p)
-        if self.ids is not None:
-            ids = tuple(str(x) for x in self.ids)
-            if len(ids) != len(self.probs):
-                raise ValueError(
-                    f"ids length {len(ids)} does not match {len(self.probs)} probabilities"
-                )
-            object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
@@ -102,24 +106,19 @@ class ProbabilityVector:
         """Per-item probabilities of being good, derived as 1 - p_i."""
         return tuple(1.0 - p for p in self.probs)
 
-    def to_json(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"p": list(self.probs)}
-        if self.ids is not None:
-            d["ids"] = list(self.ids)
-        return d
-
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "ProbabilityVector":
         if "p" not in d:
             raise UnknownFormatError('probability vector JSON must have a "p" key')
-        return cls(probs=tuple(d["p"]), ids=tuple(d["ids"]) if d.get("ids") else None)
+        pv = cls(probs=tuple(d["p"]))
+        if "ids" in d and len(d["ids"]) != pv.n:
+            raise ValueError(f"ids length {len(d['ids'])} does not match {pv.n} probabilities")
+        return pv
 
 
-def validate_probability_vector(
-    raw: Sequence[float], ids: Sequence[str] | None = None
-) -> ProbabilityVector:
+def validate_probability_vector(raw: Sequence[float]) -> ProbabilityVector:
     """Build a ProbabilityVector, rejecting empty input and boundary values."""
-    return ProbabilityVector(probs=tuple(raw), ids=tuple(ids) if ids is not None else None)
+    return ProbabilityVector(probs=tuple(raw))
 
 
 def sort_ascending(pv: ProbabilityVector) -> tuple[ProbabilityVector, tuple[int, ...]]:
@@ -129,9 +128,7 @@ def sort_ascending(pv: ProbabilityVector) -> tuple[ProbabilityVector, tuple[int,
     position j holds the item originally at index ``perm[j]`` (0-based).
     """
     perm = tuple(sorted(range(pv.n), key=lambda i: pv.probs[i]))
-    probs = tuple(pv.probs[i] for i in perm)
-    ids = tuple(pv.ids[i] for i in perm) if pv.ids is not None else None
-    return ProbabilityVector(probs=probs, ids=ids), perm
+    return ProbabilityVector(probs=tuple(pv.probs[i] for i in perm)), perm
 
 
 @dataclass(frozen=True)
@@ -168,13 +165,6 @@ class Group:
         self.check_against(pv)
         return tuple(1.0 - pv.probs[i] for i in self.items)
 
-    def to_json(self) -> dict[str, Any]:
-        return {"items": [i + 1 for i in self.items]}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "Group":
-        return cls(items=tuple(int(i) - 1 for i in d["items"]))
-
 
 @dataclass(frozen=True)
 class OrderedPartition:
@@ -203,7 +193,7 @@ class OrderedPartition:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "OrderedPartition":
-        return cls(sizes=tuple(int(s) for s in d["ordered_sizes"]))
+        return cls(sizes=_json_ints(d["ordered_sizes"], "ordered_sizes"))
 
 
 @dataclass(frozen=True)
@@ -242,7 +232,8 @@ class SetPartition:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "SetPartition":
-        return cls(blocks=tuple(tuple(int(i) - 1 for i in b) for b in d["blocks"]))
+        blocks = (_json_ints(b, f"block {j}") for j, b in enumerate(d["blocks"], 1))
+        return cls(blocks=tuple(tuple(i - 1 for i in b) for b in blocks))
 
 
 def plan_from_json(d: dict[str, Any]) -> OrderedPartition | SetPartition:
@@ -272,14 +263,6 @@ class BlockCost:
             "order": [i + 1 for i in self.order],
             "expected_tests": self.expected_tests,
         }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "BlockCost":
-        return cls(
-            items=tuple(int(i) - 1 for i in d["items"]),
-            order=tuple(int(i) - 1 for i in d["order"]),
-            expected_tests=float(d["expected_tests"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -311,14 +294,6 @@ class CostReport:
             "per_block": [b.to_json() for b in self.per_block],
             "total": self.total,
         }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "CostReport":
-        return cls(
-            procedure=d["procedure"],
-            per_block=tuple(BlockCost.from_json(b) for b in d["per_block"]),
-            total=float(d["total"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -352,15 +327,3 @@ class SimulationSummary:
             "seed": self.seed,
             "expected_total": self.expected_total,
         }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "SimulationSummary":
-        return cls(
-            procedure=d["procedure"],
-            plan=plan_from_json(d["plan"]),
-            replicates=int(d["replicates"]),
-            mean_tests=float(d["mean_tests"]),
-            std_error=float(d["std_error"]),
-            seed=int(d["seed"]),
-            expected_total=float(d["expected_total"]),
-        )

@@ -320,24 +320,20 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     return PlanResult(plan=plan, report=report, search="exhaustive-set")
 
 
-def pair_interchange_costs(
-    q1: float, q2: float, q3: float, q4: float, procedure: str = "S"
-) -> tuple[float, float]:
+def pair_interchange_costs(q1: float, q2: float, q3: float, q4: float) -> tuple[float, float]:
     """Costs of the two pairings of a descending quadruple q1 >= q2 >= q3 >= q4.
 
     Returns (cost of {q1,q2} u {q3,q4}, cost of {q1,q3} u {q2,q4}), each pair
-    arranged with the larger q first. Swapping the middle values can never
-    increase the total, so the second entry is always <= the first.
+    arranged with the larger q first, under Dp or S: the two-item cost is the
+    same for both. Swapping the middle values can never increase the total,
+    so the second entry is always <= the first.
     """
-    if procedure not in ("Dp", "S"):
-        raise ValueError("interchange comparison applies to procedures Dp and S")
     if not (q1 >= q2 >= q3 >= q4):
         raise NotSortedError(f"expected q1 >= q2 >= q3 >= q4, got {(q1, q2, q3, q4)}")
     for q in (q1, q2, q3, q4):
         if not (0.0 < q < 1.0):
             raise ValueError(f"q values must lie strictly inside (0, 1), got {q}")
 
-    # the two-item cost is identical for Dp and S
     ordered = _cost_sterrett_q((q1, q2)) + _cost_sterrett_q((q3, q4))
     swapped = _cost_sterrett_q((q1, q3)) + _cost_sterrett_q((q2, q4))
     return ordered, swapped

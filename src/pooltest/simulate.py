@@ -44,9 +44,8 @@ def stream_generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Deterministic stream addressing under a base ``seed``: ``generator()``
-    draws from the child stream (stream,), and replicate r of
-    ``estimate_cost`` draws from the child stream (stream, r)."""
+    """Deterministic stream addressing under a base ``seed``: replicate r
+    of ``estimate_cost`` draws from the child stream (stream, r)."""
 
     seed: int
     stream: int = 0
@@ -56,9 +55,6 @@ class RngSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.stream < 0:
             raise ValueError("stream index must be nonnegative")
-
-    def generator(self) -> np.random.Generator:
-        return stream_generator(self.seed, (self.stream,))
 
 
 @dataclass(frozen=True)

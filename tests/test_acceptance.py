@@ -18,10 +18,8 @@ from contextlib import contextmanager
 from pooltest.bounds import entropy_bits, huffman_length
 from pooltest.cost import (
     arranged_cost,
-    cost_dorfman,
-    cost_dorfman_modified,
-    cost_sterrett,
     cost_sterrett_recursive,
+    group_cost,
 )
 from pooltest.model import Group, sort_ascending, validate_probability_vector
 from pooltest.optimize import (
@@ -81,21 +79,20 @@ def test_criterion_2_closed_form_vs_recursion():
             k = rng.randint(1, 12)
             pv = validate_probability_vector([rng.uniform(0.01, 0.99) for _ in range(k)])
             g = Group(items=tuple(range(k)))
-            assert abs(cost_sterrett(g, pv) - cost_sterrett_recursive(g, pv)) <= 1e-12 * k
+            assert abs(group_cost(g, pv, "S") - cost_sterrett_recursive(g, pv)) <= 1e-12 * k
 
 
 def test_criterion_3_protocol_outcome_oracle():
     with criterion(
         3, "probability-weighted protocol traces equal the closed forms for k <= 10", 30.0
     ):
-        closed = {"D": cost_dorfman, "Dp": cost_dorfman_modified, "S": cost_sterrett}
         rng = random.Random(102)
         for k in range(1, 11):
             pv = validate_probability_vector([rng.uniform(0.02, 0.98) for _ in range(k)])
             g = Group(items=tuple(range(k)))
             for proc in ("D", "Dp", "S"):
                 exact = exact_expected_tests(g, pv, proc)
-                assert abs(exact - closed[proc](g, pv)) <= 1e-12
+                assert abs(exact - group_cost(g, pv, proc)) <= 1e-12
 
 
 def test_criterion_4_arrangement_optimality():
@@ -106,11 +103,11 @@ def test_criterion_4_arrangement_optimality():
             pv = validate_probability_vector([rng.uniform(0.01, 0.99) for _ in range(k)])
             g = Group(items=tuple(range(k)))
             perms = list(itertools.permutations(range(k)))
-            best_s = min(cost_sterrett(Group(items=p), pv) for p in perms)
-            assert cost_sterrett(arranged_cost(g, pv, "S")[0], pv) == best_s
-            best_dp = min(cost_dorfman_modified(Group(items=p), pv) for p in perms)
+            best_s = min(group_cost(Group(items=p), pv, "S") for p in perms)
+            assert group_cost(arranged_cost(g, pv, "S")[0], pv, "S") == best_s
+            best_dp = min(group_cost(Group(items=p), pv, "Dp") for p in perms)
             arranged = arranged_cost(g, pv, "Dp")[0]
-            assert cost_dorfman_modified(arranged, pv) == best_dp
+            assert group_cost(arranged, pv, "Dp") == best_dp
 
 
 def test_criterion_5_dp_vs_exhaustive_ordered():
@@ -174,7 +171,7 @@ def test_criterion_7_information_bounds():
                 continue
             big = rng.uniform(lo + 1e-6, 0.999)
             pv = validate_probability_vector([1.0 - big, 1.0 - small])
-            cost = cost_sterrett(Group(items=(0, 1)), pv)
+            cost = group_cost(Group(items=(0, 1)), pv, "S")
             assert abs(cost - huffman_length(pv)) <= 1e-12
             done += 1
 
@@ -213,9 +210,8 @@ def test_criterion_10_pair_interchange():
         rng = random.Random(108)
         for _ in range(1000):
             q1, q2, q3, q4 = sorted((rng.uniform(0.01, 0.99) for _ in range(4)), reverse=True)
-            for proc in ("S", "Dp"):
-                ordered, swapped = pair_interchange_costs(q1, q2, q3, q4, proc)
-                assert swapped <= ordered + 1e-12
+            ordered, swapped = pair_interchange_costs(q1, q2, q3, q4)
+            assert swapped <= ordered + 1e-12
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pooltest.bounds import (
     outcome_distribution,
     ungar_threshold,
 )
-from pooltest.cost import cost_sterrett, cost_dorfman_modified
+from pooltest.cost import group_cost
 from pooltest.model import Group, InstanceTooLargeError, validate_probability_vector
 from pooltest.optimize import dp_ordered, exhaustive_set
 
@@ -84,7 +84,7 @@ class TestHuffman:
     def test_two_item_sequential_cost_attains_length(self):
         v = pv([0.1, 0.2])
         group = Group(items=(0, 1))  # larger q first
-        assert cost_sterrett(group, v) == pytest.approx(huffman_length(v), abs=1e-12)
+        assert group_cost(group, v, "S") == pytest.approx(huffman_length(v), abs=1e-12)
 
     def test_guard(self):
         with pytest.raises(InstanceTooLargeError):
@@ -147,8 +147,8 @@ class TestTwoItemOptimality:
             v = pv([1.0 - big, 1.0 - s])  # larger q first
             group = Group(items=(0, 1))
             length = huffman_length(v)
-            assert cost_sterrett(group, v) == pytest.approx(length, abs=1e-12)
-            assert cost_dorfman_modified(group, v) == pytest.approx(length, abs=1e-12)
+            assert group_cost(group, v, "S") == pytest.approx(length, abs=1e-12)
+            assert group_cost(group, v, "Dp") == pytest.approx(length, abs=1e-12)
             done += 1
 
 

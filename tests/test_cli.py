@@ -4,7 +4,7 @@ import pytest
 
 from pooltest.cli import main
 from pooltest.cost import evaluate_plan
-from pooltest.model import CostReport, SetPartition, validate_probability_vector
+from pooltest.model import plan_from_json, validate_probability_vector
 
 E3_PROBS = [0.4, 0.4, 0.01, 0.01]
 
@@ -102,12 +102,55 @@ class TestEval:
             "--plan", plan_file({"ordered_sizes": [3, 1]}),
         )
         assert code == 0
-        report = CostReport.from_json(json.loads(out))
+        report = json.loads(out)
         pv = validate_probability_vector(E3_PROBS)
         # the emitted block orders, costed exactly as printed, give the total back
-        plan = SetPartition(blocks=tuple(b.order for b in report.per_block))
+        plan = plan_from_json({"blocks": [b["order"] for b in report["per_block"]]})
         again = evaluate_plan(plan, pv, "S", arrange="given").total
-        assert again == pytest.approx(report.total, abs=1e-12)
+        assert again == pytest.approx(report["total"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "payload, entry",
+        [
+            ({"ordered_sizes": [1.9, 2.1]}, "ordered_sizes entry 1: 1.9"),
+            ({"ordered_sizes": [True, 2]}, "ordered_sizes entry 1: True"),
+            ({"blocks": [[1.5, 2], [3]]}, "block 1 entry 1: 1.5"),
+            ({"blocks": [[1, 2], [False]]}, "block 2 entry 1: False"),
+        ],
+        ids=["sizes-fraction", "sizes-bool", "blocks-fraction", "blocks-bool"],
+    )
+    def test_rejects_non_integral_plan_entries(
+        self, capsys, probs_file, plan_file, payload, entry
+    ):
+        code, _, err = run_cli(
+            capsys, "eval", "--probs", probs_file([0.1, 0.2, 0.3]), "--procedure", "S",
+            "--plan", plan_file(payload),
+        )
+        assert code == 2
+        assert entry in err and "is not an integer" in err
+
+    def test_accepts_integral_float_plan_entries(self, capsys, probs_file, plan_file):
+        probs = probs_file([0.1, 0.2, 0.3])
+        _, by_int, _ = run_cli(
+            capsys, "eval", "--probs", probs, "--procedure", "S",
+            "--plan", plan_file({"blocks": [[1, 3], [2]]}),
+        )
+        code, by_float, _ = run_cli(
+            capsys, "eval", "--probs", probs, "--procedure", "S",
+            "--plan", plan_file({"blocks": [[1.0, 3.0], [2.0]]}),
+        )
+        assert code == 0
+        assert by_float == by_int
+
+    @pytest.mark.parametrize("ids", [[], ["a"]])
+    def test_rejects_ids_of_other_length(self, capsys, tmp_path, ids):
+        path = tmp_path / "probs.json"
+        path.write_text(json.dumps({"p": [0.1, 0.2], "ids": ids}))
+        code, _, err = run_cli(
+            capsys, "eval", "--probs", str(path), "--procedure", "S", "--single-group"
+        )
+        assert code == 2
+        assert f"ids length {len(ids)} does not match 2 probabilities" in err
 
 
 class TestOptimize:
@@ -288,6 +331,15 @@ class TestStudy:
         assert payload["metadata"]["n"] == 5
         assert payload["metadata"]["common_draws"] is True
         assert payload["metadata"]["sterrett_rule"] == "smallest-last"
+
+    def test_unwritable_out_file_exits_two(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(
+            capsys, "study", "--p-list", "0.1", "--n", "5", "--m", "3", "--out", str(dest)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {dest}: No such file or directory\n"
 
 
 class TestCounterexample:

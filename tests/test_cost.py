@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from pooltest.cost import (
     arranged_cost,
-    cost_dorfman,
-    cost_dorfman_modified,
-    cost_sterrett,
     cost_sterrett_equal_prob,
     cost_sterrett_recursive,
     evaluate_plan,
+    group_cost,
 )
 from pooltest.model import Group, OrderedPartition, SetPartition, validate_probability_vector
 
@@ -30,62 +28,62 @@ q_lists = st.lists(
 
 class TestDorfman:
     def test_single_item(self):
-        assert cost_dorfman(whole_group(pv_from_q([0.2])), pv_from_q([0.2])) == 1.0
+        assert group_cost(whole_group(pv_from_q([0.2])), pv_from_q([0.2]), "D") == 1.0
 
     def test_three_items_equal_q(self):
         pv = pv_from_q([0.9, 0.9, 0.9])
-        assert cost_dorfman(whole_group(pv), pv) == pytest.approx(1.813, abs=1e-12)
+        assert group_cost(whole_group(pv), pv, "D") == pytest.approx(1.813, abs=1e-12)
 
     def test_pair(self):
         pv = pv_from_q([0.99, 0.6])
-        assert cost_dorfman(whole_group(pv), pv) == pytest.approx(1.812, abs=1e-12)
+        assert group_cost(whole_group(pv), pv, "D") == pytest.approx(1.812, abs=1e-12)
 
     @given(q_lists)
     def test_order_invariant(self, qs):
         pv = pv_from_q(qs)
-        base = cost_dorfman(whole_group(pv), pv)
+        base = group_cost(whole_group(pv), pv, "D")
         perm = tuple(reversed(range(pv.n)))
-        assert cost_dorfman(Group(items=perm), pv) == pytest.approx(base, rel=1e-12)
+        assert group_cost(Group(items=perm), pv, "D") == pytest.approx(base, rel=1e-12)
 
 
 class TestModifiedDorfman:
     def test_pair(self):
         pv = pv_from_q([0.9, 0.8])
-        assert cost_dorfman_modified(whole_group(pv), pv) == pytest.approx(1.38, abs=1e-12)
+        assert group_cost(whole_group(pv), pv, "Dp") == pytest.approx(1.38, abs=1e-12)
 
     def test_three_items_equal_q(self):
         pv = pv_from_q([0.9, 0.9, 0.9])
-        assert cost_dorfman_modified(whole_group(pv), pv) == pytest.approx(1.732, abs=1e-12)
+        assert group_cost(whole_group(pv), pv, "Dp") == pytest.approx(1.732, abs=1e-12)
 
     def test_single_item(self):
         pv = validate_probability_vector([0.99])
-        assert cost_dorfman_modified(whole_group(pv), pv) == 1.0
+        assert group_cost(whole_group(pv), pv, "Dp") == 1.0
 
     @given(q_lists)
     def test_never_exceeds_dorfman(self, qs):
         pv = pv_from_q(qs)
         g = whole_group(pv)
-        assert cost_dorfman_modified(g, pv) <= cost_dorfman(g, pv) + 1e-12
+        assert group_cost(g, pv, "Dp") <= group_cost(g, pv, "D") + 1e-12
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=0.99))
     def test_equals_sterrett_for_pairs(self, q1, q2):
         pv = pv_from_q([q1, q2])
         g = whole_group(pv)
-        assert cost_dorfman_modified(g, pv) == pytest.approx(cost_sterrett(g, pv), abs=1e-12)
+        assert group_cost(g, pv, "Dp") == pytest.approx(group_cost(g, pv, "S"), abs=1e-12)
 
 
 class TestSterrett:
     def test_pair(self):
         pv = pv_from_q([0.9, 0.8])
-        assert cost_sterrett(whole_group(pv), pv) == pytest.approx(1.38, abs=1e-12)
+        assert group_cost(whole_group(pv), pv, "S") == pytest.approx(1.38, abs=1e-12)
 
     def test_triple(self):
         pv = pv_from_q([0.9, 0.95, 0.6])
-        assert cost_sterrett(whole_group(pv), pv) == pytest.approx(2.067, abs=1e-12)
+        assert group_cost(whole_group(pv), pv, "S") == pytest.approx(2.067, abs=1e-12)
 
     def test_single_item(self):
         pv = validate_probability_vector([0.5])
-        assert cost_sterrett(whole_group(pv), pv) == 1.0
+        assert group_cost(whole_group(pv), pv, "S") == 1.0
 
     def test_recursion_matches_pair(self):
         pv = pv_from_q([0.9, 0.8])
@@ -94,7 +92,7 @@ class TestSterrett:
     def test_recursion_matches_chain_of_five(self):
         pv = pv_from_q([0.9, 0.8, 0.7, 0.6, 0.5])
         g = whole_group(pv)
-        assert abs(cost_sterrett(g, pv) - cost_sterrett_recursive(g, pv)) <= 1e-12 * 5
+        assert abs(group_cost(g, pv, "S") - cost_sterrett_recursive(g, pv)) <= 1e-12 * 5
 
     def test_recursion_single_item(self):
         pv = validate_probability_vector([0.3])
@@ -105,7 +103,7 @@ class TestSterrett:
     def test_recursion_agrees_with_closed_form(self, qs):
         pv = pv_from_q(qs)
         g = whole_group(pv)
-        assert abs(cost_sterrett(g, pv) - cost_sterrett_recursive(g, pv)) <= 1e-12 * pv.n
+        assert abs(group_cost(g, pv, "S") - cost_sterrett_recursive(g, pv)) <= 1e-12 * pv.n
 
 
 class TestEqualProbability:
@@ -121,7 +119,7 @@ class TestEqualProbability:
     @given(st.integers(min_value=1, max_value=50), st.floats(min_value=0.01, max_value=0.99))
     def test_matches_general_form_on_constant_vectors(self, k, q):
         pv = pv_from_q([q] * k)
-        general = cost_sterrett(whole_group(pv), pv)
+        general = group_cost(whole_group(pv), pv, "S")
         assert abs(cost_sterrett_equal_prob(k, q) - general) <= 1e-12 * max(1, k)
 
 
@@ -132,7 +130,7 @@ class TestArrangements:
         assert pv.q[arranged.items[0]] == 0.9
         assert pv.q[arranged.items[1]] == 0.95
         assert pv.q[arranged.items[2]] == 0.6
-        assert cost_sterrett(arranged, pv) == pytest.approx(2.067, abs=1e-12)
+        assert group_cost(arranged, pv, "S") == pytest.approx(2.067, abs=1e-12)
 
     def test_sterrett_pair_larger_q_first(self):
         pv = pv_from_q([0.8, 0.9])
@@ -148,12 +146,12 @@ class TestArrangements:
         pv = pv_from_q([0.6, 0.99])
         arranged = arranged_cost(whole_group(pv), pv, "Dp")[0]
         assert [pv.q[i] for i in arranged.items] == [0.99, 0.6]
-        assert cost_dorfman_modified(arranged, pv) == pytest.approx(1.416, abs=1e-12)
+        assert group_cost(arranged, pv, "Dp") == pytest.approx(1.416, abs=1e-12)
 
     def test_modified_dorfman_equal_q_invariant(self):
         pv = pv_from_q([0.9, 0.9, 0.9])
         arranged = arranged_cost(whole_group(pv), pv, "Dp")[0]
-        assert cost_dorfman_modified(arranged, pv) == pytest.approx(1.732, abs=1e-12)
+        assert group_cost(arranged, pv, "Dp") == pytest.approx(1.732, abs=1e-12)
 
     # dyadic grid values keep every product exactly representable, so the
     # exact-tie assertion cannot be disturbed by rounding
@@ -165,10 +163,10 @@ class TestArrangements:
         pv = pv_from_q(qs)
         g = whole_group(pv)
         best = min(
-            cost_sterrett(Group(items=perm), pv)
+            group_cost(Group(items=perm), pv, "S")
             for perm in itertools.permutations(range(pv.n))
         )
-        assert cost_sterrett(arranged_cost(g, pv, "S")[0], pv) == best
+        assert group_cost(arranged_cost(g, pv, "S")[0], pv, "S") == best
 
     @given(st.lists(dyadic_q, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -176,19 +174,19 @@ class TestArrangements:
         pv = pv_from_q(qs)
         g = whole_group(pv)
         best = min(
-            cost_dorfman_modified(Group(items=perm), pv)
+            group_cost(Group(items=perm), pv, "Dp")
             for perm in itertools.permutations(range(pv.n))
         )
-        assert cost_dorfman_modified(arranged_cost(g, pv, "Dp")[0], pv) == best
+        assert group_cost(arranged_cost(g, pv, "Dp")[0], pv, "Dp") == best
 
     def test_sterrett_beats_smallest_last_rule_on_larger_groups(self):
         # the simple rule is exact for k <= 3; from k = 4 it is usually beaten
         pv = pv_from_q([0.507, 0.949, 0.969, 0.992])
         g = whole_group(pv)
-        simple = cost_sterrett(arranged_cost(g, pv, "S", "smallest-last")[0], pv)
-        optimal = cost_sterrett(arranged_cost(g, pv, "S")[0], pv)
+        simple = group_cost(arranged_cost(g, pv, "S", "smallest-last")[0], pv, "S")
+        optimal = group_cost(arranged_cost(g, pv, "S")[0], pv, "S")
         brute = min(
-            cost_sterrett(Group(items=perm), pv)
+            group_cost(Group(items=perm), pv, "S")
             for perm in itertools.permutations(range(pv.n))
         )
         assert optimal == brute
@@ -209,9 +207,9 @@ def test_cost_ranges(qs):
     pv = pv_from_q(qs)
     g = whole_group(pv)
     k = pv.n
-    assert 1.0 <= cost_sterrett(g, pv) <= 2 * k - 1 + 1e-12
-    assert 1.0 <= cost_dorfman(g, pv) <= k + 1 + 1e-12
-    assert 1.0 <= cost_dorfman_modified(g, pv) <= k + 1 + 1e-12
+    assert 1.0 <= group_cost(g, pv, "S") <= 2 * k - 1 + 1e-12
+    assert 1.0 <= group_cost(g, pv, "D") <= k + 1 + 1e-12
+    assert 1.0 <= group_cost(g, pv, "Dp") <= k + 1 + 1e-12
 
 
 @given(
@@ -225,8 +223,8 @@ def test_costs_weakly_decrease_when_any_q_rises(qs, data):
     raised = list(qs)
     raised[idx] = min(0.999, raised[idx] + 0.05)
     pv_up = pv_from_q(raised)
-    for fn in (cost_dorfman, cost_dorfman_modified, cost_sterrett):
-        assert fn(g, pv_up) <= fn(g, pv) + 1e-12
+    for procedure in ("D", "Dp", "S"):
+        assert group_cost(g, pv_up, procedure) <= group_cost(g, pv, procedure) + 1e-12
 
 
 class TestEvaluatePlan:

@@ -12,7 +12,6 @@ from pooltest.model import (
     OutOfRangeError,
     ProbabilityVector,
     SetPartition,
-    SimulationSummary,
     plan_from_json,
     sort_ascending,
     validate_probability_vector,
@@ -129,7 +128,7 @@ def test_block_cost_order_is_permutation():
         BlockCost(items=(0, 1), order=(0, 2), expected_tests=1.0)
 
 
-# round-trips through the JSON interchange form
+# round-trips through the JSON forms
 
 
 def _roundtrip(obj, from_json):
@@ -139,18 +138,13 @@ def _roundtrip(obj, from_json):
 @given(probs_strategy)
 def test_probability_vector_roundtrip(raw):
     pv = validate_probability_vector(raw)
-    assert _roundtrip(pv, ProbabilityVector.from_json) == pv
+    assert ProbabilityVector.from_json(json.loads(json.dumps({"p": list(pv.probs)}))) == pv
 
 
-def test_probability_vector_roundtrip_with_ids():
-    pv = validate_probability_vector([0.1, 0.2], ids=["a", "b"])
-    assert _roundtrip(pv, ProbabilityVector.from_json) == pv
-
-
-def test_group_roundtrip():
-    g = Group(items=(2, 0, 1))
-    assert _roundtrip(g, Group.from_json) == g
-    assert g.to_json() == {"items": [3, 1, 2]}  # 1-based on the wire
+def test_probability_vector_ids_are_ignored():
+    # a length mismatch is an input error, checked in test_cli
+    pv = ProbabilityVector.from_json({"p": [0.1, 0.2], "ids": ["a", "b"]})
+    assert pv == validate_probability_vector([0.1, 0.2])
 
 
 def test_plan_roundtrips():
@@ -159,28 +153,3 @@ def test_plan_roundtrips():
     sp = SetPartition(blocks=((0, 2), (1, 3)))
     assert _roundtrip(sp, plan_from_json) == sp
     assert sp.to_json() == {"blocks": [[1, 3], [2, 4]]}
-
-
-def test_cost_report_roundtrip():
-    report = CostReport(
-        procedure="S",
-        per_block=(
-            BlockCost(items=(0, 1), order=(1, 0), expected_tests=1.38),
-            BlockCost(items=(2,), order=(2,), expected_tests=1.0),
-        ),
-        total=2.38,
-    )
-    assert _roundtrip(report, CostReport.from_json) == report
-
-
-def test_simulation_summary_roundtrip():
-    summary = SimulationSummary(
-        procedure="Dp",
-        plan=OrderedPartition(sizes=(2, 1)),
-        replicates=100,
-        mean_tests=2.5,
-        std_error=0.01,
-        seed=42,
-        expected_total=2.4,
-    )
-    assert _roundtrip(summary, SimulationSummary.from_json) == summary

@@ -304,7 +304,7 @@ def test_fast_block_cost_matches_arrangement_route():
         _arranged_cost_q,
         _optimal_sterrett_ascending,
         arranged_cost,
-        cost_sterrett,
+        group_cost,
     )
     from pooltest.model import Group
 
@@ -320,36 +320,29 @@ def test_fast_block_cost_matches_arrangement_route():
             _, slow = arranged_cost(g, pv, procedure, s_rule)
             assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
         fast, _ = _optimal_sterrett_ascending(v)
-        slow = cost_sterrett(arranged_cost(g, pv, "S")[0], pv)
+        slow = group_cost(arranged_cost(g, pv, "S")[0], pv, "S")
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
 
 
 class TestInterchange:
     def test_counterexample_quadruple(self):
-        ordered, swapped = pair_interchange_costs(0.99, 0.99, 0.6, 0.6, "S")
+        ordered, swapped = pair_interchange_costs(0.99, 0.99, 0.6, 0.6)
         assert ordered == pytest.approx(3.0699, abs=1e-9)
         assert swapped == pytest.approx(2.832, abs=1e-9)
 
     def test_equal_values_tie(self):
-        ordered, swapped = pair_interchange_costs(0.7, 0.7, 0.7, 0.7, "Dp")
+        ordered, swapped = pair_interchange_costs(0.7, 0.7, 0.7, 0.7)
         assert ordered == pytest.approx(swapped, abs=1e-12)
 
     def test_rejects_unsorted(self):
         with pytest.raises(NotSortedError):
-            pair_interchange_costs(0.5, 0.9, 0.4, 0.3, "S")
+            pair_interchange_costs(0.5, 0.9, 0.4, 0.3)
 
-    def test_rejects_dorfman(self):
-        with pytest.raises(ValueError):
-            pair_interchange_costs(0.9, 0.8, 0.7, 0.6, "D")
-
-    @given(
-        st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=4, max_size=4),
-        st.sampled_from(["Dp", "S"]),
-    )
+    @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=4, max_size=4))
     @settings(max_examples=500)
-    def test_swapped_never_worse(self, qs, procedure):
+    def test_swapped_never_worse(self, qs):
         q1, q2, q3, q4 = sorted(qs, reverse=True)
-        ordered, swapped = pair_interchange_costs(q1, q2, q3, q4, procedure)
+        ordered, swapped = pair_interchange_costs(q1, q2, q3, q4)
         assert swapped <= ordered + 1e-12
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pooltest.bounds import outcome_distribution
-from pooltest.cost import cost_dorfman, cost_dorfman_modified, cost_sterrett, evaluate_plan
+from pooltest.cost import evaluate_plan, group_cost
 from pooltest.model import (
     Group,
     InstanceTooLargeError,
@@ -126,8 +126,6 @@ class TestExactExpectation:
     """Probability-weighted enumeration of every defect vector must
     reproduce the closed forms; this ties the formulas to the protocols."""
 
-    closed = {"D": cost_dorfman, "Dp": cost_dorfman_modified, "S": cost_sterrett}
-
     @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
     def test_small_groups_random_probs(self, procedure):
         rng = random.Random(7)
@@ -135,7 +133,7 @@ class TestExactExpectation:
             pv = validate_probability_vector([rng.uniform(0.02, 0.98) for _ in range(k)])
             g = group_of(k)
             exact = exact_expected_tests(g, pv, procedure)
-            assert exact == pytest.approx(self.closed[procedure](g, pv), abs=1e-12)
+            assert exact == pytest.approx(group_cost(g, pv, procedure), abs=1e-12)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -143,7 +141,7 @@ class TestExactExpectation:
         pv = validate_probability_vector(probs)
         g = group_of(pv.n)
         assert exact_expected_tests(g, pv, "S") == pytest.approx(
-            cost_sterrett(g, pv), abs=1e-12
+            group_cost(g, pv, "S"), abs=1e-12
         )
 
     @staticmethod
@@ -202,7 +200,7 @@ class TestExactExpectation:
         rng = random.Random(20)
         pv = validate_probability_vector([rng.uniform(0.01, 0.3) for _ in range(20)])
         g = self.shuffled_group(rng, 20, pv)
-        assert exact_expected_tests(g, pv, "S") == pytest.approx(cost_sterrett(g, pv), rel=1e-9)
+        assert exact_expected_tests(g, pv, "S") == pytest.approx(group_cost(g, pv, "S"), rel=1e-9)
 
     def test_refuses_groups_above_outcome_guard(self):
         pv = validate_probability_vector([0.1] * 21)
@@ -220,13 +218,13 @@ class TestExactExpectation:
 
 class TestRngSpec:
     def test_same_spec_same_draws(self):
-        a = RngSpec(seed=9, stream=3).generator().random(5)
-        b = RngSpec(seed=9, stream=3).generator().random(5)
+        a = stream_generator(9, (3,)).random(5)
+        b = stream_generator(9, (3,)).random(5)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = RngSpec(seed=9, stream=0).generator().random(5)
-        b = RngSpec(seed=9, stream=1).generator().random(5)
+        a = stream_generator(9, (0,)).random(5)
+        b = stream_generator(9, (1,)).random(5)
         assert not np.array_equal(a, b)
 
     def test_rejects_bad_values(self):
@@ -372,19 +370,19 @@ class TestBetaSampler:
 
     def test_mean_matches_target(self):
         # Beta(1, 9) has mean 0.1
-        rng = RngSpec(seed=21).generator()
+        rng = stream_generator(21, (0,))
         draws = [sample_beta_one(9.0, rng) for _ in range(40_000)]
         assert np.mean(draws) == pytest.approx(0.1, abs=0.005)
 
     def test_sd_matches_target(self):
         # for mean 0.1 the population sd is 0.1 * sqrt(0.9 / 1.1) = 0.0905
-        rng = RngSpec(seed=22).generator()
+        rng = stream_generator(22, (0,))
         beta = (1 - 0.1) / 0.1
         draws = [sample_beta_one(beta, rng) for _ in range(40_000)]
         assert np.std(draws, ddof=1) == pytest.approx(0.0905, abs=0.003)
 
     def test_draws_strictly_inside_unit_interval(self):
-        rng = RngSpec(seed=23).generator()
+        rng = stream_generator(23, (0,))
         for _ in range(2000):
             x = sample_beta_one(0.01, rng)  # heavy mass near 1
             assert 0.0 < x < 1.0
