@@ -2,8 +2,8 @@
 known defect probabilities: exact expected-cost formulas and optimal
 within-group orderings for the Dorfman, modified Dorfman, and Sterrett
 procedures, a dynamic program over ordered partitions, exhaustive
-small-instance oracles, protocol-level Monte Carlo validation, and
-information-theoretic lower bounds."""
+small-instance oracles, a protocol test counter with exact-outcome and
+Monte Carlo validation, and information-theoretic lower bounds."""
 
 from .bounds import (
     BoundReport,
@@ -16,8 +16,6 @@ from .bounds import (
 )
 from .cost import (
     arranged_cost,
-    cost_sterrett_equal_prob,
-    cost_sterrett_recursive,
     evaluate_plan,
     group_cost,
     resolve_plan,
@@ -47,17 +45,13 @@ from .optimize import (
     dp_table,
     exhaustive_ordered,
     exhaustive_set,
-    pair_interchange_costs,
 )
 from .simulate import (
-    ProtocolTrace,
     RngSpec,
     beta_one_quantile,
+    count_tests,
     estimate_cost,
     exact_expected_tests,
-    run_dorfman,
-    run_dorfman_modified,
-    run_sterrett,
     sample_beta_one,
 )
 from .study import StudyConfig, StudyRow, emit_table, run_study

@@ -13,6 +13,7 @@ with 1-based item indices for arbitrary disjoint groups.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -194,15 +195,13 @@ def _cmd_study(args) -> int:
         common_draws=not args.independent_draws,
         sterrett_rule=args.sterrett_rule,
     )
-    rows = run_study(config)
-    text = emit_table(rows, args.format, metadata=dataclasses.asdict(config))
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as e:
-            return _fail(f"{args.out}: {e.strerror}", EXIT_INPUT)
-    else:
-        sys.stdout.write(text)
+    # open --out before the study runs, so a bad path costs no study
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        return _fail(f"{args.out}: {e.strerror}", EXIT_INPUT)
+    with out as f:
+        f.write(emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config)))
     return EXIT_OK
 
 

@@ -42,6 +42,11 @@ Each procedure's cost is written here in two forms:
 ``optimize.dp_table`` keeps its own incremental loops: it grows each block
 one item at a time, updating running sums (for S optimal, the phi walk's,
 one per block start) in O(1) where a one-shot call would start over.
+
+The closed forms are tested against the protocol itself
+(``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over
+every defect vector) and, for S, against the first-defective recursion in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -156,58 +161,6 @@ def _arranged_cost_q(
     if s_rule == "smallest-last":
         return _cost_sterrett_q((*v[1:], v[0])), 0
     raise ValueError(f"unknown Sterrett rule {s_rule!r}")
-
-
-def cost_sterrett_recursive(group: Group, pv: ProbabilityVector) -> float:
-    """Independent Sterrett oracle via the first-defective-position recursion.
-
-    Conditioning on the position j of the first defective item:
-
-      no defective      contributes  q_1...q_k * 1
-      first at k        contributes  q_1...q_{k-1} (1-q_k) * k
-      first at k-1      contributes  q_1...q_{k-2} (1-q_{k-1}) * (k+1)
-      first at j<=k-2   contributes  q_1...q_{j-1} (1-q_j) * (1 + j + E(j+1:k))
-
-    where E(j+1:k) is the cost of a fresh run on the untested suffix.
-    Evaluated bottom-up over suffixes; shares no code with ``_cost_sterrett_q``.
-    """
-    q = group.qs(pv)
-    k = len(q)
-    # e[i] = expected tests of a fresh run on items i..k-1; e[k] unused
-    e = [0.0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        m = k - i
-        if m == 1:
-            e[i] = 1.0
-            continue
-        total = math.prod(q[i:])
-        prefix = 1.0
-        for j in range(1, m + 1):  # j = 1-based position within the suffix
-            term = prefix * (1.0 - q[i + j - 1])
-            if j == m:
-                total += term * m
-            elif j == m - 1:
-                total += term * (m + 1)
-            else:
-                total += term * (1 + j + e[i + j])
-            prefix *= q[i + j - 1]
-        e[i] = total
-    return e[0]
-
-
-def cost_sterrett_equal_prob(k: int, q: float) -> float:
-    """Sterrett cost for a group of k items sharing the same q.
-
-    Closed form 2k - (k-2) q - (1 - q^(k+1)) / (1 - q); returns exactly 1
-    for k = 1, matching the single-test convention of the other evaluators.
-    """
-    if k < 1:
-        raise ValueError("group size must be >= 1")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
-    if k == 1:
-        return 1.0
-    return 2.0 * k - (k - 2) * q - (1.0 - q ** (k + 1)) / (1.0 - q)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ reports are written only:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -69,12 +70,13 @@ def _as_float_tuple(xs: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in xs)
 
 
-def _json_ints(xs: Iterable[Any], what: str) -> tuple[int, ...]:
-    """Integers read from a JSON list: integral numbers such as 2.0 pass, but
-    booleans, fractions and non-numbers fail, naming the 1-based entry."""
-    xs = list(xs)
+def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
+    """Integer entries of a plan or group: integral numbers such as 2.0 or
+    numpy integers pass, but booleans, fractions and non-numbers fail,
+    naming the 1-based entry."""
+    xs = tuple(xs)
     for j, x in enumerate(xs, 1):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1:
             raise ValueError(f"{what} entry {j}: {x!r} is not an integer")
     return tuple(int(x) for x in xs)
 
@@ -142,7 +144,7 @@ class Group:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        items = tuple(int(i) for i in self.items)
+        items = _as_int_tuple(self.items, "group")
         object.__setattr__(self, "items", items)
         if len(items) == 0:
             raise EmptyInputError("group must contain at least one item")
@@ -177,7 +179,7 @@ class OrderedPartition:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = _as_int_tuple(self.sizes, "ordered_sizes")
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) == 0:
             raise EmptyInputError("ordered partition must have at least one block")
@@ -193,7 +195,7 @@ class OrderedPartition:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "OrderedPartition":
-        return cls(sizes=_json_ints(d["ordered_sizes"], "ordered_sizes"))
+        return cls(sizes=d["ordered_sizes"])
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(_as_int_tuple(b, f"block {j}") for j, b in enumerate(self.blocks, 1))
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) == 0:
             raise EmptyInputError("set partition must have at least one block")
@@ -232,8 +234,8 @@ class SetPartition:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "SetPartition":
-        blocks = (_json_ints(b, f"block {j}") for j, b in enumerate(d["blocks"], 1))
-        return cls(blocks=tuple(tuple(i - 1 for i in b) for b in blocks))
+        one_based = cls(blocks=d["blocks"])  # checked 1-based: errors quote the input
+        return cls(blocks=tuple(tuple(i - 1 for i in b) for b in one_based.blocks))
 
 
 def plan_from_json(d: dict[str, Any]) -> OrderedPartition | SetPartition:

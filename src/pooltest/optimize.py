@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import all_above_ungar
-from .cost import _arranged_cost_q, _cost_sterrett_q, evaluate_plan
+from .cost import _arranged_cost_q, evaluate_plan
 from .model import (
     PROCEDURES,
     REL_TOL,
@@ -318,22 +318,3 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     plan = SetPartition(blocks=tuple(blocks))
     report = evaluate_plan(plan, pv, procedure, arrange="optimal")
     return PlanResult(plan=plan, report=report, search="exhaustive-set")
-
-
-def pair_interchange_costs(q1: float, q2: float, q3: float, q4: float) -> tuple[float, float]:
-    """Costs of the two pairings of a descending quadruple q1 >= q2 >= q3 >= q4.
-
-    Returns (cost of {q1,q2} u {q3,q4}, cost of {q1,q3} u {q2,q4}), each pair
-    arranged with the larger q first, under Dp or S: the two-item cost is the
-    same for both. Swapping the middle values can never increase the total,
-    so the second entry is always <= the first.
-    """
-    if not (q1 >= q2 >= q3 >= q4):
-        raise NotSortedError(f"expected q1 >= q2 >= q3 >= q4, got {(q1, q2, q3, q4)}")
-    for q in (q1, q2, q3, q4):
-        if not (0.0 < q < 1.0):
-            raise ValueError(f"q values must lie strictly inside (0, 1), got {q}")
-
-    ordered = _cost_sterrett_q((q1, q2)) + _cost_sterrett_q((q3, q4))
-    swapped = _cost_sterrett_q((q1, q3)) + _cost_sterrett_q((q2, q4))
-    return ordered, swapped

@@ -1,20 +1,17 @@
-"""Execution-level validation: run the actual testing protocols on defect
-vectors and estimate expected test counts.
+"""Execution-level validation: count the tests the procedures take on
+defect vectors, and estimate expected test counts.
 
-The protocol executors operate on one group at a time. ``defects`` is
-position-aligned with the group's test order (entry t belongs to the item
-at position t), and a pool is positive iff it contains a defective item.
-Tests are error-free, so every run classifies all items correctly; the
-interesting output is how many tests it took.
-
-Test counts are computed by array operations (``_block_tests``), a chunk
-of defect vectors at a time, and the executors are the oracle those counts
-are tested against. The primary validator is ``exact_expected_tests``: it
-counts all 2^k defect vectors of a group and weights each count by its
-probability, which must reproduce the closed forms without any sampling
-noise. Monte Carlo (``estimate_cost``) is for whole plans and larger
-groups; it draws each replicate from its own child stream and counts a
-chunk of replicates at once.
+``count_tests`` is the protocol model. It runs one procedure on one block
+for a matrix of defect vectors at once: row r is a defect vector in the
+block's test order (entry t belongs to the item at position t), and a pool
+is positive iff it contains a defective item. Tests are error-free, so
+every run classifies all items correctly; the output is how many tests it
+took. The primary validator is ``exact_expected_tests``: it counts all 2^k
+defect vectors of a group and weights each count by its probability, which
+must reproduce the closed forms without any sampling noise. Monte Carlo
+(``estimate_cost``) is for whole plans and larger groups; it draws each
+replicate from its own child stream and counts a chunk of replicates at
+once.
 """
 
 from __future__ import annotations
@@ -57,125 +54,23 @@ class RngSpec:
             raise ValueError("stream index must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
-    """Outcome of running one protocol on one group.
-
-    ``classifications`` is position-aligned with the group (True means
-    defective). ``inferred_without_test`` holds positions classified
-    defective by deduction, without an individual test of their own.
-    ``tested_individually`` holds positions that received their own test.
-    """
-
-    tests_performed: int
-    classifications: tuple[bool, ...]
-    inferred_without_test: frozenset[int]
-    tested_individually: frozenset[int]
-
-    def __post_init__(self):
-        if self.tests_performed < 1:
-            raise ValueError("a nonempty group always costs at least one test")
-        if self.inferred_without_test & self.tested_individually:
-            raise ValueError("an item cannot be both tested individually and inferred")
-
-
-def _as_bools(defects) -> tuple[bool, ...]:
-    return tuple(bool(d) for d in defects)
-
-
-def run_dorfman(group: Group, defects) -> ProtocolTrace:
-    """Dorfman: pool test, then every member individually if positive."""
-    d = _as_bools(defects)
-    k = group.size
-    if len(d) != k:
-        raise ValueError(f"defect vector length {len(d)} does not match group size {k}")
-    if k == 1:
-        return ProtocolTrace(1, d, frozenset(), frozenset({0}))
-    if not any(d):
-        return ProtocolTrace(1, d, frozenset(), frozenset())
-    return ProtocolTrace(1 + k, d, frozenset(), frozenset(range(k)))
-
-
-def run_dorfman_modified(group: Group, defects) -> ProtocolTrace:
-    """Dorfman with the inference rule: when the pool is positive and the
-    first k-1 members all test negative, the last member must be defective
-    and is not tested."""
-    d = _as_bools(defects)
-    k = group.size
-    if len(d) != k:
-        raise ValueError(f"defect vector length {len(d)} does not match group size {k}")
-    if k == 1:
-        return ProtocolTrace(1, d, frozenset(), frozenset({0}))
-    if not any(d):
-        return ProtocolTrace(1, d, frozenset(), frozenset())
-    if not any(d[: k - 1]):
-        # all leading items negative: last item inferred defective
-        return ProtocolTrace(k, d, frozenset({k - 1}), frozenset(range(k - 1)))
-    return ProtocolTrace(1 + k, d, frozenset(), frozenset(range(k)))
-
-
-def run_sterrett(group: Group, defects) -> ProtocolTrace:
-    """Sterrett: pool test; if positive, test members one by one until the
-    first defective, then restart the whole procedure on the untested rest.
-
-    A remaining window of size one is a plain individual test. When every
-    member of a window except the last tests negative, the last is inferred
-    defective without a test. Implemented iteratively over a start pointer
-    so deep groups cannot overflow the call stack.
-    """
-    d = _as_bools(defects)
-    k = group.size
-    if len(d) != k:
-        raise ValueError(f"defect vector length {len(d)} does not match group size {k}")
-    tests = 0
-    tested: set[int] = set()
-    inferred: set[int] = set()
-    start = 0
-    while start < k:
-        size = k - start
-        if size == 1:
-            tests += 1
-            tested.add(start)
-            break
-        tests += 1  # pool test on positions start..k-1
-        if not any(d[start:]):
-            break
-        j = start
-        found = False
-        while j < k - 1:
-            tests += 1
-            tested.add(j)
-            if d[j]:
-                found = True
-                break
-            j += 1
-        if found:
-            start = j + 1
-        else:
-            # positions start..k-2 all negative, last one inferred defective
-            inferred.add(k - 1)
-            break
-    return ProtocolTrace(tests, d, frozenset(inferred), frozenset(tested))
-
-
-PROTOCOLS = {"D": run_dorfman, "Dp": run_dorfman_modified, "S": run_sterrett}
-
-
 # Defect vectors held at once: Monte Carlo replicates, or exact-oracle
 # outcomes. Bounds the boolean defect matrix, so memory does not grow with m
 # or 2^k.
 CHUNK_REPLICATES = 4096
 
 
-def _block_tests(defects: np.ndarray, procedure: str) -> np.ndarray:
+def count_tests(defects: np.ndarray, procedure: str) -> np.ndarray:
     """Tests each row's run of ``procedure`` takes on one block.
 
     ``defects`` is a (rows, k) boolean matrix whose columns are in test
-    order. The counts equal ``PROTOCOLS[procedure]``'s ``tests_performed``
-    row by row. Sterrett is a k-step scan carrying, per row, whether a
-    window starts at the current position (``fresh``) and whether the
-    window is being tested one by one (``serial``).
+    order. D is 1 + k·any; Dp skips the last item's test when only it is
+    positive; Sterrett is a k-step scan carrying, per row, whether a window
+    starts at the current position (``fresh``) and whether the window is
+    being tested one by one (``serial``).
     """
+    if procedure not in PROCEDURES:
+        raise ValueError(f"unknown procedure {procedure!r}")
     reps, k = defects.shape
     if k == 1:
         return np.ones(reps, dtype=np.int64)
@@ -207,11 +102,9 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     The weights are ``bounds.outcome_distribution`` of the group's members,
     which refuses groups above ``bounds.MAX_OUTCOME_N`` items. Outcome mask
     x is the defect vector whose bit t marks position t; the masks are
-    counted ``CHUNK_REPLICATES`` at a time by ``_block_tests`` and summed
+    counted ``CHUNK_REPLICATES`` at a time by ``count_tests`` and summed
     in mask order.
     """
-    if procedure not in PROCEDURES:
-        raise ValueError(f"unknown procedure {procedure!r}")
     group.check_against(pv)
     weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
     positions = np.arange(group.size)
@@ -219,7 +112,7 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     for lo in range(0, len(weights), CHUNK_REPLICATES):
         hi = min(len(weights), lo + CHUNK_REPLICATES)
         defects = (np.arange(lo, hi)[:, None] >> positions & 1).astype(bool)
-        for w, c in zip(weights[lo:hi].tolist(), _block_tests(defects, procedure).tolist()):
+        for w, c in zip(weights[lo:hi].tolist(), count_tests(defects, procedure).tolist()):
             total += w * c
     return total
 
@@ -244,7 +137,7 @@ def estimate_cost(
 
     The draws are stacked ``CHUNK_REPLICATES`` replicates at a time, and
     each block's test counts are computed for the whole chunk by array
-    operations (``_block_tests``), as in ``exact_expected_tests``.
+    operations (``count_tests``), as in ``exact_expected_tests``.
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
@@ -259,7 +152,7 @@ def estimate_cost(
             draws = stream_generator(rng.seed, (rng.stream, r)).random(pv.n)
             np.less(draws, p, out=defects[r - lo])
         for items in block_items:
-            totals[lo:hi] += _block_tests(defects[: hi - lo, items], procedure)
+            totals[lo:hi] += count_tests(defects[: hi - lo, items], procedure)
     mean = float(totals.mean())
     sd = float(totals.std(ddof=1))
     return SimulationSummary(

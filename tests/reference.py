@@ -1,0 +1,137 @@
+"""Scalar references the library is tested against.
+
+Each shares no code with the library routine it checks: the protocol
+executors run one defect vector at a time, the way the procedures are
+described, against the array counter ``simulate.count_tests``; the
+first-defective recursion and the equal-risk closed form check the
+Sterrett closed form; ``pair_costs`` states the pair-interchange
+comparison through the public plan evaluator.
+"""
+
+import math
+
+from pooltest.cost import evaluate_plan
+from pooltest.model import Group, ProbabilityVector, SetPartition, validate_probability_vector
+
+
+def run_dorfman(defects) -> int:
+    """Dorfman: pool test, then every member individually if positive."""
+    d = tuple(bool(x) for x in defects)
+    k = len(d)
+    if k == 1 or not any(d):
+        return 1
+    return 1 + k
+
+
+def run_dorfman_modified(defects) -> int:
+    """Dorfman with the inference rule: when the pool is positive and the
+    first k-1 members all test negative, the last member must be defective
+    and is not tested."""
+    d = tuple(bool(x) for x in defects)
+    k = len(d)
+    if k == 1 or not any(d):
+        return 1
+    if not any(d[: k - 1]):
+        return k  # all leading items negative: last item inferred defective
+    return 1 + k
+
+
+def run_sterrett(defects) -> int:
+    """Sterrett: pool test; if positive, test members one by one until the
+    first defective, then restart the whole procedure on the untested rest.
+
+    A remaining window of size one is a plain individual test. When every
+    member of a window except the last tests negative, the last is inferred
+    defective without a test. Iterative over a start pointer, so deep groups
+    cannot overflow the call stack.
+    """
+    d = tuple(bool(x) for x in defects)
+    k = len(d)
+    tests = 0
+    start = 0
+    while start < k:
+        if k - start == 1:
+            return tests + 1
+        tests += 1  # pool test on positions start..k-1
+        if not any(d[start:]):
+            break
+        j = start
+        found = False
+        while j < k - 1:
+            tests += 1
+            if d[j]:
+                found = True
+                break
+            j += 1
+        if not found:
+            break  # positions start..k-2 all negative, last one inferred defective
+        start = j + 1
+    return tests
+
+
+PROTOCOLS = {"D": run_dorfman, "Dp": run_dorfman_modified, "S": run_sterrett}
+
+
+def cost_sterrett_recursive(group: Group, pv: ProbabilityVector) -> float:
+    """Independent Sterrett oracle via the first-defective-position recursion.
+
+    Conditioning on the position j of the first defective item:
+
+      no defective      contributes  q_1...q_k * 1
+      first at k        contributes  q_1...q_{k-1} (1-q_k) * k
+      first at k-1      contributes  q_1...q_{k-2} (1-q_{k-1}) * (k+1)
+      first at j<=k-2   contributes  q_1...q_{j-1} (1-q_j) * (1 + j + E(j+1:k))
+
+    where E(j+1:k) is the cost of a fresh run on the untested suffix.
+    Evaluated bottom-up over suffixes; shares no code with ``_cost_sterrett_q``.
+    """
+    q = group.qs(pv)
+    k = len(q)
+    # e[i] = expected tests of a fresh run on items i..k-1; e[k] unused
+    e = [0.0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        m = k - i
+        if m == 1:
+            e[i] = 1.0
+            continue
+        total = math.prod(q[i:])
+        prefix = 1.0
+        for j in range(1, m + 1):  # j = 1-based position within the suffix
+            term = prefix * (1.0 - q[i + j - 1])
+            if j == m:
+                total += term * m
+            elif j == m - 1:
+                total += term * (m + 1)
+            else:
+                total += term * (1 + j + e[i + j])
+            prefix *= q[i + j - 1]
+        e[i] = total
+    return e[0]
+
+
+def cost_sterrett_equal_prob(k: int, q: float) -> float:
+    """Sterrett cost for a group of k items sharing the same q.
+
+    Closed form 2k - (k-2) q - (1 - q^(k+1)) / (1 - q); returns exactly 1
+    for k = 1, matching the single-test convention of the other evaluators.
+    """
+    if k < 1:
+        raise ValueError("group size must be >= 1")
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
+    if k == 1:
+        return 1.0
+    return 2.0 * k - (k - 2) * q - (1.0 - q ** (k + 1)) / (1.0 - q)
+
+
+def pair_costs(q1: float, q2: float, q3: float, q4: float) -> tuple[float, float]:
+    """Sterrett costs of the pairings {q1,q2} u {q3,q4} and {q1,q3} u {q2,q4},
+    each pair tested in the order written. For q1 >= q2 >= q3 >= q4 the
+    larger q goes first, and swapping the middle values never raises the
+    total, so the second entry is at most the first."""
+    pv = validate_probability_vector([1.0 - q for q in (q1, q2, q3, q4)])
+
+    def total(blocks):
+        return evaluate_plan(SetPartition(blocks=blocks), pv, "S", arrange="given").total
+
+    return total(((0, 1), (2, 3))), total(((0, 2), (1, 3)))

@@ -16,21 +16,12 @@ import time
 from contextlib import contextmanager
 
 from pooltest.bounds import entropy_bits, huffman_length
-from pooltest.cost import (
-    arranged_cost,
-    cost_sterrett_recursive,
-    group_cost,
-)
+from pooltest.cost import arranged_cost, group_cost
 from pooltest.model import Group, sort_ascending, validate_probability_vector
-from pooltest.optimize import (
-    dp_ordered,
-    dp_table,
-    exhaustive_ordered,
-    exhaustive_set,
-    pair_interchange_costs,
-)
+from pooltest.optimize import dp_ordered, dp_table, exhaustive_ordered, exhaustive_set
 from pooltest.simulate import exact_expected_tests
 from pooltest.study import StudyConfig, run_study
+from reference import cost_sterrett_recursive, pair_costs
 
 # (mean, se-of-mean) per column at M=1000, keyed by target risk
 REFERENCE_ROWS = {
@@ -84,7 +75,7 @@ def test_criterion_2_closed_form_vs_recursion():
 
 def test_criterion_3_protocol_outcome_oracle():
     with criterion(
-        3, "probability-weighted protocol traces equal the closed forms for k <= 10", 30.0
+        3, "probability-weighted protocol test counts equal the closed forms for k <= 10", 30.0
     ):
         rng = random.Random(102)
         for k in range(1, 11):
@@ -210,7 +201,7 @@ def test_criterion_10_pair_interchange():
         rng = random.Random(108)
         for _ in range(1000):
             q1, q2, q3, q4 = sorted((rng.uniform(0.01, 0.99) for _ in range(4)), reverse=True)
-            ordered, swapped = pair_interchange_costs(q1, q2, q3, q4)
+            ordered, swapped = pair_costs(q1, q2, q3, q4)
             assert swapped <= ordered + 1e-12
 
 

@@ -332,7 +332,11 @@ class TestStudy:
         assert payload["metadata"]["common_draws"] is True
         assert payload["metadata"]["sterrett_rule"] == "smallest-last"
 
-    def test_unwritable_out_file_exits_two(self, capsys, tmp_path):
+    def test_unwritable_out_file_exits_two(self, capsys, tmp_path, monkeypatch):
+        import pooltest.cli
+
+        # the path is refused before any study work starts
+        monkeypatch.setattr(pooltest.cli, "run_study", lambda config: pytest.fail("study ran"))
         dest = tmp_path / "missing" / "table.csv"
         code, out, err = run_cli(
             capsys, "study", "--p-list", "0.1", "--n", "5", "--m", "3", "--out", str(dest)

@@ -3,14 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pooltest.cost import (
-    arranged_cost,
-    cost_sterrett_equal_prob,
-    cost_sterrett_recursive,
-    evaluate_plan,
-    group_cost,
-)
+from pooltest.cost import arranged_cost, evaluate_plan, group_cost
 from pooltest.model import Group, OrderedPartition, SetPartition, validate_probability_vector
+from reference import cost_sterrett_equal_prob, cost_sterrett_recursive
 
 
 def pv_from_q(qs):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +116,26 @@ def test_set_partition_validation():
     sp.check_cover(3)
     with pytest.raises(ValueError):
         sp.check_cover(4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: OrderedPartition(sizes=(1.9, 2.1)),
+        lambda: SetPartition(blocks=((0.5, True),)),
+        lambda: Group(items=(1.7, 0)),
+    ],
+    ids=["sizes", "blocks", "group"],
+)
+def test_plan_types_reject_non_integral_entries(make):
+    with pytest.raises(ValueError, match="entry 1: .* is not an integer"):
+        make()
+
+
+def test_plan_types_accept_integral_numbers():
+    assert Group(items=tuple(np.arange(3))).items == (0, 1, 2)
+    assert OrderedPartition(sizes=(2.0, np.int64(1))).sizes == (2, 1)
+    assert SetPartition(blocks=((1.0, 0),)).blocks == ((1, 0),)
 
 
 def test_cost_report_total_must_match_blocks():

