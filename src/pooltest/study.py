@@ -34,6 +34,12 @@ from .simulate import _beta_one_draws, stream_generator
 
 DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
+# Targets the study accepts. A Beta(1, beta) quantile is redrawn when it
+# rounds to exactly 0 or 1; at both ends of this range about 1e-4 of the
+# distribution's mass does. Beyond them the redrawn share grows until, near
+# p = 1e-17 or p = 0.9999, almost no draw survives and the study would not end.
+P_TARGET_RANGE = (1e-12, 0.8)
+
 COLUMNS = ("p", "std", "D_mean", "D_se", "Dp_mean", "Dp_se", "S_mean", "S_se", "H_mean", "H_se")
 
 
@@ -59,8 +65,9 @@ class StudyConfig:
         object.__setattr__(self, "p_targets", tuple(float(p) for p in self.p_targets))
         if len(self.p_targets) == 0:
             raise EmptyInputError("at least one target mean risk is required")
-        if any(not (0.0 < p < 1.0) for p in self.p_targets):
-            raise ValueError(f"target risks must lie strictly inside (0, 1): {self.p_targets}")
+        lo, hi = P_TARGET_RANGE
+        if any(not (lo <= p <= hi) for p in self.p_targets):
+            raise ValueError(f"target risks must lie in [{lo:g}, {hi:g}]: {self.p_targets}")
         if self.n < 1:
             raise ValueError("population size must be >= 1")
         if self.m < 2:

@@ -313,6 +313,19 @@ class TestStudy:
         assert code == 2
         assert "replicates" in err
 
+    @pytest.mark.parametrize("target", ["1e-18", "0.99999999"])
+    def test_target_outside_range_exits_two(self, capsys, target):
+        code, out, err = run_cli(capsys, "study", "--p-list", target, "--m", "2", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "target risks must lie in [1e-12, 0.8]" in err
+
+    @pytest.mark.parametrize("target", ["1e-12", "0.8"])
+    def test_range_ends_finish(self, capsys, target):
+        code, out, _ = run_cli(capsys, "study", "--p-list", target, "--m", "2", "--n", "100")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2
+
     def test_seed_determinism_bytes(self, capsys):
         args = ("study", "--p-list", "0.05,0.2", "--n", "6", "--m", "4", "--seed", "11")
         _, out1, _ = run_cli(capsys, *args)

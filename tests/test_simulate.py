@@ -286,13 +286,15 @@ class TestEstimateCost:
 
 
 def scalar_estimate(plan, pv, procedure, m, rng, arrange="optimal"):
-    """Reference copy of the per-replicate loop: each replicate's defect
+    """Reference copy of the Monte Carlo loop: the run's stream gives one
+    flat draw of m·n uniforms, row r of it is replicate r, and each defect
     vector runs through the scalar executors block by block."""
     report = evaluate_plan(plan, pv, procedure, arrange=arrange)
     p = np.asarray(pv.probs)
+    uniforms = stream_generator(rng.seed, (rng.stream,)).random(m * pv.n).reshape(m, pv.n)
     totals = np.empty(m)
     for r in range(m):
-        defective = stream_generator(rng.seed, (rng.stream, r)).random(pv.n) < p
+        defective = uniforms[r] < p
         totals[r] = sum(PROTOCOLS[procedure](defective[list(b.order)]) for b in report.per_block)
     return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(m)
 
@@ -303,10 +305,10 @@ class TestEstimateCostMatchesScalarLoop:
 
     PV = validate_probability_vector([0.02, 0.3, 0.05, 0.11, 0.4, 0.01, 0.2, 0.07, 0.15, 0.09])
 
-    def check(self, plan, procedure, m, rng, arrange="optimal"):
-        summary = estimate_cost(plan, self.PV, procedure, m, rng, arrange=arrange)
+    def check(self, plan, procedure, m, rng, arrange="optimal", pv=PV):
+        summary = estimate_cost(plan, pv, procedure, m, rng, arrange=arrange)
         assert (summary.mean_tests, summary.std_error) == scalar_estimate(
-            plan, self.PV, procedure, m, rng, arrange=arrange
+            plan, pv, procedure, m, rng, arrange=arrange
         )
 
     @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
@@ -338,6 +340,17 @@ class TestEstimateCostMatchesScalarLoop:
         monkeypatch.setattr(pooltest.simulate, "CHUNK_REPLICATES", 64)
         for procedure in ("D", "Dp", "S"):
             self.check(OrderedPartition(sizes=(2, 5, 3)), procedure, 64 * 3 + 5, RngSpec(seed=6))
+
+    def test_one_row_chunks(self, monkeypatch):
+        # a draw budget below n still takes one whole replicate per chunk
+        import pooltest.simulate
+
+        monkeypatch.setattr(pooltest.simulate, "CHUNK_DRAWS", 1)
+        rng = random.Random(23)
+        pv = validate_probability_vector([rng.uniform(1e-4, 0.3) for _ in range(200)])
+        plan = dp_ordered(pv, "S").plan
+        for procedure in ("D", "Dp", "S"):
+            self.check(plan, procedure, 150, RngSpec(seed=8, stream=2), pv=pv)
 
 
 class TestBetaSampler:

@@ -1,13 +1,15 @@
 import json
 import math
+import time
 
 import pytest
 
 from pooltest.model import EmptyInputError, UnknownFormatError
 from pooltest.simulate import _beta_one_draws, sample_beta_one, stream_generator
-from pooltest.study import COLUMNS, StudyConfig, emit_table, run_study
+from pooltest.study import COLUMNS, P_TARGET_RANGE, StudyConfig, emit_table, run_study
 
 SMALL = StudyConfig(p_targets=(0.05, 0.2), n=12, m=30, seed=77)
+LO, HI = P_TARGET_RANGE
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,24 @@ def test_config_validation():
         StudyConfig(p_targets=())
     with pytest.raises(ValueError):
         StudyConfig(sterrett_rule="fastest")
+
+
+@pytest.mark.parametrize(
+    "p", [1e-18, math.nextafter(LO, 0.0), math.nextafter(HI, 1.0), 0.99999999, math.nan]
+)
+def test_rejects_targets_outside_range(p):
+    # far outside the range hardly any Beta(1, beta) draw lands strictly
+    # inside (0, 1), so the study would never finish
+    with pytest.raises(ValueError, match="target risks must lie in"):
+        StudyConfig(p_targets=(0.1, p))
+
+
+@pytest.mark.parametrize("p", [LO, 1e-9, 1e-5, 0.01, 0.5, HI])
+def test_targets_inside_range_finish(p):
+    start = time.perf_counter()
+    rows = run_study(StudyConfig(p_targets=(p,), n=100, m=2, seed=4))
+    assert time.perf_counter() - start < 1.0
+    assert rows[0].std > 0
 
 
 def test_single_item_population_always_one_test():
