@@ -12,7 +12,7 @@ Huffman merge after one sort of the 2^N pattern probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -119,14 +119,7 @@ class BoundReport:
     achieved_ok: bool  # achieved >= L (or >= H when L is absent)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entropy_bits": self.entropy_bits,
-            "huffman_bits": self.huffman_bits,
-            "achieved": self.achieved,
-            "coding_ok": self.coding_ok,
-            "achieved_ok": self.achieved_ok,
-        }
+        return asdict(self)
 
 
 BOUND_SLACK = 1e-9

@@ -21,7 +21,7 @@ reports are written only:
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Sequence
 
 PROCEDURES = ("D", "Dp", "S")  # Dorfman, modified Dorfman, Sterrett
@@ -320,12 +320,4 @@ class SimulationSummary:
             raise ValueError("standard error cannot be negative")
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "procedure": self.procedure,
-            "plan": self.plan.to_json(),
-            "replicates": self.replicates,
-            "mean_tests": self.mean_tests,
-            "std_error": self.std_error,
-            "seed": self.seed,
-            "expected_total": self.expected_total,
-        }
+        return {**asdict(self), "plan": self.plan.to_json()}

@@ -63,7 +63,6 @@ class DpTable:
     than REL_TOL relative.
     """
 
-    procedure: str
     cost_to_go: tuple[float, ...]
     split: tuple[int, ...]
 
@@ -201,7 +200,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
                     best, bound, best_i = cand, cand - REL_TOL * cand, i
         cost[k] = best
         split[k] = best_i
-    return DpTable(procedure=procedure, cost_to_go=tuple(cost), split=tuple(split))
+    return DpTable(cost_to_go=tuple(cost), split=tuple(split))
 
 
 def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:

@@ -10,7 +10,9 @@ took. The primary validator is ``exact_expected_tests``: it counts all 2^k
 defect vectors of a group and weights each count by its probability, which
 must reproduce the closed forms without any sampling noise. Monte Carlo
 (``estimate_cost``) is for whole plans and larger groups; it draws a whole
-run from one stream and counts a chunk of replicates at once.
+run from one stream and counts a chunk of replicates at once. Both hold at
+most ``CHUNK_DRAWS`` defect-vector entries at a time, so their memory grows
+neither with the replicate count nor with 2^k.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ class RngSpec:
             raise ValueError("stream index must be nonnegative")
 
 
-# Defect vectors held at once: Monte Carlo replicates, or exact-oracle
-# outcomes. Bounds the boolean defect matrix, so memory does not grow with m
-# or 2^k. ``estimate_cost`` also holds at most CHUNK_DRAWS uniforms (4 MiB):
-# 4096 whole replicates at N = 2000 raised its peak RSS from 44 to 106 MiB.
-CHUNK_REPLICATES = 4096
+# Defect-vector entries held at once, as whole rows (Monte Carlo replicates
+# or exact-oracle outcomes), but at least one row. ``estimate_cost`` holds as
+# many uniforms (4 MiB): 4096 whole replicates at N = 2000 raised its peak
+# RSS from 44 to 106 MiB.
 CHUNK_DRAWS = 1 << 19
 
 
@@ -103,15 +104,16 @@ def exact_expected_tests(group: Group, pv: ProbabilityVector, procedure: str) ->
     The weights are ``bounds.outcome_distribution`` of the group's members,
     which refuses groups above ``bounds.MAX_OUTCOME_N`` items. Outcome mask
     x is the defect vector whose bit t marks position t; the masks are
-    counted ``CHUNK_REPLICATES`` at a time by ``count_tests`` and summed
-    in mask order.
+    counted ``CHUNK_DRAWS // k`` (at least one) at a time by ``count_tests``
+    and summed in mask order.
     """
     group.check_against(pv)
     weights = outcome_distribution(ProbabilityVector(tuple(pv.probs[i] for i in group.items)))
     positions = np.arange(group.size)
     total = 0.0
-    for lo in range(0, len(weights), CHUNK_REPLICATES):
-        hi = min(len(weights), lo + CHUNK_REPLICATES)
+    rows = max(1, CHUNK_DRAWS // group.size)
+    for lo in range(0, len(weights), rows):
+        hi = min(len(weights), lo + rows)
         defects = (np.arange(lo, hi)[:, None] >> positions & 1).astype(bool)
         for w, c in zip(weights[lo:hi].tolist(), count_tests(defects, procedure).tolist()):
             total += w * c
@@ -138,6 +140,9 @@ def estimate_cost(
 
     Row-major chunks of whole replicates equal one big draw, so no replicate
     depends on m or on the chunk size; ``count_tests`` counts a chunk at once.
+    Only the exact integer sums of the test counts and of their squares are
+    kept, so memory does not grow with m, and the mean equals the float mean
+    of all m counts bit for bit.
     """
     if m < 2:
         raise ValueError("at least two replicates are required")
@@ -145,22 +150,21 @@ def estimate_cost(
     p = np.asarray(pv.probs)
     block_items = [list(b.order) for b in report.per_block]
     draw = stream_generator(rng.seed, (rng.stream,)).random
-    rows = max(1, min(CHUNK_REPLICATES, CHUNK_DRAWS // pv.n, m))
+    rows = max(1, min(CHUNK_DRAWS // pv.n, m))
     uniforms = np.empty((rows, pv.n))
     defects = np.empty((rows, pv.n), dtype=bool)
-    totals = np.zeros(m)
+    s = sq = 0  # Python ints: exact for any m
     for lo in range(0, m, rows):
         chunk = np.less(draw(out=uniforms[: m - lo]), p, out=defects[: m - lo])
-        for items in block_items:
-            totals[lo : lo + len(chunk)] += count_tests(chunk[:, items], procedure)
-    mean = float(totals.mean())
-    sd = float(totals.std(ddof=1))
+        tests = sum(count_tests(chunk[:, items], procedure) for items in block_items)
+        s += int(tests.sum())
+        sq += int((tests * tests).sum())
     return SimulationSummary(
         procedure=procedure,
         plan=plan,
         replicates=m,
-        mean_tests=mean,
-        std_error=sd / math.sqrt(m),
+        mean_tests=s / m,
+        std_error=math.sqrt((m * sq - s * s) / (m * (m - 1))) / math.sqrt(m),
         seed=rng.seed,
         expected_total=report.total,
     )
@@ -173,12 +177,13 @@ def beta_one_quantile(u: float, beta: float) -> float:
     return 1.0 - (1.0 - u) ** (1.0 / beta)
 
 
-def _beta_one_draws(n: int, beta: float, rng: np.random.Generator) -> list[float]:
+def sample_beta_one(n: int, beta: float, rng: np.random.Generator) -> list[float]:
     """n Beta(1, beta) draws strictly inside (0, 1) by inverse transform.
 
     One ``rng.random`` call, each uniform mapped by ``beta_one_quantile``
     (``np.power`` can differ in the last bits). Values landing exactly on 0
-    or 1 are replaced by further draws, so this equals n single draws.
+    or 1 are replaced by further draws, so one call of n draws equals n
+    calls of one draw on the same generator.
     """
     draws: list[float] = []
     while len(draws) < n:
@@ -187,8 +192,3 @@ def _beta_one_draws(n: int, beta: float, rng: np.random.Generator) -> list[float
             if 0.0 < x < 1.0:
                 draws.append(x)
     return draws
-
-
-def sample_beta_one(beta: float, rng: np.random.Generator) -> float:
-    """One Beta(1, beta) draw strictly inside (0, 1); see ``_beta_one_draws``."""
-    return _beta_one_draws(1, beta, rng)[0]

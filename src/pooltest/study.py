@@ -2,10 +2,11 @@
 plans for all three procedures, and aggregate the optimal expected totals.
 
 For a target mean risk p, individual risks are drawn from Beta(1, beta)
-with beta = (1-p)/p, so the draws average p with population standard
-deviation p * sqrt((1-p)/(1+p)). Each replicate optimizes an ordered
-partition per procedure by dynamic programming and records the optimal
-expected totals together with the entropy of the drawn vector.
+with beta = (1-p)/p by ``simulate.sample_beta_one``, so the draws average p
+with population standard deviation p * sqrt((1-p)/(1+p)). Each replicate
+optimizes an ordered partition per procedure by dynamic programming and
+records the optimal expected totals together with the entropy of the drawn
+vector.
 
 Sterrett blocks default to the "smallest-last" arrangement because the
 published comparison tables this module reproduces were computed under
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from .model import (
     UnknownFormatError,
 )
 from .optimize import dp_table
-from .simulate import _beta_one_draws, stream_generator
+from .simulate import sample_beta_one, stream_generator
 
 DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
@@ -78,89 +80,50 @@ class StudyConfig:
             raise ValueError(f"unknown Sterrett rule {self.sterrett_rule!r}")
 
 
-@dataclass(frozen=True)
-class StudyRow:
-    """Aggregates for one target risk: empirical draw spread plus mean and
-    standard error of the mean for each optimal expected total."""
+# Aggregates for one target risk: the empirical spread of its draws, then the
+# mean and standard error of the mean of each column over the replicates.
+StudyRow = namedtuple("StudyRow", [c.lower() for c in COLUMNS])
 
-    p: float
-    std: float
-    d_mean: float
-    d_se: float
-    dp_mean: float
-    dp_se: float
-    s_mean: float
-    s_se: float
-    h_mean: float
-    h_se: float
 
-    def values(self) -> tuple[float, ...]:
-        return (
-            self.p,
-            self.std,
-            self.d_mean,
-            self.d_se,
-            self.dp_mean,
-            self.dp_se,
-            self.s_mean,
-            self.s_se,
-            self.h_mean,
-            self.h_se,
-        )
+def _mean_se(xs: list[float]) -> tuple[float, float]:
+    arr = np.asarray(xs)
+    return float(arr.mean()), float(arr.std(ddof=1)) / math.sqrt(len(xs))
 
 
 def run_study(config: StudyConfig) -> list[StudyRow]:
-    """Run the full study; deterministic for a fixed config."""
+    """Run the full study; deterministic for a fixed config.
+
+    Replicate r of target t draws its n risks with ``sample_beta_one`` from
+    the child stream (t, r) of ``config.seed`` when the draws are shared,
+    and column c (D, Dp, S, H in that order) draws from (t, r, c) when they
+    are not. The D, Dp and S columns are optimal totals over the sorted
+    draws. The H column is the entropy of the sorted shared draws, or of its
+    own draws as drawn.
+    """
     rows = []
     for t, p in enumerate(config.p_targets):
         beta = (1.0 - p) / p
-        per_proc = {proc: [] for proc in PROCEDURES}
-        entropies = []
-        all_draws: list[float] = []
-
-        def draw(*key: int) -> list[float]:
-            return _beta_one_draws(config.n, beta, stream_generator(config.seed, (t, *key)))
-
+        columns: list[list[float]] = [[] for _ in range(len(PROCEDURES) + 1)]
+        spread: list[float] = []
         for r in range(config.m):
-            if config.common_draws:
-                risks = draw(r)
-                all_draws.extend(risks)
-                pv = ProbabilityVector(probs=tuple(sorted(risks)))
-                for proc in PROCEDURES:
-                    per_proc[proc].append(dp_table(pv, proc, s_rule=config.sterrett_rule).total)
-                entropies.append(entropy_bits(pv))
-            else:
-                for c, proc in enumerate(PROCEDURES):
-                    risks = draw(r, c)
-                    all_draws.extend(risks)
-                    pv = ProbabilityVector(probs=tuple(sorted(risks)))
-                    per_proc[proc].append(dp_table(pv, proc, s_rule=config.sterrett_rule).total)
-                risks = draw(r, 3)
-                all_draws.extend(risks)
-                entropies.append(entropy_bits(ProbabilityVector(probs=tuple(risks))))
-
-        def mean_se(xs: list[float]) -> tuple[float, float]:
-            arr = np.asarray(xs)
-            return float(arr.mean()), float(arr.std(ddof=1)) / math.sqrt(len(xs))
-
-        d_mean, d_se = mean_se(per_proc["D"])
-        dp_mean, dp_se = mean_se(per_proc["Dp"])
-        s_mean, s_se = mean_se(per_proc["S"])
-        h_mean, h_se = mean_se(entropies)
-        rows.append(
-            StudyRow(
-                p=p,
-                std=float(np.asarray(all_draws).std(ddof=1)),
-                d_mean=d_mean,
-                d_se=d_se,
-                dp_mean=dp_mean,
-                dp_se=dp_se,
-                s_mean=s_mean,
-                s_se=s_se,
-                h_mean=h_mean,
-                h_se=h_se,
-            )
-        )
+            keys = [(r,)] if config.common_draws else [(r, c) for c in range(len(columns))]
+            draws = [
+                sample_beta_one(config.n, beta, stream_generator(config.seed, (t, *key)))
+                for key in keys
+            ]
+            for risks in draws:
+                spread.extend(risks)
+            vectors = [ProbabilityVector(tuple(sorted(risks))) for risks in draws]
+            for c, column in enumerate(columns):
+                pv = vectors[c % len(keys)]  # the shared vector, or column c's own
+                if c < len(PROCEDURES):
+                    column.append(dp_table(pv, PROCEDURES[c], s_rule=config.sterrett_rule).total)
+                elif config.common_draws:
+                    column.append(entropy_bits(pv))
+                else:  # own draws: entropy summed over the vector as drawn
+                    column.append(entropy_bits(ProbabilityVector(tuple(draws[c]))))
+        std = float(np.asarray(spread).std(ddof=1))
+        rows.append(StudyRow(p, std, *(v for column in columns for v in _mean_se(column))))
     return rows
 
 
@@ -180,14 +143,14 @@ def emit_table(rows: list[StudyRow], fmt: str, metadata: dict | None = None) -> 
         out = io.StringIO()
         out.write(",".join(COLUMNS) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row.values()) + "\n")
+            out.write(",".join(_fmt(v) for v in row) + "\n")
         return out.getvalue()
     if fmt == "markdown":
         out = io.StringIO()
         out.write("| " + " | ".join(COLUMNS) + " |\n")
         out.write("|" + "|".join(" --- " for _ in COLUMNS) + "|\n")
         for row in rows:
-            out.write("| " + " | ".join(_fmt(v) for v in row.values()) + " |\n")
+            out.write("| " + " | ".join(_fmt(v) for v in row) + " |\n")
         return out.getvalue()
     if fmt == "json":
         import json
@@ -195,6 +158,6 @@ def emit_table(rows: list[StudyRow], fmt: str, metadata: dict | None = None) -> 
         payload: dict = {"columns": list(COLUMNS)}
         if metadata is not None:
             payload["metadata"] = metadata
-        payload["rows"] = [dict(zip(COLUMNS, row.values())) for row in rows]
+        payload["rows"] = [dict(zip(COLUMNS, row)) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     raise UnknownFormatError(f"unknown table format {fmt!r}; expected csv, json, or markdown")

@@ -9,12 +9,15 @@ risks, so the tie-breaking of arrangements and plan searches shows up in
 the outputs too. After a change that is meant to alter an output,
 regenerate the goldens with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [CASE_ID ...]
 
-and review the diff.
+naming the cases it should alter by their test ids (for example
+``mixed9-simulate-D`` or ``study-json``; none rewrites every golden), and
+review the diff.
 """
 
 import io
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -52,6 +55,14 @@ NO_INPUT_CASES = {
         f"study-{r}": ["study", "--m", "5", "--n", "12", "--format", "csv", "--sterrett-rule", r]
         for r in STERRETT_RULES
     },
+    **{
+        f"study-independent-{r}": [
+            "study", "--m", "5", "--n", "12", "--format", "csv", "--independent-draws",
+            "--sterrett-rule", r,
+        ]
+        for r in STERRETT_RULES
+    },
+    "study-json": ["study", "--m", "5", "--n", "12", "--format", "json"],
 }
 
 
@@ -77,13 +88,19 @@ def golden(name: str | None, case: str) -> Path:
 RUNS = [(name, case) for name in INPUTS for case in CASES] + [
     (None, case) for case in NO_INPUT_CASES
 ]
+IDS = [f"{n}-{c}" if n else c for n, c in RUNS]
 
 
-@pytest.mark.parametrize("name, case", RUNS, ids=[f"{n}-{c}" if n else c for n, c in RUNS])
+@pytest.mark.parametrize("name, case", RUNS, ids=IDS)
 def test_output_matches_golden(name, case):
     assert run(name, case) == golden(name, case).read_text()
 
 
 if __name__ == "__main__":
-    for name, case in RUNS:
-        golden(name, case).write_text(run(name, case))
+    chosen = sys.argv[1:] or IDS
+    unknown = sorted(set(chosen) - set(IDS))
+    if unknown:
+        sys.exit(f"unknown case ids: {', '.join(unknown)}")
+    for (name, case), case_id in zip(RUNS, IDS):
+        if case_id in chosen:
+            golden(name, case).write_text(run(name, case))

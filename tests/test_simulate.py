@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pooltest.simulate
 from pooltest.bounds import outcome_distribution
 from pooltest.cost import evaluate_plan, group_cost
 from pooltest.model import (
@@ -18,7 +20,7 @@ from pooltest.model import (
 )
 from pooltest.optimize import dp_ordered
 from pooltest.simulate import (
-    CHUNK_REPLICATES,
+    CHUNK_DRAWS,
     RngSpec,
     beta_one_quantile,
     count_tests,
@@ -40,6 +42,19 @@ def count_one(procedure, defects):
 
 def all_vectors(k):
     return np.array(list(itertools.product([False, True], repeat=k)), dtype=bool)
+
+
+def count_chunks(monkeypatch, draws):
+    """Set CHUNK_DRAWS to ``draws`` and count the calls of ``count_tests``."""
+    calls = []
+
+    def counting(defects, procedure):
+        calls.append(len(defects))
+        return count_tests(defects, procedure)
+
+    monkeypatch.setattr(pooltest.simulate, "CHUNK_DRAWS", draws)
+    monkeypatch.setattr(pooltest.simulate, "count_tests", counting)
+    return calls
 
 
 class TestDorfmanProtocol:
@@ -159,23 +174,25 @@ class TestExactExpectation:
                 self.check(self.shuffled_group(rng, k, pv), pv, procedure)
 
     @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
-    def test_two_chunks(self, procedure):
-        # 2^13 = 8192 outcomes, two whole chunks of CHUNK_REPLICATES
-        assert 2**13 == 2 * CHUNK_REPLICATES
+    def test_two_chunks(self, procedure, monkeypatch):
+        # 2^13 = 8192 outcomes in chunks of 3000: two whole ones and a short one
+        calls = count_chunks(monkeypatch, 13 * 3000)
         rng = random.Random(13)
         pv = validate_probability_vector([rng.uniform(0.01, 0.6) for _ in range(15)])
         self.check(self.shuffled_group(rng, 13, pv), pv, procedure)
+        assert calls == [3000, 3000, 2192]
 
     def test_small_chunks(self, monkeypatch):
-        import pooltest.simulate
-
-        monkeypatch.setattr(pooltest.simulate, "CHUNK_REPLICATES", 64)
         rng = random.Random(17)
-        for k in (3, 9):  # one short chunk, then eight whole ones
+        # chunks of 3 outcomes: 8 = 3 + 3 + 2 and 512 = 170 * 3 + 2
+        for k, chunks in ((3, 3), (9, 171)):
+            calls = count_chunks(monkeypatch, 3 * k)
             pv = validate_probability_vector([rng.uniform(0.01, 0.99) for _ in range(k)])
             g = self.shuffled_group(rng, k, pv)
             for procedure in ("D", "Dp", "S"):
+                calls.clear()
                 self.check(g, pv, procedure)
+                assert len(calls) == chunks and calls[-1] == 2
 
     def test_guard_size(self):
         # k = 20 is the largest group outcome_distribution accepts; the 2^k
@@ -288,15 +305,21 @@ class TestEstimateCost:
 def scalar_estimate(plan, pv, procedure, m, rng, arrange="optimal"):
     """Reference copy of the Monte Carlo loop: the run's stream gives one
     flat draw of m·n uniforms, row r of it is replicate r, and each defect
-    vector runs through the scalar executors block by block."""
+    vector runs through the scalar executors block by block. Returns the
+    mean and standard error from the full list of per-replicate totals, and
+    that list."""
     report = evaluate_plan(plan, pv, procedure, arrange=arrange)
     p = np.asarray(pv.probs)
     uniforms = stream_generator(rng.seed, (rng.stream,)).random(m * pv.n).reshape(m, pv.n)
-    totals = np.empty(m)
+    totals = []
     for r in range(m):
         defective = uniforms[r] < p
-        totals[r] = sum(PROTOCOLS[procedure](defective[list(b.order)]) for b in report.per_block)
-    return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(m)
+        totals.append(
+            sum(PROTOCOLS[procedure](defective[list(b.order)]) for b in report.per_block)
+        )
+    s, sq = sum(totals), sum(t * t for t in totals)
+    se = math.sqrt((m * sq - s * s) / (m * (m - 1))) / math.sqrt(m)
+    return s / m, se, totals
 
 
 class TestEstimateCostMatchesScalarLoop:
@@ -307,8 +330,11 @@ class TestEstimateCostMatchesScalarLoop:
 
     def check(self, plan, procedure, m, rng, arrange="optimal", pv=PV):
         summary = estimate_cost(plan, pv, procedure, m, rng, arrange=arrange)
-        assert (summary.mean_tests, summary.std_error) == scalar_estimate(
-            plan, pv, procedure, m, rng, arrange=arrange
+        mean, se, totals = scalar_estimate(plan, pv, procedure, m, rng, arrange=arrange)
+        assert (summary.mean_tests, summary.std_error) == (mean, se)
+        assert summary.mean_tests == float(np.mean(totals))
+        assert summary.std_error == pytest.approx(
+            statistics.stdev(totals) / math.sqrt(m), rel=1e-15, abs=0.0
         )
 
     @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
@@ -329,22 +355,21 @@ class TestEstimateCostMatchesScalarLoop:
         self.check(plan, procedure, 500, RngSpec(seed=2, stream=1))
 
     def test_replicates_across_a_chunk_boundary(self):
-        m = CHUNK_REPLICATES + 357
+        m = CHUNK_DRAWS // self.PV.n + 3
         plan = SetPartition(blocks=((0, 2, 4, 6, 8), (1, 3, 5, 7, 9)))
         self.check(plan, "S", m, RngSpec(seed=17, stream=3))
 
     def test_small_chunks(self, monkeypatch):
-        # several whole chunks and a short last one
-        import pooltest.simulate
-
-        monkeypatch.setattr(pooltest.simulate, "CHUNK_REPLICATES", 64)
+        # chunks of 64 replicates: three whole ones and a short last one,
+        # each counted block by block
+        calls = count_chunks(monkeypatch, 64 * self.PV.n)
         for procedure in ("D", "Dp", "S"):
+            calls.clear()
             self.check(OrderedPartition(sizes=(2, 5, 3)), procedure, 64 * 3 + 5, RngSpec(seed=6))
+            assert calls == [64] * 9 + [5] * 3
 
     def test_one_row_chunks(self, monkeypatch):
         # a draw budget below n still takes one whole replicate per chunk
-        import pooltest.simulate
-
         monkeypatch.setattr(pooltest.simulate, "CHUNK_DRAWS", 1)
         rng = random.Random(23)
         pv = validate_probability_vector([rng.uniform(1e-4, 0.3) for _ in range(200)])
@@ -364,18 +389,18 @@ class TestBetaSampler:
     def test_mean_matches_target(self):
         # Beta(1, 9) has mean 0.1
         rng = stream_generator(21, (0,))
-        draws = [sample_beta_one(9.0, rng) for _ in range(40_000)]
+        draws = sample_beta_one(40_000, 9.0, rng)
         assert np.mean(draws) == pytest.approx(0.1, abs=0.005)
 
     def test_sd_matches_target(self):
         # for mean 0.1 the population sd is 0.1 * sqrt(0.9 / 1.1) = 0.0905
         rng = stream_generator(22, (0,))
         beta = (1 - 0.1) / 0.1
-        draws = [sample_beta_one(beta, rng) for _ in range(40_000)]
+        draws = sample_beta_one(40_000, beta, rng)
         assert np.std(draws, ddof=1) == pytest.approx(0.0905, abs=0.003)
 
     def test_draws_strictly_inside_unit_interval(self):
         rng = stream_generator(23, (0,))
-        for _ in range(2000):
-            x = sample_beta_one(0.01, rng)  # heavy mass near 1
-            assert 0.0 < x < 1.0
+        draws = sample_beta_one(2000, 0.01, rng)  # heavy mass near 1
+        assert len(draws) == 2000
+        assert all(0.0 < x < 1.0 for x in draws)

@@ -2,10 +2,14 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from pooltest.model import EmptyInputError, UnknownFormatError
-from pooltest.simulate import _beta_one_draws, sample_beta_one, stream_generator
+import pooltest.study
+from pooltest.bounds import entropy_bits
+from pooltest.model import PROCEDURES, EmptyInputError, ProbabilityVector, UnknownFormatError
+from pooltest.optimize import dp_table
+from pooltest.simulate import sample_beta_one, stream_generator
 from pooltest.study import COLUMNS, P_TARGET_RANGE, StudyConfig, emit_table, run_study
 
 SMALL = StudyConfig(p_targets=(0.05, 0.2), n=12, m=30, seed=77)
@@ -82,6 +86,56 @@ def test_seed_determinism():
     assert a != c
 
 
+@pytest.mark.parametrize("common_draws, per_replicate", [(True, 1), (False, 4)])
+def test_draws_through_the_public_sampler(monkeypatch, common_draws, per_replicate):
+    # one sample_beta_one call of n draws per stream: one stream per
+    # replicate with shared draws, one per column (D, Dp, S, H) without
+    calls = []
+
+    def counting(n, beta, rng):
+        calls.append(n)
+        return sample_beta_one(n, beta, rng)
+
+    config = StudyConfig(p_targets=(0.05, 0.2), n=12, m=30, seed=77, common_draws=common_draws)
+    expected = run_study(config)
+    monkeypatch.setattr(pooltest.study, "sample_beta_one", counting)
+    assert run_study(config) == expected
+    assert calls == [12] * (2 * 30 * per_replicate)
+
+
+def reference_row(config, t):
+    # column c (D, Dp, S, H) of replicate r takes the draws of stream (t, r)
+    # when they are shared, else of (t, r, c); D, Dp and S are optimal totals
+    # over the sorted draws, H the entropy of the sorted shared draws or of
+    # its own draws as drawn; the spread counts each distinct draw once
+    p = config.p_targets[t]
+    columns, spread = [[], [], [], []], []
+    for r in range(config.m):
+        for c, column in enumerate(columns):
+            key = (t, r) if config.common_draws else (t, r, c)
+            risks = sample_beta_one(config.n, (1 - p) / p, stream_generator(config.seed, key))
+            if c == 0 or not config.common_draws:
+                spread.extend(risks)
+            ordered = ProbabilityVector(tuple(sorted(risks)))
+            if c < len(PROCEDURES):
+                column.append(dp_table(ordered, PROCEDURES[c], s_rule=config.sterrett_rule).total)
+            elif config.common_draws:
+                column.append(entropy_bits(ordered))
+            else:
+                column.append(entropy_bits(ProbabilityVector(tuple(risks))))
+    values = [p, float(np.std(spread, ddof=1))]
+    for column in columns:
+        values += [float(np.mean(column)), float(np.std(column, ddof=1)) / math.sqrt(config.m)]
+    return values
+
+
+@pytest.mark.parametrize("common_draws", [True, False])
+def test_rows_equal_reference_bit_for_bit(common_draws):
+    config = StudyConfig(p_targets=(0.05, 0.3), n=40, m=20, seed=3, common_draws=common_draws)
+    rows = run_study(config)
+    assert [list(row) for row in rows] == [reference_row(config, t) for t in range(2)]
+
+
 def test_independent_draws_mode_changes_values_not_contracts():
     config = StudyConfig(p_targets=(0.1,), n=10, m=20, seed=9, common_draws=False)
     rows = run_study(config)
@@ -141,12 +195,12 @@ def scalar_beta_one(beta, rng):
 
 @pytest.mark.parametrize("beta", [0.01, 0.5, 9.0, 999.0])
 def test_draw_risks_equals_scalar_sampler(beta):
-    # the study's risk draws and sample_beta_one against the scalar loop;
-    # beta = 0.01 lands most draws exactly on 1.0, so redraws are exercised
+    # one batch of n draws, and n batches of one draw, against the scalar
+    # loop; beta = 0.01 lands most draws exactly on 1.0, so redraws are exercised
     for key in range(60):
         n = 1 + key % 40
         rng = stream_generator(5, (key,))
         expected = [scalar_beta_one(beta, rng) for _ in range(n)]
-        assert _beta_one_draws(n, beta, stream_generator(5, (key,))) == expected
+        assert sample_beta_one(n, beta, stream_generator(5, (key,))) == expected
         rng = stream_generator(5, (key,))
-        assert [sample_beta_one(beta, rng) for _ in range(n)] == expected
+        assert [x for _ in range(n) for x in sample_beta_one(1, beta, rng)] == expected
