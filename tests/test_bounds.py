@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pooltest.bounds import (
+    MAX_OUTCOME_N,
     all_above_ungar,
     check_bounds,
     entropy_bits,
@@ -111,6 +113,34 @@ def heap_huffman_length(v):
     return length
 
 
+def one_merge_huffman_length(v):
+    """Reference two-queue Huffman that makes one merge at a time."""
+    leaves = np.sort(outcome_distribution(v)).tolist() + [math.inf]
+    sums = [math.inf] * len(leaves)
+    i = j = 0
+    length = 0.0
+    for w in range(len(leaves) - 2):
+        pair = []
+        for _ in range(2):
+            if sums[j] < leaves[i]:
+                pair.append(sums[j])
+                j += 1
+            else:
+                pair.append(leaves[i])
+                i += 1
+        sums[w] = pair[0] + pair[1]
+        length += sums[w]
+    return length
+
+
+def tiny_risks(rng, n):
+    return [rng.uniform(1e-6, 1e-4) for _ in range(n)]
+
+
+def log_uniform_risks(rng, n):
+    return [math.exp(rng.uniform(math.log(1e-6), math.log(0.5))) for _ in range(n)]
+
+
 class TestTwoQueueMatchesHeap:
     def test_random_risks(self):
         rng = random.Random(8)
@@ -128,6 +158,27 @@ class TestTwoQueueMatchesHeap:
     @pytest.mark.parametrize("p", [1e-9, 0.37, 0.5, 0.99])
     def test_single_item(self, p):
         assert huffman_length(pv([p])) == heap_huffman_length(pv([p]))
+
+    @pytest.mark.parametrize("risks", [tiny_risks, log_uniform_risks])
+    def test_many_rounds(self, risks):
+        # tiny or widely spread risks spread the pattern weights over many
+        # scales, so the merge runs in many small rounds (about 180 at N = 14)
+        rng = random.Random(risks.__name__)
+        for n in [*(rng.randint(1, 12) for _ in range(100)), 13, 14, 15, 16]:
+            v = pv(risks(rng, n))
+            assert huffman_length(v) == heap_huffman_length(v)
+
+    def test_at_the_guard(self):
+        # a heap takes seconds on 2^20 weights; the one-merge loop, checked
+        # against the heap above, is the reference here
+        v = pv(log_uniform_risks(random.Random(20), MAX_OUTCOME_N))
+        assert huffman_length(v) == one_merge_huffman_length(v)
+
+    def test_one_merge_reference_matches_heap(self):
+        rng = random.Random(10)
+        for n in [*(rng.randint(1, 12) for _ in range(50)), 14]:
+            v = pv(log_uniform_risks(rng, n))
+            assert one_merge_huffman_length(v) == heap_huffman_length(v)
 
 
 class TestTwoItemOptimality:

@@ -1,12 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from pooltest.cli import main
+from pooltest.cli import build_parser, main
 from pooltest.cost import evaluate_plan
 from pooltest.model import plan_from_json, validate_probability_vector
 
 E3_PROBS = [0.4, 0.4, 0.01, 0.01]
+GOLDEN = Path(__file__).with_name("golden")
+SUBCOMMANDS = ("eval", "optimize", "oracle", "simulate", "bounds", "study", "counterexample")
 
 
 @pytest.fixture()
@@ -386,3 +389,46 @@ class TestCounterexample:
         code, out, _ = run_cli(capsys, "counterexample")
         assert code == 4
         assert "FAIL" in out
+
+
+def run_any(capsys, argv):
+    """Exit code, stdout and stderr of one main call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+    def test_help_text(self, capsys, monkeypatch, command):
+        # COLUMNS fixes argparse's wrap width
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_any(capsys, [command, "--help"] if command else ["--help"])
+        assert code == 0
+        assert out == (GOLDEN / (f"help-{command}.txt" if command else "help.txt")).read_text()
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys, probs_file):
+        path = probs_file(E3_PROBS)
+        calls = [
+            ["optimize", "--probs", path, "--procedure", "S"],
+            ["optimize", "--probs", path, "--procedure", "X"],  # argparse error
+            ["bounds", "--probs", path, "--achieved=nan"],  # validation error
+            ["bounds", "--probs", path],
+        ]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()  # a new parser, as in a new process
+            alone.append(run_any(capsys, argv))
+        together = [run_any(capsys, argv) for argv in calls]
+        assert together == alone
+        assert [code for code, _, _ in alone] == [0, 2, 2, 0]
+
+    def test_handler_rebound_after_first_call_runs(self, capsys, monkeypatch):
+        import pooltest.cli as cli_mod
+
+        assert run_any(capsys, ["counterexample", "--json"])[0] == 0
+        monkeypatch.setattr(cli_mod, "_cmd_counterexample", lambda args: 7)
+        assert run_any(capsys, ["counterexample", "--json"])[0] == 7

@@ -370,6 +370,20 @@ class TestStructuralProperties:
             assert s <= dp_ + 1e-12
             assert dp_ <= d + 1e-12
 
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sequential_dominance_on_any_risks(self, probs):
+        pv, _ = sort_ascending(validate_probability_vector(probs))
+        s, dp_, d = (dp_table(pv, procedure).total for procedure in ("S", "Dp", "D"))
+        assert s <= dp_ * (1 + 1e-12)
+        assert dp_ <= d * (1 + 1e-12)
+
     risks = st.one_of(st.floats(min_value=1e-6, max_value=0.9), st.sampled_from([0.01, 0.05, 0.3]))
 
     @given(st.lists(risks, min_size=1, max_size=24), risks, st.randoms(use_true_random=False))
