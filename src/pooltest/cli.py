@@ -74,16 +74,24 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _read_probs(path: str) -> ProbabilityVector:
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn a failed read of ``path``, or invalid JSON in it, into an
+    UnknownFormatError that names the file."""
     try:
-        text = Path(path).read_text()
+        yield
     except OSError as e:
         raise UnknownFormatError(f"{path}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise UnknownFormatError(f"{path}, line {e.lineno}: invalid JSON: {e.msg}") from e
+
+
+def _read_probs(path: str) -> ProbabilityVector:
+    with _reading(path):
+        text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        try:
+        with _reading(path):
             payload = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise UnknownFormatError(f"{path}, line {e.lineno}: invalid JSON: {e.msg}") from e
         return ProbabilityVector.from_json(payload)
     values: list[float] = []
     linenos: list[int] = []
@@ -108,14 +116,8 @@ def _read_probs(path: str) -> ProbabilityVector:
 
 
 def _read_plan(path: str) -> OrderedPartition | SetPartition:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise UnknownFormatError(f"{path}: {e.strerror}") from e
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UnknownFormatError(f"{path}, line {e.lineno}: invalid JSON: {e.msg}") from e
+    with _reading(path):
+        payload = json.loads(Path(path).read_text())
     return plan_from_json(payload)
 
 

@@ -21,9 +21,9 @@ the head sum against its weight on the suffix chain; no closed-form rule
 picks it, so the minimizer keeps a running minimum of phi over all k
 last values (derived at ``_optimal_sterrett_ascending``). The often-quoted
 simpler rule "ascending head, smallest q last" agrees with this optimum for
-k <= 3 but is strictly beaten for most groups of four or more; it stays
-available as ``arranged_cost(group, pv, "S", "smallest-last")`` and in the
-optimizer for reproducing published comparison tables.
+k <= 3 but is strictly beaten for most groups of four or more; only
+``optimize.dp_table`` keeps it, for reproducing published comparison
+tables.
 
 Each procedure's cost is written here in two forms:
 
@@ -32,12 +32,12 @@ Each procedure's cost is written here in two forms:
                 ``group_cost`` applies them to a Group.
   arranged      ``_arranged_cost_q`` takes a block's q values ascending,
                 decides its test order (which value goes last) and costs
-                it: the given-order form on that order for D, Dp and S
-                smallest-last, and the O(k) phi walk
-                ``_optimal_sterrett_ascending`` for S optimal. It is the
-                only place an arrangement is decided: both exhaustive
-                oracles in ``optimize`` call it, and ``arranged_cost``
-                applies its order to a Group for reports and simulation.
+                it: the given-order form on that order for D and Dp, and
+                the O(k) phi walk ``_optimal_sterrett_ascending`` for S.
+                It is the only place an arrangement is decided: both
+                exhaustive oracles in ``optimize`` call it, and
+                ``arranged_cost`` applies its order to a Group for reports
+                and simulation.
 
 ``optimize.dp_table`` keeps its own incremental loops: it grows each block
 one item at a time, updating running sums (for S optimal, the phi walk's,
@@ -138,29 +138,22 @@ def _optimal_sterrett_ascending(v: Sequence[float]) -> tuple[float, int]:
     return (2.0 * m - 1.0) - t - p - c + best, best_b
 
 
-def _arranged_cost_q(
-    v: Sequence[float], procedure: str, s_rule: str = "optimal"
-) -> tuple[float, int]:
+def _arranged_cost_q(v: Sequence[float], procedure: str) -> tuple[float, int]:
     """Cost of a block whose q values ``v`` ascend, arranged for the
-    procedure (``s_rule`` picks Sterrett's), and the index b of the value
-    tested last: the test order is v without v[b], then v[b].
+    procedure, and the index b of the value tested last: the test order
+    is v without v[b], then v[b].
 
     This is the one place a block's arrangement is decided. D costs the
-    same in every order (b = k - 1 keeps v as given); Dp and smallest-last
-    S put the smallest q last (b = 0); optimal S takes b from the O(k)
-    minimizer.
+    same in every order (b = k - 1 keeps v as given); Dp puts the smallest
+    q last (b = 0); S takes b from the O(k) minimizer.
     """
     if procedure == "D":
         return _cost_dorfman_q(v), len(v) - 1
     if procedure == "Dp":
         return _cost_modified_dorfman_q((*v[1:], v[0])), 0
-    if procedure != "S":
-        raise ValueError(f"unknown procedure {procedure!r}")
-    if s_rule == "optimal":
+    if procedure == "S":
         return _optimal_sterrett_ascending(v)
-    if s_rule == "smallest-last":
-        return _cost_sterrett_q((*v[1:], v[0])), 0
-    raise ValueError(f"unknown Sterrett rule {s_rule!r}")
+    raise ValueError(f"unknown procedure {procedure!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +161,16 @@ def _arranged_cost_q(
 # ---------------------------------------------------------------------------
 
 
-def arranged_cost(
-    group: Group, pv: ProbabilityVector, procedure: str, s_rule: str = "optimal"
-) -> tuple[Group, float]:
+def arranged_cost(group: Group, pv: ProbabilityVector, procedure: str) -> tuple[Group, float]:
     """The group in its cheapest test order under ``procedure``, and its cost.
 
-    ``s_rule`` picks the Sterrett arrangement: "optimal" (the true minimum
-    over all k! orders) or "smallest-last" (the simple published rule,
-    optimal only for k <= 3); D and Dp ignore it. The members are sorted
-    by (q, index) and ``_arranged_cost_q`` picks the last one, so ties go
-    to the lower index; D, which costs the same in every order, keeps the
-    given order. The cost is that of the returned order under
-    ``group_cost``.
+    The members are sorted by (q, index) and ``_arranged_cost_q`` picks the
+    last one, so ties go to the lower index; D, which costs the same in
+    every order, keeps the given order. The cost is that of the returned
+    order under ``group_cost``.
     """
     qs, items = zip(*sorted(zip(group.qs(pv), group.items)))
-    _, b = _arranged_cost_q(qs, procedure, s_rule)
+    _, b = _arranged_cost_q(qs, procedure)
     g = group if procedure == "D" else Group(items=(*items[:b], *items[b + 1 :], items[b]))
     return g, group_cost(g, pv, procedure)
 
@@ -239,13 +227,11 @@ def evaluate_plan(
     pv: ProbabilityVector,
     procedure: str,
     arrange: str = "optimal",
-    s_rule: str = "optimal",
 ) -> CostReport:
     """Cost report for a plan: per-block arranged orders and expected tests.
 
     ``arrange`` is "optimal" (rearrange each block for the procedure) or
-    "given" (cost the blocks exactly as ordered). ``s_rule`` selects the
-    Sterrett arrangement variant when rearranging.
+    "given" (cost the blocks exactly as ordered).
     """
     if arrange not in ("optimal", "given"):
         raise ValueError(f"arrange must be 'optimal' or 'given', got {arrange!r}")
@@ -253,7 +239,7 @@ def evaluate_plan(
     total = 0.0
     for g in resolve_plan(plan, pv):
         if arrange == "optimal":
-            ordered, cost = arranged_cost(g, pv, procedure, s_rule)
+            ordered, cost = arranged_cost(g, pv, procedure)
         else:
             ordered, cost = g, group_cost(g, pv, procedure)
         blocks.append(BlockCost(items=g.items, order=ordered.items, expected_tests=cost))

@@ -63,7 +63,9 @@ class NotSortedError(ValueError):
 
 
 class UnknownFormatError(ValueError):
-    """An unsupported output format name was requested."""
+    """An input could not be read as pooltest expects: an unreadable file,
+    invalid JSON, a line that is not a decimal number, JSON without its
+    "p" or plan key, or an unknown table format name."""
 
 
 # Tuples of per-call data are built from lists, not generators. CPython

@@ -156,6 +156,32 @@ class TestEval:
         assert f"ids length {len(ids)} does not match 2 probabilities" in err
 
 
+class TestUnreadableInput:
+    # each message names the file as given on the command line
+    @pytest.mark.parametrize(
+        "files, argv, err",
+        [
+            ({}, ["--probs", "nope.json", "--single-group"],
+             "error: nope.json: No such file or directory\n"),
+            ({"probs.json": '{"p": [0.1]}'}, ["--probs", "probs.json", "--plan", "nope.json"],
+             "error: nope.json: No such file or directory\n"),
+            ({"bad.json": '{"p": [0.1,'}, ["--probs", "bad.json", "--single-group"],
+             "error: bad.json, line 1: invalid JSON: Expecting value\n"),
+            ({"probs.json": '{"p": [0.1]}', "bad.json": '{"blocks": '},
+             ["--probs", "probs.json", "--plan", "bad.json"],
+             "error: bad.json, line 1: invalid JSON: Expecting value\n"),
+            ({"empty.txt": ""}, ["--probs", "empty.txt", "--single-group"],
+             "error: empty.txt: no probabilities found\n"),
+        ],
+        ids=["missing-probs", "missing-plan", "truncated-probs", "truncated-plan", "empty-probs"],
+    )
+    def test_exit_two_and_message(self, capsys, tmp_path, monkeypatch, files, argv, err):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run_cli(capsys, "eval", "--procedure", "S", *argv) == (2, "", err)
+
+
 class TestOptimize:
     def test_dp(self, capsys, probs_file):
         code, out, _ = run_cli(

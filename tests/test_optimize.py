@@ -1,13 +1,23 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pooltest.cost import _arranged_cost_q, evaluate_plan
+from pooltest.cost import (
+    _arranged_cost_q,
+    _cost_sterrett_q,
+    _optimal_sterrett_ascending,
+    arranged_cost,
+    evaluate_plan,
+    group_cost,
+)
 from pooltest.model import (
     REL_TOL,
+    Group,
     InstanceTooLargeError,
     NotSortedError,
+    OrderedPartition,
     sort_ascending,
     validate_probability_vector,
 )
@@ -43,20 +53,59 @@ def risk_corpus(rng, count, max_n):
         yield sort_ascending(validate_probability_vector(probs))[0]
 
 
+def block_cost(v, procedure, s_rule):
+    """One-shot cost of a block whose q values ``v`` ascend, arranged as
+    ``dp_table(..., procedure, s_rule)`` arranges it: by the library's
+    kernel, or for S smallest-last with the ascending head and the smallest
+    q last, the rule only ``dp_table`` keeps."""
+    if s_rule == "smallest-last":
+        return _cost_sterrett_q((*v[1:], v[0]))
+    return _arranged_cost_q(v, procedure)[0]
+
+
 def reference_dp(qs, procedure, s_rule):
     """The ordered-partition DP with every block costed afresh by the
-    one-shot kernel, O(N^3), under dp_table's tie rule."""
+    one-shot ``block_cost``, O(N^3), under dp_table's tie rule."""
     n = len(qs)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
     for k in range(1, n + 1):
         best = bound = float("inf")
         for i in range(k - 1, -1, -1):
-            cand = _arranged_cost_q(qs[i:k][::-1], procedure, s_rule)[0] + cost[i]
+            cand = block_cost(qs[i:k][::-1], procedure, s_rule) + cost[i]
             if cand < bound:
                 best, bound, split[k] = cand, cand - REL_TOL * cand, i
         cost[k] = best
     return cost, split
+
+
+def ordered_oracle(pv, procedure, s_rule):
+    """Total and block sizes of the cheapest ordered partition of ``pv``.
+
+    The optimal arrangement asks ``exhaustive_ordered``; smallest-last,
+    which the library's oracle does not cost, is a brute force here over
+    all 2^(N-1) compositions under the same tie rule: bit t of a mask cuts
+    after sorted position t, the masks count down from all cuts, and a
+    later plan wins only if cheaper by more than REL_TOL.
+    """
+    if s_rule == "optimal":
+        result = exhaustive_ordered(pv, procedure)
+        return result.total, result.plan.sizes
+    qs = sort_ascending(pv)[0].q
+    n = len(qs)
+    bc = {}
+    best = bound = math.inf
+    for mask in range((1 << (n - 1)) - 1, -1, -1):
+        edges = [0, *(t + 1 for t in range(n - 1) if mask >> t & 1), n]
+        blocks = list(zip(edges, edges[1:]))
+        total = 0.0
+        for a, b in blocks:
+            if (a, b) not in bc:
+                bc[a, b] = block_cost(qs[a:b][::-1], procedure, s_rule)
+            total += bc[a, b]
+        if total < bound:
+            best, bound, sizes = total, total - REL_TOL * total, tuple(b - a for a, b in blocks)
+    return best, sizes
 
 
 def set_partitions(n):
@@ -168,7 +217,7 @@ class TestDpAgainstExhaustive:
             pv = random_pv(rng, rng.randint(1, 11))
             spv, _ = sort_ascending(pv)
             a = dp_table(spv, "S", s_rule=s_rule).total
-            b = exhaustive_ordered(pv, "S", s_rule=s_rule).total
+            b = ordered_oracle(pv, "S", s_rule)[0]
             assert abs(a - b) <= 1e-12 * max(1.0, a)
 
     def test_optimal_rule_never_worse_than_smallest_last(self):
@@ -195,8 +244,8 @@ class TestDpAgainstExhaustive:
             pool = rng.sample(TIED_RISKS, rng.randint(1, 3))
             pv, _ = sort_ascending(validate_probability_vector([rng.choice(pool) for _ in range(n)]))
             dp = dp_table(pv, procedure, s_rule)
-            brute = exhaustive_ordered(pv, procedure, s_rule)
-            assert dp.plan_sizes() == brute.plan.sizes, (pv.probs, procedure, s_rule)
+            _, sizes = ordered_oracle(pv, procedure, s_rule)
+            assert dp.plan_sizes() == sizes, (pv.probs, procedure, s_rule)
 
 
 class TestDpAgainstReference:
@@ -294,29 +343,41 @@ class TestExhaustiveSet:
 
 def test_fast_block_cost_matches_arrangement_route():
     # the oracles' one-shot block cost on ascending q values and the public
-    # arrange-then-cost path must agree for every procedure and rule
-    from pooltest.cost import (
-        _arranged_cost_q,
-        _optimal_sterrett_ascending,
-        arranged_cost,
-        group_cost,
-    )
-    from pooltest.model import Group
-
+    # arrange-then-cost path must agree for every procedure
     rng = random.Random(53)
     for _ in range(300):
         k = rng.randint(1, 12)
         pv = random_pv(rng, k)
         v = sorted(pv.q)
         g = Group(items=tuple(range(k)))
-        for procedure, s_rule in (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"),
-                                  ("S", "smallest-last")):
-            fast = _arranged_cost_q(v, procedure, s_rule)[0]
-            _, slow = arranged_cost(g, pv, procedure, s_rule)
+        for procedure in ("D", "Dp", "S"):
+            fast = _arranged_cost_q(v, procedure)[0]
+            _, slow = arranged_cost(g, pv, procedure)
             assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
         fast, _ = _optimal_sterrett_ascending(v)
         slow = group_cost(arranged_cost(g, pv, "S")[0], pv, "S")
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda pv, g: dp_table(pv, "X"), "unknown procedure 'X'"),
+        (lambda pv, g: dp_table(pv, "S", "largest-last"), "unknown Sterrett block rule"),
+        (lambda pv, g: exhaustive_ordered(pv, "X"), "unknown procedure 'X'"),
+        (lambda pv, g: exhaustive_set(pv, "X"), "unknown procedure 'X'"),
+        (lambda pv, g: group_cost(g, pv, "X"), "unknown procedure 'X'"),
+        (lambda pv, g: arranged_cost(g, pv, "X"), "unknown procedure 'X'"),
+        (lambda pv, g: evaluate_plan(OrderedPartition(sizes=(2,)), pv, "S", arrange="X"),
+         "arrange must be 'optimal' or 'given'"),
+    ],
+    ids=["dp_table-procedure", "dp_table-s_rule", "exhaustive_ordered", "exhaustive_set",
+         "group_cost", "arranged_cost", "evaluate_plan-arrange"],
+)
+def test_unknown_names_are_refused(call, message):
+    pv = validate_probability_vector([0.1, 0.2])
+    with pytest.raises(ValueError, match=message):
+        call(pv, Group(items=(0, 1)))
 
 
 class TestInterchange:
