@@ -38,10 +38,11 @@ from .model import (
     ProbabilityVector,
     SetPartition,
     UnknownFormatError,
+    json_text,
     plan_from_json,
     validate_probability_vector,
 )
-from .optimize import dp_ordered, exhaustive_ordered, exhaustive_set
+from .optimize import check_guard, dp_ordered, exhaustive_ordered, exhaustive_set
 from .simulate import RngSpec, estimate_cost
 from .study import DEFAULT_P_TARGETS, StudyConfig, emit_table, run_study
 
@@ -71,7 +72,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
 
 
 @contextlib.contextmanager
@@ -149,6 +150,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_oracle(args) -> int:
     pv = _read_probs(args.probs)
+    # refuse before any search runs, with the oracles' own messages
+    check_guard("exhaustive-ordered", pv.n)
+    check_guard("exhaustive-set", pv.n)
     dp = dp_ordered(pv, args.procedure)
     ordered = exhaustive_ordered(pv, args.procedure)
     unordered = exhaustive_set(pv, args.procedure)

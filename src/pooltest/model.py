@@ -16,12 +16,15 @@ reports are written only:
     SimulationSummary   {"procedure": ..., "plan": ..., "replicates": ...,
                          "mean_tests": ..., "std_error": ..., "seed": ...,
                          "expected_total": ...}
+
+Every JSON text pooltest prints is ``json_text(payload)``.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 PROCEDURES = ("D", "Dp", "S")  # Dorfman, modified Dorfman, Sterrett
@@ -50,12 +53,13 @@ class OutOfRangeError(ValueError):
 
 
 class InstanceTooLargeError(ValueError):
-    """An exhaustive enumeration was requested beyond its size guard."""
+    """A search was requested beyond its guard: ``n`` is the size (or, with
+    ``unit``, the work) asked for and ``limit`` the most the guard allows."""
 
-    def __init__(self, n: int, limit: int, what: str = "instance"):
+    def __init__(self, n: int, limit: int, what: str = "instance", unit: str = "size"):
         self.n = n
         self.limit = limit
-        super().__init__(f"{what} size {n} exceeds the enumeration guard {limit}")
+        super().__init__(f"{what} {unit} {n} exceeds the enumeration guard {limit}")
 
 
 class NotSortedError(ValueError):
@@ -75,7 +79,18 @@ class UnknownFormatError(ValueError):
 # lists, about 2 MiB over a few hundred `pooltest optimize` calls in one
 # process, faster than exact-size allocations take them back out.
 def _as_float_tuple(xs: Iterable[float]) -> tuple[float, ...]:
-    return tuple([float(x) for x in xs])
+    xs = tuple(xs)  # no copy when xs is a tuple already
+    try:
+        return tuple([float(x) for x in xs])
+    except OverflowError:  # an integer too large for a float, such as 10**400
+        for j, x in enumerate(xs, 1):
+            try:
+                float(x)
+            except OverflowError as e:
+                raise ValueError(
+                    f"entry {j}: probability is not strictly inside (0, 1): {e}"
+                ) from None
+        raise
 
 
 def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
@@ -84,6 +99,8 @@ def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
     naming the 1-based entry."""
     xs = tuple(xs)
     for j, x in enumerate(xs, 1):
+        if type(x) is int:  # the common case, without the ABC check below
+            continue
         if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1:
             raise ValueError(f"{what} entry {j}: {x!r} is not an integer")
     return tuple([int(x) for x in xs])
@@ -329,3 +346,68 @@ class SimulationSummary:
 
     def to_json(self) -> dict[str, Any]:
         return {**asdict(self), "plan": self.plan.to_json()}
+
+
+# float.__repr__ spells these as "nan", "inf" and "-inf"
+_JSON_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(payload: Any) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, for str-keyed
+    payloads.
+
+    On Python 3.11 ``indent`` sends ``json.dumps`` to the pure-Python
+    encoder; this builds the same text from the same C-level leaves
+    (``encode_basestring_ascii``, ``int.__repr__``, ``float.__repr__``,
+    with NaN and Infinity spelled as ``json`` spells them) in about half
+    the time, and joins lists of plain ints in one step.
+    """
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    return "".join(out)
+
+
+def _emit(x: Any, newline: str, out: list[str]) -> None:
+    # no two of these types can share an instance, except bool and int
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, v in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in x):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, float):
+        text = float.__repr__(x)
+        out.append(_JSON_FLOAT_SPECIALS.get(text, text))
+    elif isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -10,12 +10,29 @@ where each candidate block is costed under its within-block arrangement:
 for D and Dp the cheapest order, for S one of two rules, "optimal" (the
 true minimum over block orders) or "smallest-last" (the ascending-head
 rule behind published comparison tables, optimal only up to three items).
-Block costs are kept as running sums, O(1) per (block start, block end),
-so every table costs O(N^2) arithmetic. For S optimal the sums are those
-of ``cost._optimal_sterrett_ascending``, which derives the cost of the
-order testing qs[a] last through phi(i,a): phi reads no item past a, so
-extending the block i..k-1 adds the one candidate a = k-1 to a running
-minimum per block start. That table is guarded at N <= 2800.
+Block costs are kept as running sums, O(1) per cell (block start, block
+end), so a table costs at most N(N-1)/2 cells of arithmetic. For S optimal
+the sums are those of ``cost._optimal_sterrett_ascending``, which derives
+the cost of the order testing qs[a] last through phi(i,a): phi reads no
+item past a, so extending the block i..k-1 adds the one candidate a = k-1
+to a running minimum per block start.
+
+The D and Dp rows stop early, at no change to the table. Row k tries the
+block i..k-1, of size m = k-i, for i from k-2 down, after the trailing
+singleton, so ``best`` starts at F(k-1) + 1 <= F(i) + m (a singleton adds
+one test at most). A D block costs 1 + m - m P with P the product of its
+q; a Dp block costs 1 + m - m P - P_head (1 - q_last) >= 1 + m - m P_head,
+with P_head the product of all but its last q. So once P (D) or P_head
+(Dp) is below 0.5/(N+1), m <= N puts the candidate above F(i) + m + 1/2,
+and it can never beat ``best``. The products only fall as i falls, so
+the row ends at the first such start, found up front by
+``_row_stops``. The 1/2 covers the rounding in the table's own sums,
+below (2N)^2 2^-53 < 0.05 for N <= MAX_CUT_N. Risky populations then
+visit O(N log N) cells; low-risk ones, whose products never fall that
+far, visit them all.
+
+Every branch refuses, with InstanceTooLargeError, a table whose exact
+cell count exceeds its budget in DP_CELL_BUDGETS.
 
 These running sums are the only incremental form of the block costs,
 and the S smallest-last loop is the only place that rule is written. The
@@ -29,6 +46,7 @@ costs, and is guarded at N <= 15.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +67,18 @@ from .model import (
 
 MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
-MAX_STERRETT_OPTIMAL_DP = 2800  # `optimize --procedure S`: about 1.8 s (Python 3.11, 2 vCPUs)
+# Cells (block start, block end) one dp_table call may visit, per branch.
+# A table at its budget runs about 1.4-2.1 s (D, 100-150 ns a cell),
+# 1.9-2.4 s (Dp, 160-200 ns), 1.9-2.0 s (S smallest-last, 170-180 ns) and
+# 1.3-1.7 s (S optimal, 335-440 ns; the full table at N = 2800), on
+# Python 3.11, 2 vCPUs. Full tables fit up to N = 5292 / 4899 / 4690 / 2800.
+DP_CELL_BUDGETS = {
+    "D": 14_000_000,
+    "Dp": 12_000_000,
+    "S smallest-last": 11_000_000,
+    "S optimal": 2800 * 2799 // 2,
+}
+MAX_CUT_N = 10**7  # the D and Dp cut's rounding argument holds up to here
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
 
@@ -123,24 +152,70 @@ def _check_sorted(pv: ProbabilityVector) -> None:
             raise NotSortedError("population must be sorted ascending by p")
 
 
+def _row_stops(qs: tuple[float, ...], procedure: str) -> tuple[list[int], int]:
+    """Where each row of the table ends, and the exact number of cells it visits.
+
+    Row k tries the block starts i = k-2 down to ``stops[k] + 1``. No row
+    is cut for S, nor for D and Dp when the product of every q is not below
+    the cut threshold 0.5/(N+1) (the module docstring proves the cut): then
+    every stop is -1, and the usual low-risk table pays one ``math.prod``
+    for the test. Otherwise the stops come from an O(N) two-pointer over
+    prefix sums of log q.
+    """
+    n = len(qs)
+    if procedure == "S" or n > MAX_CUT_N or math.prod(qs) >= 0.5 / (n + 1):
+        return [-1] * (n + 1), n * (n - 1) // 2
+    # S[j] = log qs[0] + ... + log qs[j-1], falling in j. A start i is cut
+    # when S[i] - S[k] > c: then the product of qs[i..k-1] is below
+    # 0.5/(N+1) with margin to spare. With u = 2^-53, math.log within one
+    # ulp, and L = |S[N]| (every log q has the same sign), S[k] - S[i]
+    # differs from the exact log of the product by at most 2 gamma_N L from
+    # the two running sums plus 2uL from the logs, and forming S[k] + c
+    # rounds by at most u(L + c): (2N + 6) u (L + c) in all, which the
+    # margin 512 (N + 1) u (L + c) exceeds.
+    S = list(itertools.accumulate(map(math.log, qs), initial=0.0))
+    c = math.log(2.0 * (n + 1))
+    c += 2.0**-44 * (n + 1) * (c - S[n])
+    # cut[k] = the number of starts i cut against S[k]; it never exceeds k
+    # (c > 0) and never falls as k grows, so one pointer serves every row
+    cut = [0] * (n + 1)
+    j = 0
+    for k, s in enumerate(S):
+        limit = s + c
+        while S[j] > limit:
+            j += 1
+        cut[k] = j
+    if procedure == "D":  # the product of the whole block qs[i..k-1]
+        stops = [j - 1 for j in cut]
+    else:  # Dp: the product of the head qs[i..k-2]
+        stops = [-1, *(j - 1 for j in cut[:-1])]
+    return stops, sum(max(0, k - 2 - stop) for k, stop in enumerate(stops))
+
+
 def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> DpTable:
     """Run the ordered-partition DP on an already sorted population.
 
     ``s_rule`` selects the within-block arrangement for Sterrett blocks
-    (see the module docstring); it is ignored for D and Dp.
+    (see the module docstring); it is ignored for D and Dp. A table that
+    would visit more cells than its branch's ``DP_CELL_BUDGETS`` entry
+    raises InstanceTooLargeError before any work.
     """
     _check_sorted(pv)
     if procedure not in PROCEDURES:
         raise ValueError(f"unknown procedure {procedure!r}")
     if s_rule not in STERRETT_RULES:
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
-    if procedure == "S" and s_rule == "optimal" and pv.n > MAX_STERRETT_OPTIMAL_DP:
-        raise InstanceTooLargeError(pv.n, MAX_STERRETT_OPTIMAL_DP, "Sterrett-optimal DP")
     qs = pv.q  # descending
     n = pv.n
+    branch = f"S {s_rule}" if procedure == "S" else procedure
+    stops, cells = _row_stops(qs, procedure)
+    if cells > DP_CELL_BUDGETS[branch]:
+        raise InstanceTooLargeError(
+            cells, DP_CELL_BUDGETS[branch], f"{branch} DP over {n} items:", "cell count"
+        )
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
-    s_optimal = procedure == "S" and s_rule == "optimal"
+    s_optimal = branch == "S optimal"
     if s_optimal:
         # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
         # T = qs[i] + ... + qs[k-1] and M = min over i <= a <= k-1 of phi(i,a)
@@ -185,7 +260,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
                 if cand < bound:
                     best, bound, best_i = cand, cand - REL_TOL * cand, i
         elif procedure == "Dp":
-            for i in range(k - 2, -1, -1):
+            for i in range(k - 2, stops[k], -1):
                 qi = qs[i]
                 prod *= qi
                 prod_head *= qi
@@ -194,7 +269,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
                 if cand < bound:
                     best, bound, best_i = cand, cand - REL_TOL * cand, i
         else:
-            for i in range(k - 2, -1, -1):
+            for i in range(k - 2, stops[k], -1):
                 prod *= qs[i]
                 m += 1.0
                 cand = 1.0 + m - m * prod + cost[i]
@@ -229,6 +304,20 @@ def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
 # ---------------------------------------------------------------------------
 
 
+ORACLE_GUARDS = {
+    "exhaustive-ordered": (MAX_EXHAUSTIVE_ORDERED, "ordered-partition enumeration"),
+    "exhaustive-set": (MAX_EXHAUSTIVE_SET, "set-partition search"),
+}
+
+
+def check_guard(search: str, n: int) -> None:
+    """Raise the InstanceTooLargeError that the exhaustive ``search`` gives
+    a population of n items, or nothing if it would run."""
+    limit, what = ORACLE_GUARDS[search]
+    if n > limit:
+        raise InstanceTooLargeError(n, limit, what)
+
+
 def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     """Brute-force minimum over all 2^(N-1) ordered partitions, each block
     arranged optimally.
@@ -239,8 +328,7 @@ def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     REL_TOL.
     """
     n = pv.n
-    if n > MAX_EXHAUSTIVE_ORDERED:
-        raise InstanceTooLargeError(n, MAX_EXHAUSTIVE_ORDERED, "ordered-partition enumeration")
+    check_guard("exhaustive-ordered", n)
     sorted_pv, perm = sort_ascending(pv)
     qs = sorted_pv.q
     # bc[i][j] = arranged cost of sorted items i..j-1 (q descending)
@@ -280,8 +368,7 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     later T wins only if it is cheaper by more than REL_TOL relative.
     """
     n = pv.n
-    if n > MAX_EXHAUSTIVE_SET:
-        raise InstanceTooLargeError(n, MAX_EXHAUSTIVE_SET, "set-partition search")
+    check_guard("exhaustive-set", n)
     full = (1 << n) - 1
     by_q = sorted((q, 1 << (n - 1 - i)) for i, q in enumerate(pv.q))
     cost = [0.0] * (full + 1)

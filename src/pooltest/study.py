@@ -30,6 +30,7 @@ from .model import (
     EmptyInputError,
     ProbabilityVector,
     UnknownFormatError,
+    json_text,
 )
 from .optimize import dp_table
 from .simulate import sample_beta_one, stream_generator
@@ -153,11 +154,9 @@ def emit_table(rows: list[StudyRow], fmt: str, metadata: dict | None = None) -> 
             out.write("| " + " | ".join(_fmt(v) for v in row) + " |\n")
         return out.getvalue()
     if fmt == "json":
-        import json
-
         payload: dict = {"columns": list(COLUMNS)}
         if metadata is not None:
             payload["metadata"] = metadata
         payload["rows"] = [dict(zip(COLUMNS, row)) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
     raise UnknownFormatError(f"unknown table format {fmt!r}; expected csv, json, or markdown")

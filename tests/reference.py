@@ -5,13 +5,21 @@ executors run one defect vector at a time, the way the procedures are
 described, against the array counter ``simulate.count_tests``; the
 first-defective recursion and the equal-risk closed form check the
 Sterrett closed form; ``pair_costs`` states the pair-interchange
-comparison through the public plan evaluator.
+comparison through the public plan evaluator; ``uncut_dorfman_table`` is
+the D and Dp loop of ``dp_table`` that tries every block start, against
+which the width cut is checked.
 """
 
 import math
 
 from pooltest.cost import evaluate_plan
-from pooltest.model import Group, ProbabilityVector, SetPartition, validate_probability_vector
+from pooltest.model import (
+    REL_TOL,
+    Group,
+    ProbabilityVector,
+    SetPartition,
+    validate_probability_vector,
+)
 
 
 def run_dorfman(defects) -> int:
@@ -135,3 +143,33 @@ def pair_costs(q1: float, q2: float, q3: float, q4: float) -> tuple[float, float
         return evaluate_plan(SetPartition(blocks=blocks), pv, "S", arrange="given").total
 
     return total(((0, 1), (2, 3))), total(((0, 2), (1, 3)))
+
+
+def uncut_dorfman_table(qs, procedure: str) -> tuple[list[float], list[int]]:
+    """The ordered-partition DP for D or Dp on descending ``qs``, trying
+    every start i = k-2 .. 0 of every row in ``dp_table``'s arithmetic and
+    tie rule: its cost-to-go and split lists, equal to ``dp_table``'s only
+    if the width cut skips no start that could win."""
+    n = len(qs)
+    cost = [0.0] * (n + 1)
+    split = [0] * (n + 1)
+    for k in range(1, n + 1):
+        qlast = qs[k - 1]
+        one_minus_qlast = 1.0 - qlast
+        prod, prod_head, m = qlast, 1.0, 1.0
+        best = cost[k - 1] + 1.0
+        bound = best - REL_TOL * best
+        best_i = k - 1
+        for i in range(k - 2, -1, -1):
+            prod *= qs[i]
+            prod_head *= qs[i]
+            m += 1.0
+            if procedure == "Dp":
+                cand = 1.0 + m - m * prod - prod_head * one_minus_qlast + cost[i]
+            else:
+                cand = 1.0 + m - m * prod + cost[i]
+            if cand < bound:
+                best, bound, best_i = cand, cand - REL_TOL * cand, i
+        cost[k] = best
+        split[k] = best_i
+    return cost, split

@@ -1,8 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+import pooltest.optimize
 from pooltest.cli import build_parser, main
 from pooltest.cost import evaluate_plan
 from pooltest.model import plan_from_json, validate_probability_vector
@@ -181,6 +183,17 @@ class TestUnreadableInput:
             (tmp_path / name).write_text(text)
         assert run_cli(capsys, "eval", "--procedure", "S", *argv) == (2, "", err)
 
+    def test_integer_too_large_for_a_float(self, capsys, probs_file):
+        # a 401-digit integer: one line naming the entry, not its digits
+        code, out, err = run_cli(
+            capsys, "optimize", "--probs", probs_file([0.1, 10**400]), "--procedure", "S"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: entry 2: probability is not strictly inside (0, 1): "
+            "int too large to convert to float\n"
+        )
+
 
 class TestOptimize:
     def test_dp(self, capsys, probs_file):
@@ -233,8 +246,51 @@ class TestOptimize:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("procedure", ["D", "Dp"])
+    def test_dp_cell_budget_exit_code(self, capsys, probs_file, procedure):
+        # low risks: no block start is cut, so the table would visit all N(N-1)/2 cells
+        code, out, err = run_cli(
+            capsys, "optimize", "--probs", probs_file([1e-4] * 5300), "--procedure", procedure
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {procedure} DP over 5300 items: cell count 14042350 "
+            f"exceeds the enumeration guard {pooltest.optimize.DP_CELL_BUDGETS[procedure]}\n"
+        )
+
+    def test_risky_ten_thousand_items_finish(self, capsys, probs_file):
+        # risks spread over [0.05, 0.35): the width cut leaves 567 246 of the
+        # table's 49 995 000 cells
+        probs = [0.05 + 0.3 * ((i * 7919) % 10_000) / 10_000 for i in range(10_000)]
+        path = probs_file(probs)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "optimize", "--probs", path, "--procedure", "D")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["plan"]["ordered_sizes"]
+        assert elapsed < 1.0
+
 
 class TestOracle:
+    @pytest.mark.parametrize(
+        "n, err",
+        [
+            (16, "error: set-partition search size 16 exceeds the enumeration guard 15\n"),
+            (21, "error: ordered-partition enumeration size 21 exceeds the enumeration guard 20\n"),
+            (5000, "error: ordered-partition enumeration size 5000 exceeds the enumeration guard 20\n"),
+        ],
+    )
+    def test_refuses_before_any_search(self, capsys, probs_file, monkeypatch, n, err):
+        calls = []
+        table = pooltest.optimize.dp_table
+        monkeypatch.setattr(
+            pooltest.optimize, "dp_table", lambda *a, **k: calls.append(a) or table(*a, **k)
+        )
+        assert run_cli(
+            capsys, "oracle", "--probs", probs_file([1e-4] * n), "--procedure", "D"
+        ) == (3, "", err)
+        assert calls == []
+
     def test_counterexample_instance(self, capsys, probs_file):
         code, out, _ = run_cli(
             capsys, "oracle", "--probs", probs_file(E3_PROBS), "--procedure", "S"

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pooltest.model import (
     OutOfRangeError,
     ProbabilityVector,
     SetPartition,
+    json_text,
     plan_from_json,
     sort_ascending,
     validate_probability_vector,
@@ -132,6 +134,20 @@ def test_plan_types_reject_non_integral_entries(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "entry, accepted",
+    [(True, None), (2.0, 2), (2.5, None), (np.int64(3), 3), (Fraction(1, 2), None), ("1", None)],
+    ids=["bool", "integral-float", "fraction-float", "numpy-int", "fraction", "string"],
+)
+def test_plan_entry_types(entry, accepted):
+    if accepted is None:
+        with pytest.raises(ValueError, match="ordered_sizes entry 2: .* is not an integer"):
+            OrderedPartition(sizes=(1, entry))
+    else:
+        sizes = OrderedPartition(sizes=(1, entry)).sizes
+        assert sizes == (1, accepted) and type(sizes[1]) is int
+
+
 def test_plan_types_accept_integral_numbers():
     assert Group(items=tuple(np.arange(3))).items == (0, 1, 2)
     assert OrderedPartition(sizes=(2.0, np.int64(1))).sizes == (2, 1)
@@ -174,3 +190,24 @@ def test_plan_roundtrips():
     sp = SetPartition(blocks=((0, 2), (1, 3)))
     assert _roundtrip(sp, plan_from_json) == sp
     assert sp.to_json() == {"blocks": [[1, 3], [2, 4]]}
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), "\u2603\n\"\\", ""]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(st.integers()),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_json_text_is_json_dumps_indent_2(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2)

@@ -21,8 +21,15 @@ from pooltest.model import (
     sort_ascending,
     validate_probability_vector,
 )
-from pooltest.optimize import dp_ordered, dp_table, exhaustive_ordered, exhaustive_set
-from reference import pair_costs
+from pooltest.optimize import (
+    DP_CELL_BUDGETS,
+    _row_stops,
+    dp_ordered,
+    dp_table,
+    exhaustive_ordered,
+    exhaustive_set,
+)
+from reference import pair_costs, uncut_dorfman_table
 
 # q values {0.6, 0.6, 0.99, 0.99}: optimal ordered plans are beaten by an
 # unordered pairing under both sequential procedures
@@ -264,6 +271,67 @@ class TestDpAgainstReference:
             for a, b in zip(table.cost_to_go, cost):
                 assert abs(a - b) <= REL_TOL * b, (pv.probs, procedure, s_rule)
             assert table.split == tuple(split), (pv.probs, procedure, s_rule)
+
+
+def cut_corpus(rng, count, max_n):
+    """Random, tied, log-uniform, low-risk and risky vectors, sorted."""
+    yield from risk_corpus(rng, count, max_n)
+    for trial in range(count):
+        n = rng.randint(1, max_n)
+        if trial % 2:
+            probs = [rng.uniform(1e-6, 1e-3) for _ in range(n)]
+        else:
+            probs = [min(rng.betavariate(1.0, 2.3), 0.999) or 0.5 for _ in range(n)]
+        yield sort_ascending(validate_probability_vector(probs))[0]
+
+
+class TestWidthCut:
+    @pytest.mark.parametrize("procedure", ["D", "Dp"])
+    def test_same_table_as_every_start_tried(self, procedure):
+        rng = random.Random(71)
+        for pv in cut_corpus(rng, 12, 400):
+            table = dp_table(pv, procedure)
+            cost, split = uncut_dorfman_table(pv.q, procedure)
+            assert table.cost_to_go == tuple(cost), (procedure, pv.probs)
+            assert table.split == tuple(split), (procedure, pv.probs)
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp"])
+    def test_cuts_only_starts_whose_product_is_small(self, procedure):
+        # a cut start's product is below the threshold 0.5/(N+1), and a
+        # visited one's is not below half of it; the cell count is the sum
+        rng = random.Random(73)
+        for pv in cut_corpus(rng, 12, 300):
+            qs, n = pv.q, pv.n
+            stops, cells = _row_stops(qs, procedure)
+            threshold = 0.5 / (n + 1)
+            for k in range(2, n + 1):
+                end = k if procedure == "D" else k - 1  # product of qs[i..end-1]
+                if stops[k] >= 0:
+                    assert math.prod(qs[stops[k]:end]) < threshold, (procedure, pv.probs, k)
+                if stops[k] + 1 <= k - 2:
+                    assert math.prod(qs[stops[k] + 1:end]) >= threshold / 2, (pv.probs, k)
+            assert cells == sum(max(0, k - 2 - stops[k]) for k in range(n + 1))
+
+    def test_low_risk_tables_are_not_cut(self):
+        # the whole population's product stays above the threshold: no set-up
+        pv = validate_probability_vector([0.001] * 300)
+        for procedure in ("D", "Dp", "S"):
+            assert _row_stops(pv.q, procedure) == ([-1] * 301, 300 * 299 // 2)
+
+    @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+    def test_refused_above_cell_budget(self, procedure, s_rule):
+        branch = procedure if procedure != "S" else f"S {s_rule}"
+        budget = DP_CELL_BUDGETS[branch]
+        n = math.isqrt(2 * budget) + 2  # the first N whose full table is over budget
+        while n * (n - 1) // 2 <= budget:
+            n += 1
+        pv = validate_probability_vector([1e-4] * n)
+        with pytest.raises(InstanceTooLargeError) as refused:
+            dp_table(pv, procedure, s_rule)
+        assert str(refused.value) == (
+            f"{branch} DP over {n} items: cell count {n * (n - 1) // 2} "
+            f"exceeds the enumeration guard {budget}"
+        )
 
 
 class TestExhaustiveSet:
