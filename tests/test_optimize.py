@@ -289,7 +289,7 @@ class TestWidthCut:
     @pytest.mark.parametrize("procedure", ["D", "Dp"])
     def test_same_table_as_every_start_tried(self, procedure):
         rng = random.Random(71)
-        for pv in cut_corpus(rng, 12, 400):
+        for pv in cut_corpus(rng, 30, 400):
             table = dp_table(pv, procedure)
             cost, split = uncut_dorfman_table(pv.q, procedure)
             assert table.cost_to_go == tuple(cost), (procedure, pv.probs)
@@ -300,7 +300,7 @@ class TestWidthCut:
         # a cut start's product is below the threshold 0.5/(N+1), and a
         # visited one's is not below half of it; the cell count is the sum
         rng = random.Random(73)
-        for pv in cut_corpus(rng, 12, 300):
+        for pv in cut_corpus(rng, 30, 300):
             qs, n = pv.q, pv.n
             stops, cells = _row_stops(qs, procedure)
             threshold = 0.5 / (n + 1)
