@@ -1,0 +1,185 @@
+"""The ordered-partition DP of ``optimize.dp_table``, run on many populations
+at once for the simulation study.
+
+``dp_totals`` takes m populations of one size, each sorted, and returns
+their m optimal totals, equal bit for bit to ``dp_table(...).total``. Row k
+of every table is one set of numpy operations over (block start,
+replicate): it costs each candidate block with ``dp_table``'s float
+operations in the same order, so the candidates are ``dp_table``'s own.
+The products and sums that ``dp_table`` grows along a row come from
+``accumulate`` over the row's q values, the S optimal running sums are
+updated elementwise, and the S smallest-last suffix chains, which Horner's
+rule builds start by start, are built for a band of rows at a time,
+vectorized over the band's block ends.
+
+A numpy table for one population, vectorized over block starts alone, is
+slower than ``dp_table`` at the sizes the library meets: it pays about
+fifteen numpy calls per row for one table. Here each call serves every
+replicate, so from about five replicates up the batch is the faster of the
+two, and ``dp_table`` stays the one DP for everything that needs a plan.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .model import PROCEDURES, REL_TOL, STERRETT_RULES, NotSortedError
+from .optimize import _budgeted_stops
+from .simulate import CHUNK_DRAWS
+
+# A second candidate this close to a row's minimum may end dp_table's scan.
+NEAR_TIE = 1.0 + 4.0 * REL_TOL
+# Rows whose S smallest-last suffix chains are built in one sweep over the
+# block starts; a chunk of replicates is sized so these chains hold at most
+# CHUNK_DRAWS floats.
+CHAIN_BAND = 16
+
+
+def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndarray:
+    """``dp_table(pv, procedure, s_rule).total`` for each row of ``q``, bit
+    for bit.
+
+    Row r of the (m, N) array ``q`` holds the good-probabilities of one
+    population sorted descending (its risks ascending). Each row of the
+    tables takes its minimum candidate per replicate. ``dp_table``'s scan
+    ends within 1/(1 - REL_TOL) of that minimum, because a candidate it
+    passes over is not below its bound; so where no other candidate lies
+    within NEAR_TIE of the minimum the scan ends on it, and elsewhere the
+    scan is rerun in Python on that replicate's candidates.
+
+    D and Dp rows run to the widest stop that ``optimize._row_stops`` gives
+    any replicate. A start cut only for some replicates costs more than
+    their best by over 1/2, so it never wins. Every replicate is checked
+    against its branch's cell budget, in order, before any DP work.
+    Replicates run CHUNK_DRAWS // (16 N) at a time, at least one, so the
+    scratch stays within a few MiB at any m and N.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.size == 0:
+        raise ValueError("q must be a nonempty (replicates, items) array")
+    if procedure not in PROCEDURES:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    if s_rule not in STERRETT_RULES:
+        raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
+    if np.count_nonzero(q[:, 1:] > q[:, :-1]):
+        raise NotSortedError("population must be sorted ascending by p")
+    m, n = q.shape
+    if procedure == "S":  # never cut: every table has the same N(N-1)/2 cells
+        _budgeted_stops(q[0], procedure, s_rule)
+        widest = [-1] * (n + 1)
+    else:  # per row, the smallest stop of any replicate
+        widest = _budgeted_stops(q[0].tolist(), procedure, s_rule)
+        for qs in q[1:]:
+            widest = list(map(min, widest, _budgeted_stops(qs.tolist(), procedure, s_rule)))
+    lo = [stop + 1 for stop in widest]
+    rows = max(1, CHUNK_DRAWS // (n * CHAIN_BAND))
+    totals = np.empty(m)
+    for a in range(0, m, rows):
+        totals[a : a + rows] = _chunk_totals(q[a : a + rows].T, procedure, s_rule, lo)
+    return totals
+
+
+def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) -> np.ndarray:
+    """The tables of one chunk of replicates, column r of ``qT`` holding
+    replicate r's q values.
+
+    cand[j] is the candidate whose last block holds the j+1 items
+    k-1-j..k-1 of row k, so the row's scan order is j = 0 (the trailing
+    singleton), 1, 2, ...; row k tries j < max(1, k - lo[k]).
+    """
+    n, m = qT.shape
+    qr = qT[::-1].copy()  # qr[n-k:] is qT[k-1::-1]
+    cost = np.zeros((n + 1, m))
+    cand = np.empty((n, m))
+    size = np.arange(1.0, n + 1.0)[:, None]  # size[j] = j + 1 items
+    one_plus = 1.0 + size
+    two_less_one = 2.0 * size - 1.0
+    s_optimal = procedure == "S" and s_rule == "optimal"
+    if s_optimal:
+        # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
+        # T = q[i] + ... + q[k-1] and M = min over i <= a <= k-1 of phi(i,a)
+        P, C, T, M, phi = (np.zeros((n, m)) for _ in range(5))
+    elif procedure == "S":
+        chain = np.zeros((n, CHAIN_BAND, m))
+    for k in range(1, n + 1):
+        w = max(1, k - lo[k])  # the singleton, when every longer block is cut
+        c = cand[:w]
+        np.add(cost[k - 1], 1.0, out=c[0])
+        body = c[1:]
+        qlast = qT[k - 1]
+        if s_optimal:
+            Pk, Ck, Tk, Mk, ph = P[: k - 1], C[: k - 1], T[: k - 1], M[: k - 1], phi[: k - 1]
+            np.add(Ck, Pk, out=Ck)
+            np.multiply(Pk, qlast, out=Pk)
+            np.add(Tk, qlast, out=Tk)
+            np.multiply(1.0 - qlast, Ck, out=ph)
+            np.add(qlast, ph, out=ph)
+            np.add(ph, Pk, out=ph)
+            np.minimum(Mk, ph, out=Mk)
+            x = body[::-1]  # start i = k-1-j ascending
+            np.subtract(two_less_one[k - 1 : 0 : -1], Tk, out=x)
+            np.subtract(x, Pk, out=x)
+            np.subtract(x, Ck, out=x)
+            np.add(x, Mk, out=x)
+            # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 q[k-1]
+            P[k - 1] = T[k - 1] = qlast
+            np.multiply(qlast, 2.0, out=M[k - 1])
+        elif procedure == "S" and k >= 2:
+            band = (k - 2) % CHAIN_BAND  # the row's end k-2 within its band
+            if band == 0:
+                _build_chains(chain, qT, k - 2)
+            head = np.add.accumulate(qr[n - k + 1 :], axis=0)
+            np.subtract(two_less_one[1:w], head, out=body)
+            np.multiply(qlast, chain[k - 2 :: -1, band], out=head)
+            np.subtract(body, head, out=body)
+        elif procedure != "S":
+            prod = np.multiply.accumulate(qr[n - k : n - k + w], axis=0)
+            np.multiply(size[1:w], prod[1:], out=body)
+            np.subtract(one_plus[1:w], body, out=body)
+            if procedure == "Dp":
+                head = np.multiply.accumulate(qr[n - k + 1 : n - k + w], axis=0)
+                np.multiply(head, 1.0 - qlast, out=head)
+                np.subtract(body, head, out=body)
+        np.add(body, cost[k - w : k - 1][::-1], out=body)
+        best = np.minimum.reduce(c, axis=0)
+        near = c <= best * NEAR_TIE
+        if np.count_nonzero(near) > m:  # a replicate's scan may end elsewhere
+            for r in np.flatnonzero(np.count_nonzero(near, axis=0) > 1).tolist():
+                best[r] = _scan(c[:, r].tolist())
+        cost[k] = best
+    return cost[n]
+
+
+def _build_chains(chain: np.ndarray, qT: np.ndarray, e0: int) -> None:
+    """Set chain[i, e - e0] to q[i] + q[i]q[i+1] + ... + q[i]..q[e] for the
+    ends e0 <= e < e0 + CHAIN_BAND (up to N-2) and every start i <= e.
+
+    Start by start from the band's last end down, as ``dp_table`` builds
+    one chain: an end's chain opens at i = e as q[e], and the chain of
+    start i is q[i] times one plus that of i+1. Below e0 every end of the
+    band is open, and the columns past N-2 carry finite leftovers no row
+    reads.
+    """
+    e1 = min(e0 + CHAIN_BAND, qT.shape[0] - 1)  # one past the band's last end
+    for i in range(e1 - 1, -1, -1):
+        if i >= e0:
+            a = i - e0
+            chain[i, a] = qT[i]
+            x = chain[i, a + 1 : e1 - e0]
+            np.add(chain[i + 1, a + 1 : e1 - e0], 1.0, out=x)
+        else:
+            x = chain[i]
+            np.add(chain[i + 1], 1.0, out=x)
+        np.multiply(qT[i], x, out=x)
+
+
+def _scan(cands: list[float]) -> float:
+    """``dp_table``'s choice among one row's candidates in scan order: the
+    first is the trailing singleton, and a later one wins only if it is
+    cheaper by more than REL_TOL relative."""
+    best = cands[0]
+    bound = best - REL_TOL * best
+    for cand in cands[1:]:
+        if cand < bound:
+            best, bound = cand, cand - REL_TOL * cand
+    return best

@@ -77,19 +77,21 @@ def _print_json(payload) -> None:
 
 @contextlib.contextmanager
 def _reading(path: str):
-    """Turn a failed read of ``path``, or invalid JSON in it, into an
-    UnknownFormatError that names the file."""
+    """Turn a failed open or read of ``path``, text in it that is not UTF-8,
+    or invalid JSON in it into an UnknownFormatError that names the file."""
     try:
         yield
     except OSError as e:
         raise UnknownFormatError(f"{path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise UnknownFormatError(f"{path}, byte {e.start + 1}: not UTF-8 text") from e
     except json.JSONDecodeError as e:
         raise UnknownFormatError(f"{path}, line {e.lineno}: invalid JSON: {e.msg}") from e
 
 
 def _read_probs(path: str) -> ProbabilityVector:
     with _reading(path):
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         with _reading(path):
             payload = json.loads(text)
@@ -118,7 +120,7 @@ def _read_probs(path: str) -> ProbabilityVector:
 
 def _read_plan(path: str) -> OrderedPartition | SetPartition:
     with _reading(path):
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     return plan_from_json(payload)
 
 
@@ -209,10 +211,8 @@ def _cmd_study(args) -> int:
         sterrett_rule=args.sterrett_rule,
     )
     # open --out before the study runs, so a bad path costs no study
-    try:
+    with _reading(args.out):
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as e:
-        return _fail(f"{args.out}: {e.strerror}", EXIT_INPUT)
     with out as f:
         f.write(emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config)))
     return EXIT_OK

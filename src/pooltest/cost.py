@@ -22,7 +22,8 @@ picks it, so the minimizer keeps a running minimum of phi over all k
 last values (derived at ``_optimal_sterrett_ascending``). The often-quoted
 simpler rule "ascending head, smallest q last" agrees with this optimum for
 k <= 3 but is strictly beaten for most groups of four or more; only
-``optimize.dp_table`` keeps it, for reproducing published comparison
+the ordered-partition DP (``optimize.dp_table`` and its batched form
+``batch.dp_totals``) keeps it, for reproducing published comparison
 tables.
 
 Each procedure's cost is written here in two forms:
@@ -39,9 +40,10 @@ Each procedure's cost is written here in two forms:
                 ``arranged_cost`` applies its order to a Group for reports
                 and simulation.
 
-``optimize.dp_table`` keeps its own incremental loops: it grows each block
-one item at a time, updating running sums (for S optimal, the phi walk's,
-one per block start) in O(1) where a one-shot call would start over.
+``optimize.dp_table`` and ``batch.dp_totals`` keep their own incremental
+loops: they grow each block one item at a time, updating running sums
+(for S optimal, the phi walk's, one per block start) in O(1) where a
+one-shot call would start over.
 
 The closed forms are tested against the protocol itself
 (``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over

@@ -5,9 +5,11 @@ shared freely across threads. Failure probabilities q_i are always derived
 as 1 - p_i, never stored.
 
 JSON forms (indices are 1-based on the wire, 0-based in memory). The
-probability vector is read only; an optional "ids" list must match "p" in
-length and is otherwise ignored. The plans are read and written; the
-reports are written only:
+probability vector is read only: "p" is an array of numbers (not strings
+or booleans), and an optional "ids" array must match it in length and is
+otherwise ignored. The plans are read and written: "ordered_sizes" is an
+array of integers and "blocks" an array of arrays of item numbers from 1.
+The reports are written only:
 
     ProbabilityVector   {"p": [...], "ids": [...]?}
     OrderedPartition    {"ordered_sizes": [...]}
@@ -67,9 +69,28 @@ class NotSortedError(ValueError):
 
 
 class UnknownFormatError(ValueError):
-    """An input could not be read as pooltest expects: an unreadable file,
-    invalid JSON, a line that is not a decimal number, JSON without its
-    "p" or plan key, or an unknown table format name."""
+    """An input could not be read as pooltest expects: an unreadable file or
+    one that is not UTF-8, invalid JSON, a line that is not a decimal
+    number, JSON without its "p" or plan key or whose values have the wrong
+    JSON types, or an unknown table format name."""
+
+
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _json_type(x: Any) -> str:
+    """The JSON type of a parsed value, as an error message names it."""
+    return _JSON_TYPES.get(type(x), type(x).__name__)
+
+
+def _json_array(x: Any, what: str) -> list:
+    """``x`` if it is a JSON array, else an UnknownFormatError naming its type."""
+    if type(x) is not list:
+        raise UnknownFormatError(f"{what} must be an array, not {_json_type(x)}")
+    return x
 
 
 # Tuples of per-call data are built from lists, not generators. CPython
@@ -137,8 +158,12 @@ class ProbabilityVector:
     def from_json(cls, d: dict[str, Any]) -> "ProbabilityVector":
         if "p" not in d:
             raise UnknownFormatError('probability vector JSON must have a "p" key')
-        pv = cls(probs=tuple(d["p"]))
-        if "ids" in d and len(d["ids"]) != pv.n:
+        probs = _json_array(d["p"], '"p"')
+        for j, x in enumerate(probs, 1):
+            if type(x) is not float and type(x) is not int:
+                raise UnknownFormatError(f"entry {j}: probability {x!r} is not a number")
+        pv = cls(probs=tuple(probs))
+        if "ids" in d and len(_json_array(d["ids"], '"ids"')) != pv.n:
             raise ValueError(f"ids length {len(d['ids'])} does not match {pv.n} probabilities")
         return pv
 
@@ -220,7 +245,7 @@ class OrderedPartition:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "OrderedPartition":
-        return cls(sizes=d["ordered_sizes"])
+        return cls(sizes=_json_array(d["ordered_sizes"], '"ordered_sizes"'))
 
 
 @dataclass(frozen=True)
@@ -259,12 +284,23 @@ class SetPartition:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "SetPartition":
-        one_based = cls(blocks=d["blocks"])  # checked 1-based: errors quote the input
+        blocks = _json_array(d["blocks"], '"blocks"')
+        for j, b in enumerate(blocks, 1):
+            _json_array(b, f"block {j}")
+        one_based = cls(blocks=blocks)  # checked 1-based: errors quote the input
+        for j, b in enumerate(one_based.blocks, 1):
+            for e, i in enumerate(b, 1):
+                if i < 1:
+                    raise ValueError(
+                        f"block {j} entry {e}: {i} is not an item number; items are numbered from 1"
+                    )
         return cls(blocks=tuple(tuple(i - 1 for i in b) for b in one_based.blocks))
 
 
 def plan_from_json(d: dict[str, Any]) -> OrderedPartition | SetPartition:
     """Parse either plan form from its JSON dict."""
+    if type(d) is not dict:
+        raise UnknownFormatError(f"plan JSON must be an object, not {_json_type(d)}")
     if "ordered_sizes" in d:
         return OrderedPartition.from_json(d)
     if "blocks" in d:

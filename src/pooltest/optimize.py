@@ -34,9 +34,17 @@ far, visit them all.
 Every branch refuses, with InstanceTooLargeError, a table whose exact
 cell count exceeds its budget in DP_CELL_BUDGETS.
 
-These running sums are the only incremental form of the block costs,
-and the S smallest-last loop is the only place that rule is written. The
-exhaustive oracles cost each block afresh, always under the optimal
+These running sums are written in two DP bodies, and the S smallest-last
+rule only there: ``dp_table`` here, one population at a time with its
+split, and ``batch.dp_totals``, which runs the same operations in the same
+order on many populations at once and keeps their totals only. The study
+calls the batch; every plan comes from ``dp_table``. A numpy form of one
+table, vectorized over block starts alone, was slower than these loops at
+every size tried, since it pays its numpy calls per row for one table; the
+batch pays them once for all its populations, and tests hold its totals
+equal to ``dp_table``'s bit for bit.
+
+The exhaustive oracles cost each block afresh, always under the optimal
 arrangement, with the one-shot ``cost._arranged_cost_q``, which also
 decides the block orders that ``evaluate_plan`` reports, so the ordered
 oracle checks the DP against an independent implementation. The
@@ -48,7 +56,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bounds import all_above_ungar
 from .cost import _arranged_cost_q, evaluate_plan
@@ -189,7 +199,30 @@ def _row_stops(qs: tuple[float, ...], procedure: str) -> tuple[list[int], int]:
         stops = [j - 1 for j in cut]
     else:  # Dp: the product of the head qs[i..k-2]
         stops = [-1, *(j - 1 for j in cut[:-1])]
-    return stops, sum(max(0, k - 2 - stop) for k, stop in enumerate(stops))
+    # row k visits k-2-stops[k] cells, or none where that is -1 (stops[k] = k-1)
+    cells = (n + 1) * (n - 4) // 2 - sum(stops) + sum(map(operator.eq, stops, range(-1, n)))
+    return stops, cells
+
+
+def _budgeted_stops(qs: Sequence[float], procedure: str, s_rule: str) -> list[int]:
+    """``_row_stops`` of a table, refused with InstanceTooLargeError when its
+    cells exceed the branch's ``DP_CELL_BUDGETS`` entry."""
+    branch = f"S {s_rule}" if procedure == "S" else procedure
+    stops, cells = _row_stops(qs, procedure)
+    if cells > DP_CELL_BUDGETS[branch]:
+        raise InstanceTooLargeError(
+            cells, DP_CELL_BUDGETS[branch], f"{branch} DP over {len(qs)} items:", "cell count"
+        )
+    return stops
+
+
+def check_dp_budget(qs: Sequence[float], procedure: str, s_rule: str = "optimal") -> None:
+    """Raise the InstanceTooLargeError that ``dp_table`` would raise on the
+    descending ``qs``, or nothing, before any DP work. It costs one
+    comparison when the full table fits every branch's budget."""
+    n = len(qs)
+    if n * (n - 1) // 2 > min(DP_CELL_BUDGETS.values()):
+        _budgeted_stops(qs, procedure, s_rule)
 
 
 def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> DpTable:
@@ -207,15 +240,10 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
     qs = pv.q  # descending
     n = pv.n
-    branch = f"S {s_rule}" if procedure == "S" else procedure
-    stops, cells = _row_stops(qs, procedure)
-    if cells > DP_CELL_BUDGETS[branch]:
-        raise InstanceTooLargeError(
-            cells, DP_CELL_BUDGETS[branch], f"{branch} DP over {n} items:", "cell count"
-        )
+    stops = _budgeted_stops(qs, procedure, s_rule)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
-    s_optimal = branch == "S optimal"
+    s_optimal = procedure == "S" and s_rule == "optimal"
     if s_optimal:
         # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
         # T = qs[i] + ... + qs[k-1] and M = min over i <= a <= k-1 of phi(i,a)

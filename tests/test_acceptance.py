@@ -5,8 +5,9 @@ execute this file directly).
 Reference constants for criterion 6 are the published comparison values
 for the default study design: N=100 risks per replicate drawn from
 Beta(1, (1-p)/p), optimal ordered plans per procedure, M=1000 replicates,
-standard error of the mean in parentheses. Desk scale reruns M=200, which
-widens the matching tolerance by sqrt(1000/200).
+standard error of the mean in parentheses. Criterion 11 reruns the study at
+M=1000 with the tolerance of three standard errors; criterion 6 reruns it at
+desk scale, M=200, which widens the tolerance by sqrt(1000/200).
 """
 
 import itertools
@@ -16,7 +17,12 @@ import time
 from contextlib import contextmanager
 
 from pooltest.bounds import entropy_bits, huffman_length
-from pooltest.cost import arranged_cost, group_cost
+from pooltest.cost import (
+    _cost_modified_dorfman_q,
+    _cost_sterrett_q,
+    arranged_cost,
+    group_cost,
+)
 from pooltest.model import Group, sort_ascending, validate_probability_vector
 from pooltest.optimize import dp_ordered, dp_table, exhaustive_ordered, exhaustive_set
 from pooltest.simulate import exact_expected_tests
@@ -93,10 +99,12 @@ def test_criterion_4_arrangement_optimality():
             k = rng.randint(1, 7)
             pv = validate_probability_vector([rng.uniform(0.01, 0.99) for _ in range(k)])
             g = Group(items=tuple(range(k)))
-            perms = list(itertools.permutations(range(k)))
-            best_s = min(group_cost(Group(items=p), pv, "S") for p in perms)
+            # every order costed by the given-order kernels on its q tuple, in
+            # the arithmetic group_cost applies to the same order
+            orders = list(itertools.permutations(pv.q))
+            best_s = min(map(_cost_sterrett_q, orders))
             assert group_cost(arranged_cost(g, pv, "S")[0], pv, "S") == best_s
-            best_dp = min(group_cost(Group(items=p), pv, "Dp") for p in perms)
+            best_dp = min(_cost_modified_dorfman_q((*sorted(q[:-1]), q[-1])) for q in orders)
             arranged = arranged_cost(g, pv, "Dp")[0]
             assert group_cost(arranged, pv, "Dp") == best_dp
 
@@ -113,32 +121,32 @@ def test_criterion_5_dp_vs_exhaustive_ordered():
                 assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
+def assert_matches_reference(m):
+    """Run the study at m replicates per target and check all 24 means
+    against the reference table, within three of its standard errors
+    scaled to m replicates."""
+    rows = run_study(StudyConfig(p_targets=tuple(REFERENCE_ROWS), n=100, m=m, seed=STUDY_SEED))
+    scale = math.sqrt(1000 / m)
+    for row in rows:
+        ref = REFERENCE_ROWS[row.p]
+        for name, mine in (
+            ("D", row.d_mean),
+            ("Dp", row.dp_mean),
+            ("S", row.s_mean),
+            ("H", row.h_mean),
+        ):
+            mean, se = ref[name]
+            assert abs(mine - mean) <= 3 * se * scale, (
+                f"p={row.p} {name}: {mine:.4f} vs {mean} "
+                f"(tolerance {3 * se * scale:.4f})"
+            )
+
+
 def test_criterion_6_study_reproduction():
     with criterion(
         6, "desk-scale study matches the reference table on all 24 means", 600.0
     ):
-        rows = run_study(
-            StudyConfig(
-                p_targets=tuple(REFERENCE_ROWS),
-                n=100,
-                m=STUDY_M,
-                seed=STUDY_SEED,
-            )
-        )
-        scale = math.sqrt(1000 / STUDY_M)
-        for row in rows:
-            ref = REFERENCE_ROWS[row.p]
-            for name, mine in (
-                ("D", row.d_mean),
-                ("Dp", row.dp_mean),
-                ("S", row.s_mean),
-                ("H", row.h_mean),
-            ):
-                mean, se = ref[name]
-                assert abs(mine - mean) <= 3 * se * scale, (
-                    f"p={row.p} {name}: {mine:.4f} vs {mean} "
-                    f"(tolerance {3 * se * scale:.4f})"
-                )
+        assert_matches_reference(STUDY_M)
 
 
 def test_criterion_7_information_bounds():
@@ -203,6 +211,13 @@ def test_criterion_10_pair_interchange():
             q1, q2, q3, q4 = sorted((rng.uniform(0.01, 0.99) for _ in range(4)), reverse=True)
             ordered, swapped = pair_costs(q1, q2, q3, q4)
             assert swapped <= ordered + 1e-12
+
+
+def test_criterion_11_published_scale_study():
+    with criterion(
+        11, "published-scale study (M = 1000) matches the reference table on all 24 means", 60.0
+    ):
+        assert_matches_reference(1000)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pooltest.optimize
 from pooltest.cli import build_parser, main
@@ -193,6 +197,147 @@ class TestUnreadableInput:
             "error: entry 2: probability is not strictly inside (0, 1): "
             "int too large to convert to float\n"
         )
+
+
+class TestStrictSchema:
+    # "p" is an array of numbers, "ids" an array, plans arrays of integers
+    # counted from 1, and every file UTF-8; each message names the entry
+    @pytest.mark.parametrize(
+        "probs, err",
+        [
+            ('{"p": "0.5"}', 'error: "p" must be an array, not a string\n'),
+            ('{"p": {"a": 0.1}}', 'error: "p" must be an array, not an object\n'),
+            ('{"p": ["0.1", 0.2]}', "error: entry 1: probability '0.1' is not a number\n"),
+            ('{"p": [0.1, true]}', "error: entry 2: probability True is not a number\n"),
+            ('{"p": [0.1, null]}', "error: entry 2: probability None is not a number\n"),
+            ('{"p": [0.1, 0.2], "ids": 3}', 'error: "ids" must be an array, not a number\n'),
+            ('{"p": [0.1, 0.2], "ids": "ab"}', 'error: "ids" must be an array, not a string\n'),
+        ],
+        ids=["p-string", "p-object", "entry-string", "entry-bool", "entry-null", "ids-number",
+             "ids-string"],
+    )
+    def test_probability_json(self, capsys, tmp_path, probs, err):
+        path = tmp_path / "probs.json"
+        path.write_text(probs)
+        argv = ["eval", "--probs", str(path), "--procedure", "S", "--single-group"]
+        assert run_cli(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "plan, err",
+        [
+            ('{"blocks": [[1, 2], 3]}', "error: block 2 must be an array, not a number\n"),
+            ('{"blocks": "ab"}', 'error: "blocks" must be an array, not a string\n'),
+            ('{"blocks": [[0, 1], [2, 3]]}',
+             "error: block 1 entry 1: 0 is not an item number; items are numbered from 1\n"),
+            ('{"blocks": [[1, 2], [3, -1]]}',
+             "error: block 2 entry 2: -1 is not an item number; items are numbered from 1\n"),
+            ('{"ordered_sizes": 3}', 'error: "ordered_sizes" must be an array, not a number\n'),
+            ('{"ordered_sizes": "12"}', 'error: "ordered_sizes" must be an array, not a string\n'),
+            ("[2, 1]", "error: plan JSON must be an object, not an array\n"),
+            ('"blocks"', "error: plan JSON must be an object, not a string\n"),
+        ],
+        ids=["block-number", "blocks-string", "entry-zero", "entry-negative", "sizes-number",
+             "sizes-string", "top-array", "top-string"],
+    )
+    def test_plan_json(self, capsys, tmp_path, probs_file, plan, err):
+        path = tmp_path / "plan.json"
+        path.write_text(plan)
+        argv = ["eval", "--probs", probs_file([0.1, 0.2, 0.3]), "--procedure", "S",
+                "--plan", str(path)]
+        assert run_cli(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("flag", ["--probs", "--plan"])
+    def test_file_not_utf8(self, capsys, tmp_path, monkeypatch, probs_file, flag):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.txt").write_bytes(b"0.1\n\xff\n")
+        probs = "bad.txt" if flag == "--probs" else probs_file([0.1, 0.2])
+        plan = ["--plan", "bad.txt"] if flag == "--plan" else ["--single-group"]
+        argv = ["eval", "--probs", probs, "--procedure", "S", *plan]
+        assert run_cli(capsys, *argv) == (2, "", "error: bad.txt, byte 5: not UTF-8 text\n")
+
+
+def run_main(argv):
+    """``main(argv)`` with its stdout and stderr captured, for tests that
+    cannot take pytest's per-test capture fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(argv):
+    # an answer, or one error line and exit 2 or 3; an exception fails the test
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == ""
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+RISKS = st.lists(st.floats(0.0, 1.0) | st.integers(-1, 2) | JSON_LEAVES, max_size=7)
+PROBS_COMMANDS = (
+    ["eval", "--procedure", "S", "--single-group"],
+    ["optimize", "--procedure", "Dp"],
+    ["oracle", "--procedure", "S"],
+    ["simulate", "--procedure", "D", "--single-group", "--replicates", "2"],
+    ["bounds"],
+)
+
+
+class TestMalformedInputFuzz:
+    # arbitrary JSON values in every key the readers take, and arbitrary
+    # text or bytes, through every subcommand that reads them
+    @settings(max_examples=60, deadline=None)
+    @given(p=RISKS | JSON_VALUES, ids=st.none() | JSON_VALUES)
+    def test_probability_json(self, p, ids):
+        payload = {"p": p} if ids is None else {"p": p, "ids": ids}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "probs.json")
+            path.write_text(json.dumps(payload))
+            for command in PROBS_COMMANDS:
+                assert_clean_exit([*command, "--probs", str(path)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(st.text(max_size=10) | st.floats().map(repr), max_size=7))
+    def test_probability_text(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "probs.txt")
+            path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+            for command in PROBS_COMMANDS:
+                assert_clean_exit([*command, "--probs", str(path)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=24))
+    def test_probability_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "probs.txt")
+            path.write_bytes(data)
+            assert_clean_exit(["eval", "--procedure", "S", "--single-group", "--probs", str(path)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.sampled_from(["ordered_sizes", "blocks", "other"]),
+        value=JSON_VALUES
+        | st.lists(st.integers(-1, 4) | st.lists(st.integers(-1, 4), max_size=3), max_size=4),
+        top_level=st.booleans(),
+    )
+    def test_plan_json(self, key, value, top_level):
+        with tempfile.TemporaryDirectory() as tmp:
+            probs = Path(tmp, "probs.json")
+            probs.write_text(json.dumps({"p": [0.1, 0.2, 0.3]}))
+            plan = Path(tmp, "plan.json")
+            plan.write_text(json.dumps(value if top_level else {key: value}))
+            for command in (["eval", "--procedure", "S"],
+                            ["simulate", "--procedure", "Dp", "--replicates", "2"]):
+                assert_clean_exit([*command, "--probs", str(probs), "--plan", str(plan)])
 
 
 class TestOptimize:
@@ -429,6 +574,24 @@ class TestStudy:
         assert payload["metadata"]["n"] == 5
         assert payload["metadata"]["common_draws"] is True
         assert payload["metadata"]["sterrett_rule"] == "smallest-last"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # replicate 0's D table fits its budget and its Dp table does not
+            (["--n", "5000"], "Dp DP over 5000 items: cell count 12497500 "
+             "exceeds the enumeration guard 12000000"),
+            (["--n", "2801", "--sterrett-rule", "optimal"], "S optimal DP over 2801 items: "
+             "cell count 3921400 exceeds the enumeration guard 3918600"),
+        ],
+        ids=["Dp", "S-optimal"],
+    )
+    def test_cell_budget_refused_before_any_dp_work(self, capsys, monkeypatch, argv, err):
+        import pooltest.study
+
+        monkeypatch.setattr(pooltest.study, "dp_totals", lambda *a: pytest.fail("DP ran"))
+        code, out, got = run_cli(capsys, "study", "--p-list", "0.001", "--m", "2", *argv)
+        assert (code, out, got) == (3, "", f"error: {err}\n")
 
     def test_unwritable_out_file_exits_two(self, capsys, tmp_path, monkeypatch):
         import pooltest.cli
