@@ -6,11 +6,10 @@ their m optimal totals, equal bit for bit to ``dp_table(...).total``. Row k
 of every table is one set of numpy operations over (block start,
 replicate): it costs each candidate block with ``dp_table``'s float
 operations in the same order, so the candidates are ``dp_table``'s own.
-The products and sums that ``dp_table`` grows along a row come from
-``accumulate`` over the row's q values, the S optimal running sums are
-updated elementwise, and the S smallest-last suffix chains, which Horner's
-rule builds start by start, are built for a band of rows at a time,
-vectorized over the band's block ends.
+The D and Dp products that ``dp_table`` grows along a row come from
+``accumulate`` over the row's q values, and the S running sums, one per
+block start, are updated elementwise: the running minimum of phi under the
+optimal rule, the newest phi itself under smallest-last.
 
 A numpy table for one population, vectorized over block starts alone, is
 slower than ``dp_table`` at the sizes the library meets: it pays about
@@ -29,10 +28,6 @@ from .simulate import CHUNK_DRAWS
 
 # A second candidate this close to a row's minimum may end dp_table's scan.
 NEAR_TIE = 1.0 + 4.0 * REL_TOL
-# Rows whose S smallest-last suffix chains are built in one sweep over the
-# block starts; a chunk of replicates is sized so these chains hold at most
-# CHUNK_DRAWS floats.
-CHAIN_BAND = 16
 
 
 def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndarray:
@@ -50,9 +45,12 @@ def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndar
     D and Dp rows run to the widest stop that ``optimize._row_stops`` gives
     any replicate. A start cut only for some replicates costs more than
     their best by over 1/2, so it never wins. Every replicate is checked
-    against its branch's cell budget, in order, before any DP work.
-    Replicates run CHUNK_DRAWS // (16 N) at a time, at least one, so the
-    scratch stays within a few MiB at any m and N.
+    against its procedure's cell budget, in order, before any DP work.
+    Replicates run CHUNK_DRAWS // (16 N) at a time, at least one, so a
+    chunk's scratch, at most eight (N, replicates) float arrays (S's five
+    running sums, q, cost-to-go and candidates), holds CHUNK_DRAWS / 2
+    floats, 2 MiB, at any m: one core's L2 cache on a 2-vCPU Xeon host,
+    where 6.4 MiB chunks ran 10-15 % slower (N = 100, Python 3.11).
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.size == 0:
@@ -65,14 +63,14 @@ def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndar
         raise NotSortedError("population must be sorted ascending by p")
     m, n = q.shape
     if procedure == "S":  # never cut: every table has the same N(N-1)/2 cells
-        _budgeted_stops(q[0], procedure, s_rule)
+        _budgeted_stops(q[0], procedure)
         widest = [-1] * (n + 1)
     else:  # per row, the smallest stop of any replicate
-        widest = _budgeted_stops(q[0].tolist(), procedure, s_rule)
+        widest = _budgeted_stops(q[0].tolist(), procedure)
         for qs in q[1:]:
-            widest = list(map(min, widest, _budgeted_stops(qs.tolist(), procedure, s_rule)))
+            widest = list(map(min, widest, _budgeted_stops(qs.tolist(), procedure)))
     lo = [stop + 1 for stop in widest]
-    rows = max(1, CHUNK_DRAWS // (n * CHAIN_BAND))
+    rows = max(1, CHUNK_DRAWS // (16 * n))
     totals = np.empty(m)
     for a in range(0, m, rows):
         totals[a : a + rows] = _chunk_totals(q[a : a + rows].T, procedure, s_rule, lo)
@@ -94,20 +92,20 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
     size = np.arange(1.0, n + 1.0)[:, None]  # size[j] = j + 1 items
     one_plus = 1.0 + size
     two_less_one = 2.0 * size - 1.0
-    s_optimal = procedure == "S" and s_rule == "optimal"
-    if s_optimal:
+    s_optimal = s_rule == "optimal"
+    if procedure == "S":
         # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
-        # T = q[i] + ... + q[k-1] and M = min over i <= a <= k-1 of phi(i,a)
-        P, C, T, M, phi = (np.zeros((n, m)) for _ in range(5))
-    elif procedure == "S":
-        chain = np.zeros((n, CHAIN_BAND, m))
+        # T = q[i] + ... + q[k-1], phi = phi(i,k-1) and M = min over
+        # i <= a <= k-1 of phi(i,a), or phi itself under smallest-last
+        P, C, T, phi = (np.zeros((n, m)) for _ in range(4))
+        M = np.zeros((n, m)) if s_optimal else phi
     for k in range(1, n + 1):
         w = max(1, k - lo[k])  # the singleton, when every longer block is cut
         c = cand[:w]
         np.add(cost[k - 1], 1.0, out=c[0])
         body = c[1:]
         qlast = qT[k - 1]
-        if s_optimal:
+        if procedure == "S":
             Pk, Ck, Tk, Mk, ph = P[: k - 1], C[: k - 1], T[: k - 1], M[: k - 1], phi[: k - 1]
             np.add(Ck, Pk, out=Ck)
             np.multiply(Pk, qlast, out=Pk)
@@ -115,7 +113,8 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
             np.multiply(1.0 - qlast, Ck, out=ph)
             np.add(qlast, ph, out=ph)
             np.add(ph, Pk, out=ph)
-            np.minimum(Mk, ph, out=Mk)
+            if s_optimal:
+                np.minimum(Mk, ph, out=Mk)
             x = body[::-1]  # start i = k-1-j ascending
             np.subtract(two_less_one[k - 1 : 0 : -1], Tk, out=x)
             np.subtract(x, Pk, out=x)
@@ -124,15 +123,7 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
             # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 q[k-1]
             P[k - 1] = T[k - 1] = qlast
             np.multiply(qlast, 2.0, out=M[k - 1])
-        elif procedure == "S" and k >= 2:
-            band = (k - 2) % CHAIN_BAND  # the row's end k-2 within its band
-            if band == 0:
-                _build_chains(chain, qT, k - 2)
-            head = np.add.accumulate(qr[n - k + 1 :], axis=0)
-            np.subtract(two_less_one[1:w], head, out=body)
-            np.multiply(qlast, chain[k - 2 :: -1, band], out=head)
-            np.subtract(body, head, out=body)
-        elif procedure != "S":
+        else:
             prod = np.multiply.accumulate(qr[n - k : n - k + w], axis=0)
             np.multiply(size[1:w], prod[1:], out=body)
             np.subtract(one_plus[1:w], body, out=body)
@@ -148,29 +139,6 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
                 best[r] = _scan(c[:, r].tolist())
         cost[k] = best
     return cost[n]
-
-
-def _build_chains(chain: np.ndarray, qT: np.ndarray, e0: int) -> None:
-    """Set chain[i, e - e0] to q[i] + q[i]q[i+1] + ... + q[i]..q[e] for the
-    ends e0 <= e < e0 + CHAIN_BAND (up to N-2) and every start i <= e.
-
-    Start by start from the band's last end down, as ``dp_table`` builds
-    one chain: an end's chain opens at i = e as q[e], and the chain of
-    start i is q[i] times one plus that of i+1. Below e0 every end of the
-    band is open, and the columns past N-2 carry finite leftovers no row
-    reads.
-    """
-    e1 = min(e0 + CHAIN_BAND, qT.shape[0] - 1)  # one past the band's last end
-    for i in range(e1 - 1, -1, -1):
-        if i >= e0:
-            a = i - e0
-            chain[i, a] = qT[i]
-            x = chain[i, a + 1 : e1 - e0]
-            np.add(chain[i + 1, a + 1 : e1 - e0], 1.0, out=x)
-        else:
-            x = chain[i]
-            np.add(chain[i + 1], 1.0, out=x)
-        np.multiply(qT[i], x, out=x)
 
 
 def _scan(cands: list[float]) -> float:

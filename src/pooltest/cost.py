@@ -42,8 +42,8 @@ Each procedure's cost is written here in two forms:
 
 ``optimize.dp_table`` and ``batch.dp_totals`` keep their own incremental
 loops: they grow each block one item at a time, updating running sums
-(for S optimal, the phi walk's, one per block start) in O(1) where a
-one-shot call would start over.
+(for S, the phi walk's, one per block start) in O(1) where a one-shot
+call would start over; smallest-last takes the new item's phi alone.
 
 The closed forms are tested against the protocol itself
 (``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over

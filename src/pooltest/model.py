@@ -274,10 +274,9 @@ class SetPartition:
 
     def check_cover(self, n: int) -> None:
         items = {i for b in self.blocks for i in b}
-        if items != set(range(n)):
-            raise ValueError(
-                f"set partition covers {sorted(items)} instead of all items 0..{n - 1}"
-            )
+        for i in sorted(items.symmetric_difference(range(n))):  # named from 1, as in plan files
+            what = "names" if i in items else "misses"
+            raise ValueError(f"set partition {what} item {i + 1}; the items are 1..{n}")
 
     def to_json(self) -> dict[str, Any]:
         return {"blocks": [[i + 1 for i in b] for b in self.blocks]}

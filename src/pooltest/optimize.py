@@ -11,11 +11,13 @@ for D and Dp the cheapest order, for S one of two rules, "optimal" (the
 true minimum over block orders) or "smallest-last" (the ascending-head
 rule behind published comparison tables, optimal only up to three items).
 Block costs are kept as running sums, O(1) per cell (block start, block
-end), so a table costs at most N(N-1)/2 cells of arithmetic. For S optimal
-the sums are those of ``cost._optimal_sterrett_ascending``, which derives
-the cost of the order testing qs[a] last through phi(i,a): phi reads no
-item past a, so extending the block i..k-1 adds the one candidate a = k-1
-to a running minimum per block start.
+end), so a table costs at most N(N-1)/2 cells of arithmetic. For S the
+sums are those of ``cost._optimal_sterrett_ascending``, which derives the
+cost of the order testing qs[a] last through phi(i,a): phi reads no item
+past a, so extending the block i..k-1 adds the one candidate a = k-1 to a
+running minimum per block start. Smallest-last is the same walk with the
+last value fixed to the newest item qs[k-1]: its candidate takes phi(i,k-1)
+in place of the minimum, so both rules run one loop under one cell budget.
 
 The D and Dp rows stop early, at no change to the table. Row k tries the
 block i..k-1, of size m = k-i, for i from k-2 down, after the trailing
@@ -31,13 +33,13 @@ below (2N)^2 2^-53 < 0.05 for N <= MAX_CUT_N. Risky populations then
 visit O(N log N) cells; low-risk ones, whose products never fall that
 far, visit them all.
 
-Every branch refuses, with InstanceTooLargeError, a table whose exact
-cell count exceeds its budget in DP_CELL_BUDGETS.
+Every table refuses, with InstanceTooLargeError, to run when its exact
+cell count exceeds its procedure's budget in DP_CELL_BUDGETS.
 
-These running sums are written in two DP bodies, and the S smallest-last
-rule only there: ``dp_table`` here, one population at a time with its
-split, and ``batch.dp_totals``, which runs the same operations in the same
-order on many populations at once and keeps their totals only. The study
+These running sums, and so the smallest-last rule, are written in two DP
+bodies only: ``dp_table`` here, one population at a time with its split,
+and ``batch.dp_totals``, which runs the same operations in the same order
+on many populations at once and keeps their totals only. The study
 calls the batch; every plan comes from ``dp_table``. A numpy form of one
 table, vectorized over block starts alone, was slower than these loops at
 every size tried, since it pays its numpy calls per row for one table; the
@@ -77,16 +79,15 @@ from .model import (
 
 MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
-# Cells (block start, block end) one dp_table call may visit, per branch.
+# Cells (block start, block end) one dp_table call may visit, per procedure.
 # A table at its budget runs about 1.4-2.1 s (D, 100-150 ns a cell),
-# 1.9-2.4 s (Dp, 160-200 ns), 1.9-2.0 s (S smallest-last, 170-180 ns) and
-# 1.3-1.7 s (S optimal, 335-440 ns; the full table at N = 2800), on
-# Python 3.11, 2 vCPUs. Full tables fit up to N = 5292 / 4899 / 4690 / 2800.
+# 1.9-2.4 s (Dp, 160-200 ns) and 1.3-1.7 s (S under either rule, 335-440 ns;
+# the full table at N = 2800), on Python 3.11, 2 vCPUs. Full tables fit up
+# to N = 5292 / 4899 / 2800.
 DP_CELL_BUDGETS = {
     "D": 14_000_000,
     "Dp": 12_000_000,
-    "S smallest-last": 11_000_000,
-    "S optimal": 2800 * 2799 // 2,
+    "S": 2800 * 2799 // 2,
 }
 MAX_CUT_N = 10**7  # the D and Dp cut's rounding argument holds up to here
 
@@ -204,25 +205,24 @@ def _row_stops(qs: tuple[float, ...], procedure: str) -> tuple[list[int], int]:
     return stops, cells
 
 
-def _budgeted_stops(qs: Sequence[float], procedure: str, s_rule: str) -> list[int]:
+def _budgeted_stops(qs: Sequence[float], procedure: str) -> list[int]:
     """``_row_stops`` of a table, refused with InstanceTooLargeError when its
-    cells exceed the branch's ``DP_CELL_BUDGETS`` entry."""
-    branch = f"S {s_rule}" if procedure == "S" else procedure
+    cells exceed the procedure's ``DP_CELL_BUDGETS`` entry."""
     stops, cells = _row_stops(qs, procedure)
-    if cells > DP_CELL_BUDGETS[branch]:
+    if cells > DP_CELL_BUDGETS[procedure]:
         raise InstanceTooLargeError(
-            cells, DP_CELL_BUDGETS[branch], f"{branch} DP over {len(qs)} items:", "cell count"
+            cells, DP_CELL_BUDGETS[procedure], f"{procedure} DP over {len(qs)} items:", "cell count"
         )
     return stops
 
 
-def check_dp_budget(qs: Sequence[float], procedure: str, s_rule: str = "optimal") -> None:
+def check_dp_budget(qs: Sequence[float], procedure: str) -> None:
     """Raise the InstanceTooLargeError that ``dp_table`` would raise on the
     descending ``qs``, or nothing, before any DP work. It costs one
     comparison when the full table fits every branch's budget."""
     n = len(qs)
     if n * (n - 1) // 2 > min(DP_CELL_BUDGETS.values()):
-        _budgeted_stops(qs, procedure, s_rule)
+        _budgeted_stops(qs, procedure)
 
 
 def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> DpTable:
@@ -230,7 +230,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
 
     ``s_rule`` selects the within-block arrangement for Sterrett blocks
     (see the module docstring); it is ignored for D and Dp. A table that
-    would visit more cells than its branch's ``DP_CELL_BUDGETS`` entry
+    would visit more cells than its procedure's ``DP_CELL_BUDGETS`` entry
     raises InstanceTooLargeError before any work.
     """
     _check_sorted(pv)
@@ -240,26 +240,26 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
     qs = pv.q  # descending
     n = pv.n
-    stops = _budgeted_stops(qs, procedure, s_rule)
+    stops = _budgeted_stops(qs, procedure)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
-    s_optimal = procedure == "S" and s_rule == "optimal"
-    if s_optimal:
+    if procedure == "S":
         # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
-        # T = qs[i] + ... + qs[k-1] and M = min over i <= a <= k-1 of phi(i,a)
-        P, C, T, M = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+        # T = qs[i] + ... + qs[k-1] and M = min over i <= a <= k-1 of phi(i,a),
+        # written through M_out. Smallest-last takes phi(i,k-1) alone: its M
+        # reads +inf, and M_out is a list no one reads.
+        P, C, T, M_out = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+        M = M_out if s_rule == "optimal" else [math.inf] * n
     for k in range(1, n + 1):
         qlast = qs[k - 1]
         one_minus_qlast = 1.0 - qlast
         prod = qlast  # product of qs[i..k-1]
         prod_head = 1.0  # product of qs[i..k-2]
-        head_sum = 0.0  # sum of qs[i..k-2]
-        prefix_chain = 0.0  # qs[i] + qs[i]qs[i+1] + ... + qs[i]..qs[k-2]
         best = cost[k - 1] + 1.0  # i = k-1: trailing singleton
         bound = best - REL_TOL * best
         best_i = k - 1
         m = 1.0  # size of the block i..k-1, a float to keep the arithmetic in floats
-        if s_optimal:
+        if procedure == "S":
             for i in range(k - 2, -1, -1):
                 c = C[i] + P[i]
                 p = P[i] * qlast
@@ -267,7 +267,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
                 phi = qlast + one_minus_qlast * c + p
                 mi = M[i]
                 if phi < mi:
-                    M[i] = mi = phi
+                    M_out[i] = mi = phi
                 P[i] = p
                 C[i] = c
                 T[i] = t
@@ -277,16 +277,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
                     best, bound, best_i = cand, cand - REL_TOL * cand, i
             # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 qs[k-1]
             P[k - 1] = T[k - 1] = qlast
-            M[k - 1] = 2.0 * qlast
-        elif procedure == "S":
-            for i in range(k - 2, -1, -1):
-                qi = qs[i]
-                head_sum += qi
-                prefix_chain = qi * (1.0 + prefix_chain)
-                m += 1.0
-                cand = (2.0 * m - 1.0) - head_sum - qlast * prefix_chain + cost[i]
-                if cand < bound:
-                    best, bound, best_i = cand, cand - REL_TOL * cand, i
+            M_out[k - 1] = 2.0 * qlast
         elif procedure == "Dp":
             for i in range(k - 2, stops[k], -1):
                 qi = qs[i]

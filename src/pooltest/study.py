@@ -132,7 +132,7 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
         q_columns = [q[:, c % keys] for c in range(len(PROCEDURES))]
         for r in range(m):
             for c, procedure in enumerate(PROCEDURES):
-                check_dp_budget(q_columns[c][r], procedure, config.sterrett_rule)
+                check_dp_budget(q_columns[c][r], procedure)
         columns = [
             dp_totals(qc, procedure, config.sterrett_rule)
             for qc, procedure in zip(q_columns, PROCEDURES)

@@ -7,10 +7,13 @@ first-defective recursion and the equal-risk closed form check the
 Sterrett closed form; ``pair_costs`` states the pair-interchange
 comparison through the public plan evaluator; ``uncut_dorfman_table`` is
 the D and Dp loop of ``dp_table`` that tries every block start, against
-which the width cut is checked.
+which the width cut is checked; ``exact_cost_to_go`` is the
+ordered-partition DP in exact rational arithmetic, which bounds the float
+error of ``dp_table``.
 """
 
 import math
+from fractions import Fraction
 
 from pooltest.cost import evaluate_plan
 from pooltest.model import (
@@ -173,3 +176,54 @@ def uncut_dorfman_table(qs, procedure: str) -> tuple[list[float], list[int]]:
         cost[k] = best
         split[k] = best_i
     return cost, split
+
+
+def exact_sterrett(order) -> Fraction:
+    """The Sterrett closed form of exact q values in test order: (2k - 1)
+    less the head sum and the suffix products of two or more values."""
+    k = len(order)
+    if k == 1:
+        return Fraction(1)
+    chain = Fraction(0)
+    suffix = order[-1]
+    for q in reversed(order[:-1]):
+        suffix *= q
+        chain += suffix
+    return 2 * k - 1 - sum(order[:-1]) - chain
+
+
+def exact_block_cost(qs, procedure: str, s_rule: str) -> Fraction:
+    """Expected tests of one block, its float q values read as the exact
+    rationals they store, under the arrangement ``dp_table`` gives it.
+
+    The last value goes last and the others ascend before it; Dp and
+    optimal S take the cheapest choice of last value, and smallest-last S
+    takes the smallest q. D does not depend on the order.
+    """
+    v = sorted(map(Fraction, qs))
+    m = len(v)
+    if m == 1:
+        return Fraction(1)
+    full = math.prod(v)
+    if procedure == "D":
+        return 1 + m - m * full
+    costs = []
+    for b in range(m if procedure == "Dp" or s_rule == "optimal" else 1):
+        rest = v[:b] + v[b + 1 :]
+        if procedure == "Dp":
+            costs.append(1 + m - m * full - math.prod(rest) * (1 - v[b]))
+        else:
+            costs.append(exact_sterrett([*rest, v[b]]))
+    return min(costs)
+
+
+def exact_cost_to_go(qs, procedure: str, s_rule: str) -> list[Fraction]:
+    """The exact optimal cost-to-go over ordered partitions of the
+    descending ``qs``: F(k) = min over i < k of F(i) plus the block
+    i..k-1, from O(N^2) exact block costs of O(N^2) each, so meant for
+    N <= 12 or so."""
+    n = len(qs)
+    F = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        F[k] = min(F[i] + exact_block_cost(qs[i:k], procedure, s_rule) for i in range(k))
+    return F

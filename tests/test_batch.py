@@ -87,22 +87,29 @@ def test_risky_batches_are_cut(procedure):
     assert_bitwise(pvs, procedure, "optimal")
 
 
-@pytest.mark.parametrize("chunk, band", [(1, 1), (16 * 40, 3), (16 * 40 * 3, 16)])
+@pytest.mark.parametrize("chunk, calls", [(1, 7), (16 * 40 * 3, 3), (16 * 40 * 7, 1)])
 @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
-def test_chunks_and_chain_bands(monkeypatch, procedure, s_rule, chunk, band):
-    # one replicate per chunk, or a few, and S smallest-last chains built
-    # one, three or sixteen rows at a time
+def test_replicate_chunks(monkeypatch, procedure, s_rule, chunk, calls):
+    # CHUNK_DRAWS // (16 N) replicates at a time: one, three or all seven of
+    # the 40-item batch, and at least one when N is over CHUNK_DRAWS / 16
     monkeypatch.setattr(pooltest.batch, "CHUNK_DRAWS", chunk)
-    monkeypatch.setattr(pooltest.batch, "CHAIN_BAND", band)
+    chunks = []
+    run = pooltest.batch._chunk_totals
+    monkeypatch.setattr(
+        pooltest.batch, "_chunk_totals", lambda qT, *a: chunks.append(qT.shape[1]) or run(qT, *a)
+    )
     rng = random.Random(11)
-    assert_bitwise(batch(rng, "uniform", 7, 40), procedure, s_rule)
-    assert_bitwise(batch(rng, "risky", 7, 40), procedure, s_rule)
+    for family in ("uniform", "risky"):
+        chunks.clear()
+        assert_bitwise(batch(rng, family, 7, 40), procedure, s_rule)
+        assert len(chunks) == calls and sum(chunks) == 7
 
 
 @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
 def test_refused_above_cell_budget_like_dp_table(procedure, s_rule):
-    # the same message as dp_table, before any DP work
-    n = 2801 if s_rule == "optimal" and procedure == "S" else 5300
+    # the same message as dp_table, before any DP work; both S rules share
+    # one budget
+    n = 2801 if procedure == "S" else 5300
     pv = validate_probability_vector([1e-4] * n)
     with pytest.raises(InstanceTooLargeError) as scalar:
         dp_table(pv, procedure, s_rule)

@@ -235,9 +235,13 @@ class TestStrictSchema:
             ('{"ordered_sizes": "12"}', 'error: "ordered_sizes" must be an array, not a string\n'),
             ("[2, 1]", "error: plan JSON must be an object, not an array\n"),
             ('"blocks"', "error: plan JSON must be an object, not a string\n"),
+            # cover errors number items from 1, as the plan does
+            ('{"blocks": [[1, 2, 3, 5, 4]]}',
+             "error: set partition names item 4; the items are 1..3\n"),
+            ('{"blocks": [[3], [1]]}', "error: set partition misses item 2; the items are 1..3\n"),
         ],
         ids=["block-number", "blocks-string", "entry-zero", "entry-negative", "sizes-number",
-             "sizes-string", "top-array", "top-string"],
+             "sizes-string", "top-array", "top-string", "cover-stray", "cover-missing"],
     )
     def test_plan_json(self, capsys, tmp_path, probs_file, plan, err):
         path = tmp_path / "plan.json"
@@ -581,10 +585,13 @@ class TestStudy:
             # replicate 0's D table fits its budget and its Dp table does not
             (["--n", "5000"], "Dp DP over 5000 items: cell count 12497500 "
              "exceeds the enumeration guard 12000000"),
-            (["--n", "2801", "--sterrett-rule", "optimal"], "S optimal DP over 2801 items: "
+            (["--n", "2801", "--sterrett-rule", "optimal"], "S DP over 2801 items: "
+             "cell count 3921400 exceeds the enumeration guard 3918600"),
+            # both Sterrett rules share one budget
+            (["--n", "2801"], "S DP over 2801 items: "
              "cell count 3921400 exceeds the enumeration guard 3918600"),
         ],
-        ids=["Dp", "S-optimal"],
+        ids=["Dp", "S-optimal", "S-smallest-last"],
     )
     def test_cell_budget_refused_before_any_dp_work(self, capsys, monkeypatch, argv, err):
         import pooltest.study

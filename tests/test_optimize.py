@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,13 @@ from pooltest.optimize import (
     exhaustive_ordered,
     exhaustive_set,
 )
-from reference import pair_costs, uncut_dorfman_table
+from reference import (
+    exact_block_cost,
+    exact_cost_to_go,
+    exact_sterrett,
+    pair_costs,
+    uncut_dorfman_table,
+)
 
 # q values {0.6, 0.6, 0.99, 0.99}: optimal ordered plans are beaten by an
 # unordered pairing under both sequential procedures
@@ -273,6 +281,34 @@ class TestDpAgainstReference:
             assert table.split == tuple(split), (pv.probs, procedure, s_rule)
 
 
+class TestExactOracle:
+    def test_sterrett_arrangement_is_the_cheapest_order(self):
+        # the exact oracle tries each last value after the others ascending;
+        # on small blocks, no order of the values costs less
+        rng = random.Random(83)
+        for _ in range(40):
+            v = [Fraction(rng.uniform(0.3, 1.0)) for _ in range(rng.randint(1, 6))]
+            best = min(map(exact_sterrett, itertools.permutations(v)))
+            assert exact_block_cost(v, "S", "optimal") == best
+
+    @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+    def test_tables_within_float_error_of_exact(self, procedure, s_rule):
+        # every cost-to-go entry within 1e-13 relative of the exact optimum,
+        # on uniform, tied and log-uniform risks and on risks near 1e-12
+        rng = random.Random(89)
+        tiny = (
+            sort_ascending(validate_probability_vector(
+                [1e-12 * rng.uniform(0.5, 2.0) for _ in range(rng.randint(1, 12))]
+            ))[0]
+            for _ in range(10)
+        )
+        for pv in itertools.chain(risk_corpus(rng, 30, 12), tiny):
+            table = dp_table(pv, procedure, s_rule)
+            exact = exact_cost_to_go(pv.q, procedure, s_rule)
+            for got, want in zip(table.cost_to_go, exact):
+                assert abs(Fraction(got) - want) <= want / 10**13, (pv.probs, procedure, s_rule)
+
+
 def cut_corpus(rng, count, max_n):
     """Random, tied, log-uniform, low-risk and risky vectors, sorted."""
     yield from risk_corpus(rng, count, max_n)
@@ -320,8 +356,9 @@ class TestWidthCut:
 
     @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
     def test_refused_above_cell_budget(self, procedure, s_rule):
-        branch = procedure if procedure != "S" else f"S {s_rule}"
-        budget = DP_CELL_BUDGETS[branch]
+        # one budget per procedure: both S rules run the same loop
+        assert set(DP_CELL_BUDGETS) == {"D", "Dp", "S"}
+        budget = DP_CELL_BUDGETS[procedure]
         n = math.isqrt(2 * budget) + 2  # the first N whose full table is over budget
         while n * (n - 1) // 2 <= budget:
             n += 1
@@ -329,7 +366,7 @@ class TestWidthCut:
         with pytest.raises(InstanceTooLargeError) as refused:
             dp_table(pv, procedure, s_rule)
         assert str(refused.value) == (
-            f"{branch} DP over {n} items: cell count {n * (n - 1) // 2} "
+            f"{procedure} DP over {n} items: cell count {n * (n - 1) // 2} "
             f"exceeds the enumeration guard {budget}"
         )
 
