@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PROCEDURES, REL_TOL, STERRETT_RULES, NotSortedError
+from .model import NEAR_TIE, PROCEDURES, REL_TOL, STERRETT_RULES, NotSortedError
 from .optimize import _budgeted_stops
 from .simulate import CHUNK_DRAWS
-
-# A second candidate this close to a row's minimum may end dp_table's scan.
-NEAR_TIE = 1.0 + 4.0 * REL_TOL
 
 
 def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndarray:

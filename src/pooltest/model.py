@@ -36,6 +36,8 @@ PROCEDURES = ("D", "Dp", "S")  # Dorfman, modified Dorfman, Sterrett
 STERRETT_RULES = ("optimal", "smallest-last")
 
 REL_TOL = 1e-12  # default relative tolerance for cost comparisons
+# A second candidate this close to a minimum may end a REL_TOL scan on it.
+NEAR_TIE = 1.0 + 4.0 * REL_TOL
 
 
 class EmptyInputError(ValueError):

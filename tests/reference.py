@@ -7,9 +7,11 @@ first-defective recursion and the equal-risk closed form check the
 Sterrett closed form; ``pair_costs`` states the pair-interchange
 comparison through the public plan evaluator; ``uncut_dorfman_table`` is
 the D and Dp loop of ``dp_table`` that tries every block start, against
-which the width cut is checked; ``exact_cost_to_go`` is the
-ordered-partition DP in exact rational arithmetic, which bounds the float
-error of ``dp_table``.
+which the width cut is checked; ``scalar_sterrett_table`` is the S loop of
+``dp_table`` one cell at a time, against which its chunked slabs are
+checked; ``exact_table`` is the ordered-partition DP in exact rational
+arithmetic, which bounds the float error of ``dp_table`` and fixes its tie
+rule exactly.
 """
 
 import math
@@ -178,6 +180,42 @@ def uncut_dorfman_table(qs, procedure: str) -> tuple[list[float], list[int]]:
     return cost, split
 
 
+def scalar_sterrett_table(qs, s_rule: str) -> tuple[list[float], list[int]]:
+    """The ordered-partition DP for S on descending ``qs``, one cell at a
+    time: per block start the phi walk's running sums P, C, T and M, the
+    candidate taking the running minimum M of phi under the optimal rule
+    and the newest phi under smallest-last, in ``dp_table``'s arithmetic
+    order and tie rule. Its cost-to-go and split lists."""
+    n = len(qs)
+    cost = [0.0] * (n + 1)
+    split = [0] * (n + 1)
+    P, C, T, M = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    for k in range(1, n + 1):
+        qlast = qs[k - 1]
+        one_minus_qlast = 1.0 - qlast
+        best = cost[k - 1] + 1.0
+        bound = best - REL_TOL * best
+        best_i = k - 1
+        m = 1.0
+        for i in range(k - 2, -1, -1):
+            c = C[i] + P[i]
+            p = P[i] * qlast
+            t = T[i] + qlast
+            phi = qlast + one_minus_qlast * c + p
+            if s_rule == "smallest-last" or phi < M[i]:
+                M[i] = phi
+            P[i], C[i], T[i] = p, c, t
+            m += 1.0
+            cand = (2.0 * m - 1.0) - t - p - c + M[i] + cost[i]
+            if cand < bound:
+                best, bound, best_i = cand, cand - REL_TOL * cand, i
+        P[k - 1] = T[k - 1] = qlast
+        M[k - 1] = 2.0 * qlast
+        cost[k] = best
+        split[k] = best_i
+    return cost, split
+
+
 def exact_sterrett(order) -> Fraction:
     """The Sterrett closed form of exact q values in test order: (2k - 1)
     less the head sum and the suffix products of two or more values."""
@@ -217,13 +255,18 @@ def exact_block_cost(qs, procedure: str, s_rule: str) -> Fraction:
     return min(costs)
 
 
-def exact_cost_to_go(qs, procedure: str, s_rule: str) -> list[Fraction]:
+def exact_table(qs, procedure: str, s_rule: str) -> tuple[list[Fraction], list[int]]:
     """The exact optimal cost-to-go over ordered partitions of the
-    descending ``qs``: F(k) = min over i < k of F(i) plus the block
-    i..k-1, from O(N^2) exact block costs of O(N^2) each, so meant for
-    N <= 12 or so."""
+    descending ``qs``, F(k) = min over i < k of F(i) plus the block
+    i..k-1, and its split under the tie rule applied exactly: i tries k-1
+    down, and a smaller i wins only if strictly cheaper. O(N^2) exact
+    block costs of O(N^2) each, so meant for N <= 16 or so."""
     n = len(qs)
     F = [Fraction(0)] * (n + 1)
+    split = [0] * (n + 1)
     for k in range(1, n + 1):
-        F[k] = min(F[i] + exact_block_cost(qs[i:k], procedure, s_rule) for i in range(k))
-    return F
+        for i in range(k - 1, -1, -1):
+            cand = F[i] + exact_block_cost(qs[i:k], procedure, s_rule)
+            if i == k - 1 or cand < F[k]:
+                F[k], split[k] = cand, i
+    return F, split

@@ -14,8 +14,10 @@ from pooltest.cost import (
     evaluate_plan,
     group_cost,
 )
+from pooltest import optimize
 from pooltest.model import (
     REL_TOL,
+    STERRETT_RULES,
     Group,
     InstanceTooLargeError,
     NotSortedError,
@@ -25,6 +27,8 @@ from pooltest.model import (
 )
 from pooltest.optimize import (
     DP_CELL_BUDGETS,
+    STERRETT_CHUNK,
+    DpTable,
     _row_stops,
     dp_ordered,
     dp_table,
@@ -33,9 +37,10 @@ from pooltest.optimize import (
 )
 from reference import (
     exact_block_cost,
-    exact_cost_to_go,
     exact_sterrett,
+    exact_table,
     pair_costs,
+    scalar_sterrett_table,
     uncut_dorfman_table,
 )
 
@@ -304,9 +309,99 @@ class TestExactOracle:
         )
         for pv in itertools.chain(risk_corpus(rng, 30, 12), tiny):
             table = dp_table(pv, procedure, s_rule)
-            exact = exact_cost_to_go(pv.q, procedure, s_rule)
+            exact = exact_table(pv.q, procedure, s_rule)[0]
             for got, want in zip(table.cost_to_go, exact):
                 assert abs(Fraction(got) - want) <= want / 10**13, (pv.probs, procedure, s_rule)
+
+
+def sterrett_corpus(rng, sizes):
+    """Random, tied, log-uniform and p ~ 1e-12 risk vectors of each size, sorted."""
+    draws = (
+        lambda: rng.uniform(1e-4, 0.3),
+        lambda: rng.choice(TIED_RISKS[:3]),
+        lambda: 10 ** rng.uniform(-6, -0.3),
+        lambda: 1e-12 * rng.uniform(0.5, 2.0),
+    )
+    for n in sizes:
+        for draw in draws:
+            yield sort_ascending(validate_probability_vector([draw() for _ in range(n)]))[0]
+
+
+def assert_scalar_sterrett_table(pv, s_rule):
+    table = dp_table(pv, "S", s_rule)
+    cost, split = scalar_sterrett_table(pv.q, s_rule)
+    assert table.cost_to_go == tuple(cost), (pv.probs, s_rule)
+    assert table.split == tuple(split), (pv.probs, s_rule)
+
+
+class TestSterrettSlabs:
+    """Rows past the first STERRETT_CHUNK of an S table run as numpy slabs,
+    and the table equals the one-cell-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("s_rule", STERRETT_RULES)
+    def test_equal_to_scalar_loop(self, s_rule):
+        B = STERRETT_CHUNK
+        rng = random.Random(97)
+        for pv in sterrett_corpus(rng, (1, B - 1, B, B + 1, 2 * B + 1, 150, 400)):
+            assert_scalar_sterrett_table(pv, s_rule)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("s_rule", STERRETT_RULES)
+    def test_equal_to_scalar_loop_in_small_chunks(self, monkeypatch, chunk, s_rule):
+        # many chunk edges; on tied risks, rows whose settled candidates
+        # tie within NEAR_TIE rescan them
+        monkeypatch.setattr(optimize, "STERRETT_CHUNK", chunk)
+        rng = random.Random(101 + chunk)
+        sizes = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2, 61)
+        corpus = itertools.chain(sterrett_corpus(rng, sizes[chunk == 1 :]), risk_corpus(rng, 30, 60))
+        for pv in corpus:
+            assert_scalar_sterrett_table(pv, s_rule)
+
+    def test_small_tables_run_only_the_scalar_loop(self, monkeypatch):
+        def slabs(*args):
+            raise AssertionError("slabs reached")
+
+        monkeypatch.setattr(optimize, "sterrett_slabs", slabs)
+        for n in (1, 8, 14, STERRETT_CHUNK):
+            dp_table(validate_probability_vector([0.05] * n), "S")
+        with pytest.raises(AssertionError, match="slabs reached"):
+            dp_table(validate_probability_vector([0.05] * (STERRETT_CHUNK + 1)), "S")
+
+
+def rational_tied_corpus(rng):
+    """Risks all 1/10, all 1/20, or a mix of the two, sorted."""
+    for n in range(1, 13):
+        for pool in ((1 / 10,), (1 / 20,), (1 / 10, 1 / 20), (1 / 10, 1 / 20)):
+            risks = [rng.choice(pool) for _ in range(n)]
+            yield sort_ascending(validate_probability_vector(risks))[0]
+
+
+@pytest.fixture(scope="module")
+def exact_tied_tables():
+    """Each rational tied population with its exact S table per rule."""
+    def table(pv, s_rule):
+        return DpTable(*map(tuple, exact_table(pv.q, "S", s_rule)))
+
+    corpus = rational_tied_corpus(random.Random(103))
+    return [(pv, {s_rule: table(pv, s_rule) for s_rule in STERRETT_RULES}) for pv in corpus]
+
+
+class TestExactTieRule:
+    """On rational tied risks the candidates tie exactly, and the float
+    searches must break every tie as the exact DP does: the largest i,
+    unless a smaller one is strictly cheaper."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, STERRETT_CHUNK])
+    def test_sterrett_splits(self, monkeypatch, exact_tied_tables, chunk):
+        monkeypatch.setattr(optimize, "STERRETT_CHUNK", chunk)
+        for pv, tables in exact_tied_tables:
+            for s_rule, exact in tables.items():
+                assert dp_table(pv, "S", s_rule).split == exact.split, (pv.probs, s_rule)
+
+    def test_ordered_oracle_plan(self, exact_tied_tables):
+        for pv, tables in exact_tied_tables:
+            plan = exhaustive_ordered(pv, "S").plan
+            assert plan.sizes == tables["optimal"].plan_sizes(), pv.probs
 
 
 def cut_corpus(rng, count, max_n):
