@@ -44,9 +44,9 @@ Each procedure's cost is written here in two forms:
 loops: they grow each block one item at a time, updating running sums
 (for S, the phi walk's, one per block start) in O(1) where a one-shot
 call would start over; smallest-last takes the new item's phi alone.
-Past its first rows, ``dp_table``'s S table advances these sums for all
-block starts a chunk of rows at a time, one numpy accumulate per sum,
-which keeps each sum's float operations and their order.
+``dp_table``'s S table (``sterrett.sterrett_table``) advances these sums
+for all block starts a chunk of rows at a time, one numpy accumulate per
+sum, which keeps each sum's float operations and their order.
 
 The closed forms are tested against the protocol itself
 (``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over

@@ -36,28 +36,11 @@ far, visit them all.
 Every table refuses, with InstanceTooLargeError, to run when its exact
 cell count exceeds its procedure's budget in DP_CELL_BUDGETS.
 
-The S table runs its rows in chunks of STERRETT_CHUNK. Rows
-1..STERRETT_CHUNK run the scalar loop, so the small tables of ``oracle``
-and ``bounds`` pay no numpy calls, and its running sums seed numpy state
-vectors, one entry per block start. A chunk advances P, C, T and the
-minimum of phi for every start through all its rows with one
-``multiply``, ``add`` or ``minimum`` accumulate per sum down a (rows,
-starts) slab; an accumulate is sequential, so each cell is the scalar
-loop's float operation on the same operands in the same order. A start i
-whose cost[i] is final before the chunk begins is settled: its
-candidates are one add and a row-wise argmin. The few newer starts are
-scanned in Python first, in the scalar order. Ties stay exact: the scan
-ends on the settled minimum unless that minimum is not below its bound,
-when the settled starts cannot win, or another settled candidate lies
-within ``model.NEAR_TIE`` of it, when the row rescans them in Python
-(the argument at ``batch.dp_totals``). So the table equals the scalar loop's bit for
-bit, and tests hold it to that loop. A numpy form that paid about fifteen
-numpy calls per row was slower than the scalar loops; a chunk pays about
-thirty per STERRETT_CHUNK rows.
-
-These running sums, and so the smallest-last rule, are written only in
-``dp_table`` here (its scalar rows and its slabs), one population at a
-time with its split, and in ``batch.dp_totals``, which runs the same
+The S table is ``sterrett.sterrett_table``, which runs the rows in
+chunks of numpy slabs and equals the one-cell-at-a-time loop bit for bit;
+its module holds the design. These running sums, and so the
+smallest-last rule, are written only there, one population at a time
+with its split, and in ``batch.dp_totals``, which runs the same
 operations in the same order on many populations at once and keeps their
 totals only. The study calls the batch; every plan comes from
 ``dp_table``. D and Dp stay scalar here: a numpy form of one table,
@@ -94,7 +77,7 @@ from .model import (
     SetPartition,
     sort_ascending,
 )
-from .slabs import sterrett_slabs
+from .sterrett import sterrett_table
 
 MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
@@ -111,13 +94,6 @@ DP_CELL_BUDGETS = {
     "S": 2800 * 2799 // 2,
 }
 MAX_CUT_N = 10**7  # the D and Dp cut's rounding argument holds up to here
-
-# Rows per chunk of an S table: rows 1..STERRETT_CHUNK run the scalar loop,
-# later ones run as numpy slabs of this many rows. Any chunk from 16 to 40
-# rows gave S optimal 1.0-1.1 ms at N = 150 and 21-22 ms at N = 1000,
-# against 3.9 ms and 0.19 s for the scalar loop (Python 3.11, numpy 2.4,
-# 2 vCPUs); tables of up to this many rows run the scalar loop alone.
-STERRETT_CHUNK = 24
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
 
@@ -269,11 +245,11 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
     qs = pv.q  # descending
     n = pv.n
     stops = _budgeted_stops(qs, procedure)
+    if procedure == "S":
+        cost, split = sterrett_table(qs, s_rule)
+        return DpTable(cost_to_go=tuple(cost), split=tuple(split))
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
-    if procedure == "S":
-        _sterrett_rows(qs, s_rule, cost, split)
-        return DpTable(cost_to_go=tuple(cost), split=tuple(split))
     for k in range(1, n + 1):
         qlast = qs[k - 1]
         one_minus_qlast = 1.0 - qlast
@@ -302,52 +278,6 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
         cost[k] = best
         split[k] = best_i
     return DpTable(cost_to_go=tuple(cost), split=tuple(split))
-
-
-def _sterrett_rows(qs: tuple[float, ...], s_rule: str, cost: list[float], split: list[int]) -> None:
-    """Fill ``cost`` and ``split`` with the S table of the descending ``qs``.
-
-    Rows 1..STERRETT_CHUNK run the scalar loop; the rest run in chunks of
-    STERRETT_CHUNK rows through ``slabs.sterrett_slabs``, seeded with the
-    loop's running sums.
-    """
-    n = len(qs)
-    # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
-    # T = qs[i] + ... + qs[k-1] and M = min over i <= a <= k-1 of phi(i,a),
-    # written through M_out. Smallest-last takes phi(i,k-1) alone: its M
-    # reads +inf, and M_out is a list no one reads.
-    P, C, T, M_out = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
-    M = M_out if s_rule == "optimal" else [math.inf] * n
-    rows = min(n, STERRETT_CHUNK)
-    for k in range(1, rows + 1):
-        qlast = qs[k - 1]
-        one_minus_qlast = 1.0 - qlast
-        best = cost[k - 1] + 1.0  # i = k-1: trailing singleton
-        bound = best - REL_TOL * best
-        best_i = k - 1
-        m = 1.0  # size of the block i..k-1, a float to keep the arithmetic in floats
-        for i in range(k - 2, -1, -1):
-            c = C[i] + P[i]
-            p = P[i] * qlast
-            t = T[i] + qlast
-            phi = qlast + one_minus_qlast * c + p
-            mi = M[i]
-            if phi < mi:
-                M_out[i] = mi = phi
-            P[i] = p
-            C[i] = c
-            T[i] = t
-            m += 1.0
-            cand = (2.0 * m - 1.0) - t - p - c + mi + cost[i]
-            if cand < bound:
-                best, bound, best_i = cand, cand - REL_TOL * cand, i
-        # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 qs[k-1]
-        P[k - 1] = T[k - 1] = qlast
-        M_out[k - 1] = 2.0 * qlast
-        cost[k] = best
-        split[k] = best_i
-    if rows < n:
-        sterrett_slabs(qs, s_rule, cost, split, (P[:rows], C[:rows], T[:rows], M_out[:rows]))
 
 
 def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:

@@ -1,53 +1,88 @@
-"""The rows of ``optimize.dp_table``'s S table past its scalar first
-chunk, run as numpy slabs; the design is in the ``optimize`` module
-docstring.
+"""The S table of ``optimize.dp_table``, run in row chunks of numpy slabs.
 
-This function has a module of its own for memory. Compiled inside
-``optimize.py``, it left 0.4 MiB more resident after ``import
-pooltest.cli`` when no bytecode cache is written (29.66 against
+The table keeps, per block start i, the running sums of the block i..k-1
+that ``cost._optimal_sterrett_ascending`` walks: P = P(i,k-1),
+C = C(i,k-1), T = qs[i] + ... + qs[k-1] and, under the optimal rule,
+M = the minimum over i <= a <= k-1 of phi(i,a). Smallest-last takes
+phi(i,k-1) alone in place of M (see the ``optimize`` module docstring).
+
+Rows run in chunks of STERRETT_CHUNK. A chunk advances P, C, T and M of
+every start through all its rows with one ``multiply``, ``add`` or
+``minimum`` accumulate per sum down a (rows, starts) slab; an accumulate
+is sequential, so each cell is the one-cell-at-a-time loop's float
+operation on the same operands in the same order. A start i whose
+cost[i] is final before the chunk begins is settled: its candidates are
+one add and a row-wise argmin. The newer starts, a triangle of at most
+STERRETT_CHUNK^2 / 2 cells, are scanned in Python first, in the loop's
+order. Ties stay exact: the scan ends on the settled minimum unless that
+minimum is not below its bound, when the settled starts cannot win, or
+another settled candidate lies within ``model.NEAR_TIE`` of it, when the
+row rescans them in Python (the argument at ``batch.dp_totals``). So the
+table equals that loop's bit for bit, and tests hold it to the loop.
+
+A numpy form that paid about fifteen numpy calls per row was slower than
+the scalar loop; a chunk pays about thirty per STERRETT_CHUNK rows. A
+table of one chunk pays them once: at N = 8 and 14 it takes 50-90 us
+against 15-45 us for the scalar loop, under 1 % of a ``verify``
+benchmark op, which runs one of each (``BENCH_19.json``).
+
+The table has a module of its own for memory: compiled inside
+``optimize.py``, its slab code left 0.4 MiB more resident after
+``import pooltest.cli`` when no bytecode cache is written (29.66 against
 29.26 MiB, medians of seven processes, Python 3.11); compiled here, it
 adds 0.03 MiB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .model import NEAR_TIE, REL_TOL
 
+# Rows per chunk. Any chunk from 16 to 40 rows gave S optimal 1.0-1.1 ms
+# at N = 150 and 21-22 ms at N = 1000, against 3.9 ms and 0.19 s for the
+# scalar loop (Python 3.11, numpy 2.4, 2 vCPUs).
+STERRETT_CHUNK = 24
 
-def sterrett_slabs(
-    qs: tuple[float, ...], s_rule: str, cost: list[float], split: list[int], seed: tuple
-) -> None:
-    """Rows B+1..N of the S table on the descending ``qs``, B rows at a
-    time, writing ``cost`` and ``split``: ``seed`` holds the running sums
-    P, C, T and M of the B block starts that the scalar rows 1..B opened.
+
+@functools.cache
+def _fresh_masks(B: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk rows r = 1..B against the chunk's new starts k0-1+c: start c
+    is not yet open at row r when c >= r, and not yet extended (its C
+    unchanged) when c >= r-1. Built from Python lists: a first comparison
+    ufunc in a process faults in about 0.3 MiB of numpy's code."""
+    unopened = np.array([[c >= r for c in range(B)] for r in range(1, B + 1)])
+    unextended = np.array([[c >= r - 1 for c in range(B)] for r in range(1, B + 1)])
+    return unopened, unextended
+
+
+def sterrett_table(qs: tuple[float, ...], s_rule: str) -> tuple[list[float], list[int]]:
+    """Cost-to-go and split of the S table on the descending ``qs``.
 
     Slab row 0 holds each start's sums after the row before the chunk,
     and slab row r those after the chunk's r-th row. Start i opens at row
     i+1; until then it holds P = 1, C = T = 0 and M = +inf, and its
     factors and addends read 1, 0 and +inf, so it opens on the scalar
-    loop's values exactly. Under smallest-last M is phi itself.
+    loop's values exactly (C = 0 and phi(i,i) = 2 qs[i]). Under
+    smallest-last M is phi itself.
     """
     n = len(qs)
-    B = len(seed[0])
+    B = min(STERRETT_CHUNK, n)
+    cost = [0.0] * (n + 1)
+    split = [0] * (n + 1)
     q = np.array(qs)
     P, C, T = np.ones((B + 1, n)), np.zeros((B + 1, n)), np.zeros((B + 1, n))
     M = np.full((B + 1, n), math.inf)
-    for slab, state in zip((P, C, T, M), seed):
-        slab[0, : len(state)] = state
     base = np.empty((B, n))
-    # chunk rows r = 1..B against its new starts k0-1+c: not yet open at
-    # row r when c >= r, not yet extended (C unchanged) when c >= r-1
-    unopened = np.triu(np.ones((B, B), dtype=bool), 1)
-    unextended = np.triu(np.ones((B, B), dtype=bool))
-    twice_start = 2.0 * np.arange(n)
+    unopened, unextended = _fresh_masks(B)
+    twice_start = np.arange(0.0, 2.0 * n, 2.0)
     rows = np.arange(B)
-    F = np.array(cost)
+    F = np.zeros(n + 1)  # cost, filled chunk by chunk
     optimal = s_rule == "optimal"
-    for k0 in range(B + 1, n + 1, B):
+    for k0 in range(1, n + 1, B):
         k1 = min(k0 + B, n + 1)  # the chunk runs rows k0..k1-1
         b, w = k1 - k0, k1 - 1  # rows, and starts 0..k1-2 touched
         qk = q[k0 - 1 : k1 - 1, None]
@@ -71,7 +106,7 @@ def sterrett_slabs(
             np.minimum.accumulate(Ms, axis=0, out=Ms)
         # base = (2m - 1) - T - P - C + M, m = k - i items
         bs = base[:b, :w]
-        np.subtract(2.0 * np.arange(k0, k1)[:, None] - 1.0, twice_start[:w], out=bs)
+        np.subtract(np.arange(2.0 * k0 - 1.0, 2.0 * k1 - 1.0, 2.0)[:, None], twice_start[:w], out=bs)
         np.subtract(bs, Ts[1:], out=bs)
         np.subtract(bs, Ps[1:], out=bs)
         np.subtract(bs, Cs[1:], out=bs)
@@ -79,10 +114,10 @@ def sterrett_slabs(
         cs = bs[:, :k0]  # the settled starts' candidates, in place
         np.add(cs, F[:k0], out=cs)
         cs[0, k0 - 1] = math.inf  # row k0's start k0-1 is its trailing singleton
-        arg = np.argmin(cs, axis=1)
+        arg = cs.argmin(axis=1)
         low = cs[rows[:b], arg]
         cs[rows[:b], arg] = math.inf  # for the next smallest, a possible tie
-        second = np.min(cs, axis=1)
+        second = cs.min(axis=1)
         cs[rows[:b], arg] = low
         per_row = zip(low.tolist(), arg.tolist(), second.tolist(), bs[:, k0:].tolist())
         for r, (lo, i_lo, nxt, row) in enumerate(per_row):
@@ -106,3 +141,4 @@ def sterrett_slabs(
         F[k0:k1] = cost[k0:k1]
         for slab in (P, C, T, M):
             slab[0, :w] = slab[b, :w]
+    return cost, split

@@ -171,8 +171,8 @@ class TestTwoQueueMatchesHeap:
     @pytest.mark.parametrize("base", [2.0, 1.5])
     def test_chain_risks(self, base):
         # risk odds base^-(2^i): every pattern outweighs all lighter ones
-        # together, so no round has four safe weights and every merge runs
-        # one pair at a time; the float range ends such chains at 11 items
+        # together, so every round merges one pair, padded with the next
+        # leaf; the float range ends such chains at 11 items
         for n in range(1, 12):
             v = pv([o / (1.0 + o) for o in (base ** -(2**i) for i in range(n))])
             assert huffman_length(v) == heap_huffman_length(v), n

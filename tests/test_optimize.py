@@ -14,7 +14,7 @@ from pooltest.cost import (
     evaluate_plan,
     group_cost,
 )
-from pooltest import optimize
+from pooltest import sterrett
 from pooltest.model import (
     REL_TOL,
     STERRETT_RULES,
@@ -27,7 +27,6 @@ from pooltest.model import (
 )
 from pooltest.optimize import (
     DP_CELL_BUDGETS,
-    STERRETT_CHUNK,
     DpTable,
     _row_stops,
     dp_ordered,
@@ -35,6 +34,7 @@ from pooltest.optimize import (
     exhaustive_ordered,
     exhaustive_set,
 )
+from pooltest.sterrett import STERRETT_CHUNK
 from reference import (
     exact_block_cost,
     exact_sterrett,
@@ -335,8 +335,8 @@ def assert_scalar_sterrett_table(pv, s_rule):
 
 
 class TestSterrettSlabs:
-    """Rows past the first STERRETT_CHUNK of an S table run as numpy slabs,
-    and the table equals the one-cell-at-a-time loop bit for bit."""
+    """The S table runs in chunks of STERRETT_CHUNK rows of numpy slabs,
+    and equals the one-cell-at-a-time loop bit for bit."""
 
     @pytest.mark.parametrize("s_rule", STERRETT_RULES)
     def test_equal_to_scalar_loop(self, s_rule):
@@ -350,22 +350,12 @@ class TestSterrettSlabs:
     def test_equal_to_scalar_loop_in_small_chunks(self, monkeypatch, chunk, s_rule):
         # many chunk edges; on tied risks, rows whose settled candidates
         # tie within NEAR_TIE rescan them
-        monkeypatch.setattr(optimize, "STERRETT_CHUNK", chunk)
+        monkeypatch.setattr(sterrett, "STERRETT_CHUNK", chunk)
         rng = random.Random(101 + chunk)
         sizes = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2, 61)
         corpus = itertools.chain(sterrett_corpus(rng, sizes[chunk == 1 :]), risk_corpus(rng, 30, 60))
         for pv in corpus:
             assert_scalar_sterrett_table(pv, s_rule)
-
-    def test_small_tables_run_only_the_scalar_loop(self, monkeypatch):
-        def slabs(*args):
-            raise AssertionError("slabs reached")
-
-        monkeypatch.setattr(optimize, "sterrett_slabs", slabs)
-        for n in (1, 8, 14, STERRETT_CHUNK):
-            dp_table(validate_probability_vector([0.05] * n), "S")
-        with pytest.raises(AssertionError, match="slabs reached"):
-            dp_table(validate_probability_vector([0.05] * (STERRETT_CHUNK + 1)), "S")
 
 
 def rational_tied_corpus(rng):
@@ -393,7 +383,7 @@ class TestExactTieRule:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, STERRETT_CHUNK])
     def test_sterrett_splits(self, monkeypatch, exact_tied_tables, chunk):
-        monkeypatch.setattr(optimize, "STERRETT_CHUNK", chunk)
+        monkeypatch.setattr(sterrett, "STERRETT_CHUNK", chunk)
         for pv, tables in exact_tied_tables:
             for s_rule, exact in tables.items():
                 assert dp_table(pv, "S", s_rule).split == exact.split, (pv.probs, s_rule)
