@@ -36,16 +36,15 @@ far, visit them all.
 Every table refuses, with InstanceTooLargeError, to run when its exact
 cell count exceeds its procedure's budget in DP_CELL_BUDGETS.
 
-The S table is ``sterrett.sterrett_table``, which runs the rows in
-chunks of numpy slabs and equals the one-cell-at-a-time loop bit for bit;
-its module holds the design. These running sums, and so the
+Every table runs in ``tables``, in chunks of rows of numpy slabs that
+equal the one-cell-at-a-time loop bit for bit: ``tables.dorfman_table``
+for D and Dp, inside the stops above, and ``tables.sterrett_table`` for
+S; that module holds the design. These running sums, and so the
 smallest-last rule, are written only there, one population at a time
 with its split, and in ``batch.dp_totals``, which runs the same
 operations in the same order on many populations at once and keeps their
 totals only. The study calls the batch; every plan comes from
-``dp_table``. D and Dp stay scalar here: a numpy form of one table,
-vectorized over block starts, was no faster at the sizes the library
-meets, and their rows are cut.
+``dp_table``.
 
 The exhaustive oracles cost each block afresh, always under the optimal
 arrangement, with the one-shot ``cost._arranged_cost_q``, which also
@@ -77,17 +76,21 @@ from .model import (
     SetPartition,
     sort_ascending,
 )
-from .sterrett import sterrett_table
+from .tables import dorfman_table, sterrett_table
 
 MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
 # Cells (block start, block end) one dp_table call may visit, per procedure.
-# A table at its budget runs about 1.4-2.1 s (D, 100-150 ns a cell) and
-# 1.9-2.4 s (Dp, 160-200 ns), on Python 3.11, 2 vCPUs. The S budget, the
-# full table at N = 2800, was 1.3-1.7 s of scalar cells under either rule;
-# in slabs that table takes 0.09-0.18 s, and a batch.dp_totals table
-# 0.07-0.31 s per replicate. It still bounds the study's batches, which
-# check_dp_budget guards too. Full tables fit up to N = 5292 / 4899 / 2800.
+# Each was set at about 2 s of scalar cells: 1.4-2.1 s (D, 100-150 ns a
+# cell), 1.9-2.4 s (Dp, 160-200 ns) and, for S, the full table at N = 2800,
+# 1.3-1.7 s under either rule (Python 3.11, 2 vCPUs). In slabs the full
+# low-risk tables at the D and Dp budgets (N = 5292 / 4899) take
+# 0.13-0.22 s on U(1e-6, 1e-3) risks and 0.9-1.1 s on equal risks, whose
+# near ties rescan most rows in Python, against 1.6-2.4 s for the scalar
+# loop (BENCH_20.json); the S table takes 0.09-0.18 s. The budgets still bound
+# the study's batch.dp_totals tables (0.07-0.31 s per replicate for S at
+# N = 2800), which check_dp_budget guards with them, so they are kept.
+# Full tables fit up to N = 5292 / 4899 / 2800.
 DP_CELL_BUDGETS = {
     "D": 14_000_000,
     "Dp": 12_000_000,
@@ -243,40 +246,11 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
     if s_rule not in STERRETT_RULES:
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
     qs = pv.q  # descending
-    n = pv.n
     stops = _budgeted_stops(qs, procedure)
     if procedure == "S":
         cost, split = sterrett_table(qs, s_rule)
-        return DpTable(cost_to_go=tuple(cost), split=tuple(split))
-    cost = [0.0] * (n + 1)
-    split = [0] * (n + 1)
-    for k in range(1, n + 1):
-        qlast = qs[k - 1]
-        one_minus_qlast = 1.0 - qlast
-        prod = qlast  # product of qs[i..k-1]
-        prod_head = 1.0  # product of qs[i..k-2]
-        best = cost[k - 1] + 1.0  # i = k-1: trailing singleton
-        bound = best - REL_TOL * best
-        best_i = k - 1
-        m = 1.0  # size of the block i..k-1, a float to keep the arithmetic in floats
-        if procedure == "Dp":
-            for i in range(k - 2, stops[k], -1):
-                qi = qs[i]
-                prod *= qi
-                prod_head *= qi
-                m += 1.0
-                cand = 1.0 + m - m * prod - prod_head * one_minus_qlast + cost[i]
-                if cand < bound:
-                    best, bound, best_i = cand, cand - REL_TOL * cand, i
-        else:
-            for i in range(k - 2, stops[k], -1):
-                prod *= qs[i]
-                m += 1.0
-                cand = 1.0 + m - m * prod + cost[i]
-                if cand < bound:
-                    best, bound, best_i = cand, cand - REL_TOL * cand, i
-        cost[k] = best
-        split[k] = best_i
+    else:
+        cost, split = dorfman_table(qs, procedure, stops)
     return DpTable(cost_to_go=tuple(cost), split=tuple(split))
 
 

@@ -6,10 +6,10 @@ described, against the array counter ``simulate.count_tests``; the
 first-defective recursion and the equal-risk closed form check the
 Sterrett closed form; ``pair_costs`` states the pair-interchange
 comparison through the public plan evaluator; ``uncut_dorfman_table`` is
-the D and Dp loop of ``dp_table`` that tries every block start, against
-which the width cut is checked; ``scalar_sterrett_table`` is the S loop of
-``dp_table`` one cell at a time, against which its chunked slabs are
-checked; ``exact_table`` is the ordered-partition DP in exact rational
+the D and Dp loop one cell at a time that tries every block start, against
+which ``dp_table``'s width cut and chunked slabs are checked;
+``scalar_sterrett_table`` is the S loop one cell at a time, against which
+the S table's chunked slabs are checked; ``exact_table`` is the ordered-partition DP in exact rational
 arithmetic, which bounds the float error of ``dp_table`` and fixes its tie
 rule exactly.
 """
@@ -151,10 +151,11 @@ def pair_costs(q1: float, q2: float, q3: float, q4: float) -> tuple[float, float
 
 
 def uncut_dorfman_table(qs, procedure: str) -> tuple[list[float], list[int]]:
-    """The ordered-partition DP for D or Dp on descending ``qs``, trying
-    every start i = k-2 .. 0 of every row in ``dp_table``'s arithmetic and
-    tie rule: its cost-to-go and split lists, equal to ``dp_table``'s only
-    if the width cut skips no start that could win."""
+    """The ordered-partition DP for D or Dp on descending ``qs``, one cell
+    at a time, trying every start i = k-2 .. 0 of every row in
+    ``dp_table``'s arithmetic and tie rule: its cost-to-go and split lists,
+    equal to ``dp_table``'s only if the width cut skips no start that could
+    win and the slabs keep every float operation."""
     n = len(qs)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)

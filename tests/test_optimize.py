@@ -14,7 +14,7 @@ from pooltest.cost import (
     evaluate_plan,
     group_cost,
 )
-from pooltest import sterrett
+from pooltest import tables
 from pooltest.model import (
     REL_TOL,
     STERRETT_RULES,
@@ -34,7 +34,7 @@ from pooltest.optimize import (
     exhaustive_ordered,
     exhaustive_set,
 )
-from pooltest.sterrett import STERRETT_CHUNK
+from pooltest.tables import CHUNK
 from reference import (
     exact_block_cost,
     exact_sterrett,
@@ -327,6 +327,18 @@ def sterrett_corpus(rng, sizes):
             yield sort_ascending(validate_probability_vector([draw() for _ in range(n)]))[0]
 
 
+def cut_corpus(rng, count, max_n):
+    """Random, tied, log-uniform, low-risk and risky vectors, sorted."""
+    yield from risk_corpus(rng, count, max_n)
+    for trial in range(count):
+        n = rng.randint(1, max_n)
+        if trial % 2:
+            probs = [rng.uniform(1e-6, 1e-3) for _ in range(n)]
+        else:
+            probs = [min(rng.betavariate(1.0, 2.3), 0.999) or 0.5 for _ in range(n)]
+        yield sort_ascending(validate_probability_vector(probs))[0]
+
+
 def assert_scalar_sterrett_table(pv, s_rule):
     table = dp_table(pv, "S", s_rule)
     cost, split = scalar_sterrett_table(pv.q, s_rule)
@@ -335,12 +347,12 @@ def assert_scalar_sterrett_table(pv, s_rule):
 
 
 class TestSterrettSlabs:
-    """The S table runs in chunks of STERRETT_CHUNK rows of numpy slabs,
-    and equals the one-cell-at-a-time loop bit for bit."""
+    """The S table runs in chunks of CHUNK rows of numpy slabs, and equals
+    the one-cell-at-a-time loop bit for bit."""
 
     @pytest.mark.parametrize("s_rule", STERRETT_RULES)
     def test_equal_to_scalar_loop(self, s_rule):
-        B = STERRETT_CHUNK
+        B = CHUNK
         rng = random.Random(97)
         for pv in sterrett_corpus(rng, (1, B - 1, B, B + 1, 2 * B + 1, 150, 400)):
             assert_scalar_sterrett_table(pv, s_rule)
@@ -350,12 +362,46 @@ class TestSterrettSlabs:
     def test_equal_to_scalar_loop_in_small_chunks(self, monkeypatch, chunk, s_rule):
         # many chunk edges; on tied risks, rows whose settled candidates
         # tie within NEAR_TIE rescan them
-        monkeypatch.setattr(sterrett, "STERRETT_CHUNK", chunk)
+        monkeypatch.setattr(tables, "CHUNK", chunk)
         rng = random.Random(101 + chunk)
         sizes = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2, 61)
         corpus = itertools.chain(sterrett_corpus(rng, sizes[chunk == 1 :]), risk_corpus(rng, 30, 60))
         for pv in corpus:
             assert_scalar_sterrett_table(pv, s_rule)
+
+
+def near_one_corpus(rng, sizes):
+    """Risks up to 1 - 1e-6 among low ones, sorted: many rows are cut
+    whole, down to the trailing singleton, so chunks start on rows whose
+    every longer block is cut."""
+    def draw():
+        return 1.0 - 10 ** rng.uniform(-6, -0.5) if rng.random() < 0.4 else rng.uniform(1e-4, 0.3)
+
+    for n in sizes:
+        yield sort_ascending(validate_probability_vector([draw() for _ in range(n)]))[0]
+
+
+class TestDorfmanSlabs:
+    """The D and Dp tables run in the same chunks of CHUNK rows, and equal
+    the loop that tries every start bit for bit: across chunk edges, on
+    rows cut inside a chunk or cut whole, and where near ties rescan."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, CHUNK])
+    @pytest.mark.parametrize("procedure", ["D", "Dp"])
+    def test_equal_to_uncut_loop(self, monkeypatch, procedure, chunk):
+        monkeypatch.setattr(tables, "CHUNK", chunk)
+        rng = random.Random(107 + chunk)
+        sizes = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)[chunk == 1 :]
+        corpus = itertools.chain(
+            sterrett_corpus(rng, sizes),
+            near_one_corpus(rng, (*sizes, 60, 150)),
+            cut_corpus(rng, 20, 200),
+        )
+        for pv in corpus:
+            table = dp_table(pv, procedure)
+            cost, split = uncut_dorfman_table(pv.q, procedure)
+            assert table.cost_to_go == tuple(cost), (procedure, chunk, pv.probs)
+            assert table.split == tuple(split), (procedure, chunk, pv.probs)
 
 
 def rational_tied_corpus(rng):
@@ -368,12 +414,13 @@ def rational_tied_corpus(rng):
 
 @pytest.fixture(scope="module")
 def exact_tied_tables():
-    """Each rational tied population with its exact S table per rule."""
-    def table(pv, s_rule):
-        return DpTable(*map(tuple, exact_table(pv.q, "S", s_rule)))
+    """Each rational tied population with its exact table per procedure
+    and Sterrett rule."""
+    def table(pv, procedure, s_rule):
+        return DpTable(*map(tuple, exact_table(pv.q, procedure, s_rule)))
 
     corpus = rational_tied_corpus(random.Random(103))
-    return [(pv, {s_rule: table(pv, s_rule) for s_rule in STERRETT_RULES}) for pv in corpus]
+    return [(pv, {pair: table(pv, *pair) for pair in PROCEDURE_RULES}) for pv in corpus]
 
 
 class TestExactTieRule:
@@ -381,29 +428,26 @@ class TestExactTieRule:
     searches must break every tie as the exact DP does: the largest i,
     unless a smaller one is strictly cheaper."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, STERRETT_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, CHUNK])
     def test_sterrett_splits(self, monkeypatch, exact_tied_tables, chunk):
-        monkeypatch.setattr(sterrett, "STERRETT_CHUNK", chunk)
-        for pv, tables in exact_tied_tables:
-            for s_rule, exact in tables.items():
+        monkeypatch.setattr(tables, "CHUNK", chunk)
+        for pv, exact_tables in exact_tied_tables:
+            for s_rule in STERRETT_RULES:
+                exact = exact_tables["S", s_rule]
                 assert dp_table(pv, "S", s_rule).split == exact.split, (pv.probs, s_rule)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, CHUNK])
+    def test_dorfman_splits(self, monkeypatch, exact_tied_tables, chunk):
+        monkeypatch.setattr(tables, "CHUNK", chunk)
+        for pv, exact_tables in exact_tied_tables:
+            for procedure in ("D", "Dp"):
+                exact = exact_tables[procedure, "optimal"]
+                assert dp_table(pv, procedure).split == exact.split, (pv.probs, procedure)
+
     def test_ordered_oracle_plan(self, exact_tied_tables):
-        for pv, tables in exact_tied_tables:
+        for pv, exact_tables in exact_tied_tables:
             plan = exhaustive_ordered(pv, "S").plan
-            assert plan.sizes == tables["optimal"].plan_sizes(), pv.probs
-
-
-def cut_corpus(rng, count, max_n):
-    """Random, tied, log-uniform, low-risk and risky vectors, sorted."""
-    yield from risk_corpus(rng, count, max_n)
-    for trial in range(count):
-        n = rng.randint(1, max_n)
-        if trial % 2:
-            probs = [rng.uniform(1e-6, 1e-3) for _ in range(n)]
-        else:
-            probs = [min(rng.betavariate(1.0, 2.3), 0.999) or 0.5 for _ in range(n)]
-        yield sort_ascending(validate_probability_vector(probs))[0]
+            assert plan.sizes == exact_tables["S", "optimal"].plan_sizes(), pv.probs
 
 
 class TestWidthCut:
@@ -432,6 +476,15 @@ class TestWidthCut:
                 if stops[k] + 1 <= k - 2:
                     assert math.prod(qs[stops[k] + 1:end]) >= threshold / 2, (pv.probs, k)
             assert cells == sum(max(0, k - 2 - stops[k]) for k in range(n + 1))
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp"])
+    def test_stops_never_fall(self, procedure):
+        # a chunk's slab begins at its first row's stop, which then holds
+        # every start a later row of the chunk visits
+        rng = random.Random(79)
+        for pv in cut_corpus(rng, 30, 400):
+            stops = _row_stops(pv.q, procedure)[0]
+            assert all(a <= b for a, b in zip(stops, stops[1:])), (procedure, pv.probs)
 
     def test_low_risk_tables_are_not_cut(self):
         # the whole population's product stays above the threshold: no set-up
