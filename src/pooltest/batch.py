@@ -6,10 +6,11 @@ their m optimal totals, equal bit for bit to ``dp_table(...).total``. Row k
 of every table is one set of numpy operations over (block start,
 replicate): it costs each candidate block with ``dp_table``'s float
 operations in the same order, so the candidates are ``dp_table``'s own.
-The D and Dp products that ``dp_table`` grows along a row come from
-``accumulate`` over the row's q values, and the S running sums, one per
-block start, are updated elementwise: the running minimum of phi under the
-optimal rule, the newest phi itself under smallest-last.
+The running sums, one per block start, are updated elementwise as
+``tables.walk`` updates them: the block product P for all three
+procedures (the Dp head term is read before P takes the row's q), and for
+S also C, T and the running minimum of phi under the optimal rule, the
+newest phi itself under smallest-last.
 
 A numpy table for one population, vectorized over block starts alone, is
 slower than ``dp_table`` at the sizes the library meets: it pays about
@@ -83,51 +84,53 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
     singleton), 1, 2, ...; row k tries j < max(1, k - lo[k]).
     """
     n, m = qT.shape
-    qr = qT[::-1].copy()  # qr[n-k:] is qT[k-1::-1]
     cost = np.zeros((n + 1, m))
     cand = np.empty((n, m))
     size = np.arange(1.0, n + 1.0)[:, None]  # size[j] = j + 1 items
     one_plus = 1.0 + size
     two_less_one = 2.0 * size - 1.0
     s_optimal = s_rule == "optimal"
+    # per start i, for the block i..k-1: P = P(i,k-1); for S also
+    # C = C(i,k-1), T = q[i] + ... + q[k-1], phi = phi(i,k-1) and M = min
+    # over i <= a <= k-1 of phi(i,a), or phi itself under smallest-last
+    P = np.zeros((n, m))
     if procedure == "S":
-        # per start i, for the block i..k-1: P = P(i,k-1), C = C(i,k-1),
-        # T = q[i] + ... + q[k-1], phi = phi(i,k-1) and M = min over
-        # i <= a <= k-1 of phi(i,a), or phi itself under smallest-last
-        P, C, T, phi = (np.zeros((n, m)) for _ in range(4))
+        C, T, phi = (np.zeros((n, m)) for _ in range(3))
         M = np.zeros((n, m)) if s_optimal else phi
     for k in range(1, n + 1):
         w = max(1, k - lo[k])  # the singleton, when every longer block is cut
         c = cand[:w]
         np.add(cost[k - 1], 1.0, out=c[0])
         body = c[1:]
+        x = body[::-1]  # start i = k-w .. k-2 ascending, m = w .. 2 items
         qlast = qT[k - 1]
-        if procedure == "S":
-            Pk, Ck, Tk, Mk, ph = P[: k - 1], C[: k - 1], T[: k - 1], M[: k - 1], phi[: k - 1]
+        Pk = P[k - w : k - 1]
+        if procedure == "S":  # never cut: k - w = 0
+            Ck, Tk, Mk, ph = C[: k - 1], T[: k - 1], M[: k - 1], phi[: k - 1]
             np.add(Ck, Pk, out=Ck)
-            np.multiply(Pk, qlast, out=Pk)
+        elif procedure == "Dp":  # the head product, before P takes qlast
+            head = np.multiply(Pk, 1.0 - qlast)
+        np.multiply(Pk, qlast, out=Pk)
+        if procedure == "S":
             np.add(Tk, qlast, out=Tk)
             np.multiply(1.0 - qlast, Ck, out=ph)
             np.add(qlast, ph, out=ph)
             np.add(ph, Pk, out=ph)
             if s_optimal:
                 np.minimum(Mk, ph, out=Mk)
-            x = body[::-1]  # start i = k-1-j ascending
-            np.subtract(two_less_one[k - 1 : 0 : -1], Tk, out=x)
+            np.subtract(two_less_one[w - 1 : 0 : -1], Tk, out=x)
             np.subtract(x, Pk, out=x)
             np.subtract(x, Ck, out=x)
             np.add(x, Mk, out=x)
             # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 q[k-1]
-            P[k - 1] = T[k - 1] = qlast
+            T[k - 1] = qlast
             np.multiply(qlast, 2.0, out=M[k - 1])
-        else:
-            prod = np.multiply.accumulate(qr[n - k : n - k + w], axis=0)
-            np.multiply(size[1:w], prod[1:], out=body)
-            np.subtract(one_plus[1:w], body, out=body)
+        else:  # (1 + m) - m P, less the head term for Dp
+            np.multiply(size[w - 1 : 0 : -1], Pk, out=x)
+            np.subtract(one_plus[w - 1 : 0 : -1], x, out=x)
             if procedure == "Dp":
-                head = np.multiply.accumulate(qr[n - k + 1 : n - k + w], axis=0)
-                np.multiply(head, 1.0 - qlast, out=head)
-                np.subtract(body, head, out=body)
+                np.subtract(x, head, out=x)
+        P[k - 1] = qlast
         np.add(body, cost[k - w : k - 1][::-1], out=body)
         best = np.minimum.reduce(c, axis=0)
         near = c <= best * NEAR_TIE

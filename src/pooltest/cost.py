@@ -40,14 +40,15 @@ Each procedure's cost is written here in two forms:
                 ``arranged_cost`` applies its order to a Group for reports
                 and simulation.
 
-``optimize.dp_table`` and ``batch.dp_totals`` keep their own incremental
-loops: they grow each block one item at a time, updating running sums
-(for S, the phi walk's, one per block start) in O(1) where a one-shot
-call would start over; smallest-last takes the new item's phi alone.
-``dp_table``'s tables (``tables.dorfman_table`` and
-``tables.sterrett_table``) advance these sums for all block starts a
-chunk of rows at a time, one numpy accumulate per sum, which keeps each
-sum's float operations and their order.
+``optimize.dp_table`` and ``batch.dp_totals`` keep one incremental walk
+of their own for all three procedures: it grows each block one item at a
+time, updating running sums per block start in O(1) where a one-shot
+call would start over. The block product P serves D, Dp and S alike (the
+Dp head product is the P before the newest item), and S adds the phi
+walk's other sums; smallest-last takes the new item's phi alone.
+``dp_table``'s walk (``tables.walk``) advances these sums for all block
+starts a chunk of rows at a time, one numpy accumulate per sum, which
+keeps each sum's float operations and their order.
 
 The closed forms are tested against the protocol itself
 (``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over

@@ -36,11 +36,12 @@ far, visit them all.
 Every table refuses, with InstanceTooLargeError, to run when its exact
 cell count exceeds its procedure's budget in DP_CELL_BUDGETS.
 
-Every table runs in ``tables``, in chunks of rows of numpy slabs that
-equal the one-cell-at-a-time loop bit for bit: ``tables.dorfman_table``
-for D and Dp, inside the stops above, and ``tables.sterrett_table`` for
-S; that module holds the design. These running sums, and so the
-smallest-last rule, are written only there, one population at a time
+Every table runs in ``tables.walk``, in chunks of rows of numpy slabs
+that equal the one-cell-at-a-time loop bit for bit; D and Dp run inside
+the stops above. One running product per block start, multiplied forward
+as the block grows, serves all three procedures, and S keeps its other
+sums beside it; that module holds the design. These running sums, and so
+the smallest-last rule, are written only there, one population at a time
 with its split, and in ``batch.dp_totals``, which runs the same
 operations in the same order on many populations at once and keeps their
 totals only. The study calls the batch; every plan comes from
@@ -76,7 +77,7 @@ from .model import (
     SetPartition,
     sort_ascending,
 )
-from .tables import dorfman_table, sterrett_table
+from .tables import walk
 
 MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
@@ -246,11 +247,7 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
     if s_rule not in STERRETT_RULES:
         raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
     qs = pv.q  # descending
-    stops = _budgeted_stops(qs, procedure)
-    if procedure == "S":
-        cost, split = sterrett_table(qs, s_rule)
-    else:
-        cost, split = dorfman_table(qs, procedure, stops)
+    cost, split = walk(qs, procedure, s_rule, _budgeted_stops(qs, procedure))
     return DpTable(cost_to_go=tuple(cost), split=tuple(split))
 
 

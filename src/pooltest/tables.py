@@ -1,38 +1,39 @@
-"""The D, Dp and S tables of ``optimize.dp_table``, run in row chunks of
-numpy slabs.
+"""The D, Dp and S tables of ``optimize.dp_table``: one walk over row
+chunks of numpy slabs.
 
-Rows run in chunks of CHUNK. For each chunk a table builds a (rows,
+Rows run in chunks of CHUNK. For each chunk ``walk`` builds a (rows,
 starts) slab of its candidates less F(i), every cell from the
 one-cell-at-a-time loop's float operations on the same operands in the
 same order, and hands it to the one selection step, ``_take_rows``. So
-each table equals its scalar loop bit for bit, and tests hold it to that
-loop (``tests/reference.py``).
+each table equals its scalar loop bit for bit, and tests hold it to those
+loops (``tests/reference.py``).
 
-D and Dp. Row k's block i..k-1 has the product P = qs[k-1] qs[k-2] ...
-qs[i], multiplied from the block's end backwards, as the scalar loop
-grows it. Slab row k holds qs[lo..k-1] and an exact 1.0 at every start
-i >= k, and one ``multiply`` accumulate along the reversed start axis
-gives the products of every row. The Dp head product of row k,
-qs[k-2] ... qs[i], is row k-1's product by the same multiplications, so
-the slab has one row more than the chunk. The candidate is
-((1 + m) - m P) - P_head (1 - qs[k-1]) + F(i), with m = k - i and no head
-term for D. The slab's starts begin at lo = stops[k0] + 1, the first
-chunk row's ``optimize._row_stops`` stop: the stops never fall as k
-grows, so the slab holds every start a later row visits. The cut starts
-it also holds for a later row need no mask: each costs more than
-F(k-1) + 1 + 1/2 (the ``optimize`` module docstring), so it can neither
-win nor lie within NEAR_TIE of a row's minimum.
+Running sums. Per block start i the walk keeps the product
+P = qs[i] ... qs[k-1] of the block i..k-1, multiplied forward as the block
+grows. For S it also keeps the other sums that
+``cost._optimal_sterrett_ascending`` walks: C = C(i,k-1),
+T = qs[i] + ... + qs[k-1] and, under the optimal rule, M = the minimum
+over i <= a <= k-1 of phi(i,a). Smallest-last takes phi(i,k-1) alone in
+place of M (see the ``optimize`` module docstring). A chunk advances each
+sum of every start through all its rows with one ``multiply``, ``add`` or
+``minimum`` accumulate down the slab; an accumulate is sequential, so
+each cell is the scalar walk's operation in its order. Slab row 0 holds
+the sums after the row before the chunk: the previous chunk's last row.
 
-S. Per block start i the table keeps the running sums of the block
-i..k-1 that ``cost._optimal_sterrett_ascending`` walks: P = P(i,k-1),
-C = C(i,k-1), T = qs[i] + ... + qs[k-1] and, under the optimal rule,
-M = the minimum over i <= a <= k-1 of phi(i,a). Smallest-last takes
-phi(i,k-1) alone in place of M (see the ``optimize`` module docstring).
-A chunk advances P, C, T and M of every start through all its rows with
-one ``multiply``, ``add`` or ``minimum`` accumulate per sum down the
-slab; an accumulate is sequential, so each cell is the scalar walk's
-operation in its order. The sums after a chunk's last row are the next
-chunk's slab row 0.
+Candidates. With m = k - i items, a D block costs (1 + m) - m P. A Dp
+block also subtracts P_head (1 - qs[k-1]), and its head product
+P_head = qs[i] ... qs[k-2] is the slab row before's P. An S block costs
+(2m - 1) - T - P - C + M.
+
+The cut. The D and Dp slabs hold P alone, for the starts from
+lo = stops[k0] + 1, the first chunk row's ``optimize._row_stops`` stop.
+The stops never fall as k grows, so the slab holds every start a later
+row visits, and the carried row drops the starts cut since the last chunk
+from its left. A row cut whole (stops[k0] = k0 - 1) opens no start below
+k0. The cut starts a slab still holds for a later row need no mask: each
+costs more than F(k-1) + 1 + 1/2 (the ``optimize`` module docstring), so
+it can neither win nor lie within NEAR_TIE of a row's minimum. S is never
+cut.
 
 Selection. A start i < k0-1 is settled: F(i) is final before the chunk
 begins, and no row of the chunk ends a block there, so its candidates are
@@ -49,7 +50,10 @@ rescan, and a table costs about half its scalar loop.
 Every chunk's slabs are new contiguous arrays, as wide as the starts the
 chunk touches: numpy runs an operation on a contiguous slab as one flat
 loop, 2-4 times faster at these sizes than on the same slab cut from an
-array N wide, which made S tables at N = 150 about 13 % slower.
+array N wide, which made S tables at N = 150 about 13 % slower. The
+carried row is copied out of its slab, so the slab is freed before the
+next is made: kept as a view, it held two slabs alive at once, and the
+full D table at its budget (N = 5292) ran about 18 % slower.
 
 A numpy form that paid about fifteen numpy calls per row was slower than
 the scalar loops; a chunk pays about twenty to thirty per CHUNK rows. At
@@ -59,7 +63,7 @@ of risky populations (p ~ 0.3) are slower, by 0.04-0.25 ms. A table of
 one chunk pays the calls once: at N = 8 and 14 a D or Dp table takes
 35-75 us against 13-40 us, and an S table 55-80 us against 15-45 us for
 its scalar loop, under 1 % of a ``verify`` benchmark op
-(``BENCH_19.json``, ``BENCH_20.json``).
+(``BENCH_19.json``, ``BENCH_20.json``, ``BENCH_21.json``).
 
 The tables have a module of their own for memory: compiled inside
 ``optimize.py``, the S slab code left 0.4 MiB more resident after
@@ -136,97 +140,82 @@ def _take_rows(
     F[k0 : k0 + b] = cost[k0 : k0 + b]
 
 
-def dorfman_table(qs: tuple[float, ...], procedure: str, stops: list[int]) -> tuple[list[float], list[int]]:
-    """Cost-to-go and split of the D or Dp table on the descending ``qs``,
-    whose row k tries the starts down to ``stops[k] + 1``.
-
-    Slab row r holds the products of row k0-1+r, start i in column i - lo.
-    """
-    n = len(qs)
-    B = min(CHUNK, n)
-    cost = [0.0] * (n + 1)
-    split = [0] * (n + 1)
-    q = np.array(qs)
-    lost = (1.0 - q)[:, None]  # 1 - qlast, per row
-    index = np.arange(n + 1.0)  # k and i, as floats
-    upper = _upper(B)
-    F = np.zeros(n + 1)  # cost, filled chunk by chunk
-    for k0 in range(1, n + 1, B):
-        k1 = min(k0 + B, n + 1)  # the chunk runs rows k0..k1-1
-        b, w = k1 - k0, k1 - 1  # rows, and starts lo..k1-2 touched
-        lo = stops[k0] + 1
-        P = np.empty((b + 1, w - lo))
-        np.copyto(P, q[lo:w])
-        first = max(k0 - 1, lo)  # 1.0 at start i >= k, row k = k0-1+r
-        np.copyto(P[:, first - lo :], 1.0, where=upper[: b + 1, first - k0 + 1 : b])
-        backwards = P[:, ::-1]
-        np.multiply.accumulate(backwards, axis=1, out=backwards)
-        m = np.subtract(index[k0:k1, None], index[lo:w])
-        bs = m * P[1:]
-        np.add(m, 1.0, out=m)
-        np.subtract(m, bs, out=bs)  # (1 + m) - m P
-        if procedure == "Dp":
-            head = np.multiply(P[:-1], lost[k0 - 1 : w], out=P[:-1])
-            np.subtract(bs, head, out=bs)
-        _take_rows(bs, F, k0, stops, cost, split)
-    return cost, split
-
-
-def sterrett_table(qs: tuple[float, ...], s_rule: str) -> tuple[list[float], list[int]]:
-    """Cost-to-go and split of the S table on the descending ``qs``.
+def walk(
+    qs: tuple[float, ...], procedure: str, s_rule: str, stops: list[int]
+) -> tuple[list[float], list[int]]:
+    """Cost-to-go and split of the D, Dp or S table on the descending
+    ``qs``, whose row k tries the starts down to ``stops[k] + 1``.
 
     Slab row 0 holds each start's sums after the row before the chunk,
     and slab row r those after the chunk's r-th row. Start i opens at row
     i+1; until then it holds P = 1, C = T = 0 and M = +inf, and its
     factors and addends read 1, 0 and +inf, so it opens on the scalar
     loop's values exactly (C = 0 and phi(i,i) = 2 qs[i]). Under
-    smallest-last M is phi itself.
+    smallest-last M is phi itself. D and Dp keep P alone.
     """
     n = len(qs)
     B = min(CHUNK, n)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
     q = np.array(qs)
+    sterrett = procedure == "S"
+    optimal = s_rule == "optimal"
     opening = np.array([[1.0], [0.0], [0.0], [math.inf]])  # P, C, T, M of a start not yet open
-    carry = np.empty((4, 0))  # P, C, T, M of every open start after the row before the chunk
+    carry = np.empty((4, 0) if sterrett else 0)  # the sums of starts carry_lo..k0-2
+    carry_lo = 0
     upper = _upper(B)
+    index = np.arange(n + 1.0)  # k and i, as floats
     twice_start = np.arange(0.0, 2.0 * n, 2.0)
     F = np.zeros(n + 1)  # cost, filled chunk by chunk
-    uncut = [-1] * (n + 1)
-    optimal = s_rule == "optimal"
     for k0 in range(1, n + 1, B):
         k1 = min(k0 + B, n + 1)  # the chunk runs rows k0..k1-1
-        b, w = k1 - k0, k1 - 1  # rows, and starts 0..k1-2 touched
+        b, w = k1 - k0, k1 - 1  # rows, and starts lo..k1-2 touched
+        lo = stops[k0] + 1
+        first = max(k0 - 1, lo)  # the starts opening in the chunk: first..k1-2
         qk = q[k0 - 1 : k1 - 1, None]
-        sums = np.empty((4, b + 1, w))
-        sums[:, 0, : k0 - 1] = carry
-        sums[:, 0, k0 - 1 :] = opening
-        Ps, Cs, Ts, Ms = sums
-        # start k0-1+c is not yet open at chunk row r when c >= r, and not
+        if sterrett:  # never cut: lo = 0
+            sums = np.empty((4, b + 1, w))
+            sums[:, 0, : k0 - 1] = carry
+            sums[:, 0, k0 - 1 :] = opening
+            Ps, Cs, Ts, Ms = sums
+        else:  # P alone, its cut starts dropped from the left
+            sums = Ps = np.empty((b + 1, w - lo))
+            Ps[0, : first - lo] = carry[lo - carry_lo :]
+        # start k0-1+c is not yet open at slab row r when c >= r, and not
         # yet extended (its C unchanged) when c >= r-1
-        fresh, fresh_c = upper[1 : b + 1, :b], upper[:b, :b]
+        fresh = upper[: b + 1, first - k0 + 1 : b]
         np.copyto(Ps[1:], qk)
-        np.copyto(Ps[1:, k0 - 1 :], 1.0, where=fresh)
+        np.copyto(Ps[:, first - lo :], 1.0, where=fresh)
         np.multiply.accumulate(Ps, axis=0, out=Ps)
-        np.copyto(Ts[1:], qk)
-        np.copyto(Ts[1:, k0 - 1 :], 0.0, where=fresh)
-        np.add.accumulate(Ts, axis=0, out=Ts)
-        np.copyto(Cs[1:], Ps[:-1])
-        np.copyto(Cs[1:, k0 - 1 :], 0.0, where=fresh_c)
-        np.add.accumulate(Cs, axis=0, out=Cs)
-        phi = Ms[1:]  # phi = qlast + (1 - qlast) C + P
-        np.multiply(1.0 - qk, Cs[1:], out=phi)
-        np.add(qk, phi, out=phi)
-        np.add(phi, Ps[1:], out=phi)
-        if optimal:
-            np.copyto(Ms[1:, k0 - 1 :], math.inf, where=fresh)
-            np.minimum.accumulate(Ms, axis=0, out=Ms)
-        # base = (2m - 1) - T - P - C + M, m = k - i items
-        bs = np.subtract(np.arange(2.0 * k0 - 1.0, 2.0 * k1 - 1.0, 2.0)[:, None], twice_start[:w])
-        np.subtract(bs, Ts[1:], out=bs)
-        np.subtract(bs, Ps[1:], out=bs)
-        np.subtract(bs, Cs[1:], out=bs)
-        np.add(bs, Ms[1:], out=bs)
-        _take_rows(bs, F, k0, uncut, cost, split)
-        carry = sums[:, b]
+        if sterrett:
+            fresh = fresh[1:]
+            np.copyto(Ts[1:], qk)
+            np.copyto(Ts[1:, k0 - 1 :], 0.0, where=fresh)
+            np.add.accumulate(Ts, axis=0, out=Ts)
+            np.copyto(Cs[1:], Ps[:-1])
+            np.copyto(Cs[1:, k0 - 1 :], 0.0, where=upper[:b, :b])
+            np.add.accumulate(Cs, axis=0, out=Cs)
+            phi = Ms[1:]  # phi = qlast + (1 - qlast) C + P
+            np.multiply(1.0 - qk, Cs[1:], out=phi)
+            np.add(qk, phi, out=phi)
+            np.add(phi, Ps[1:], out=phi)
+            if optimal:
+                np.copyto(Ms[1:, k0 - 1 :], math.inf, where=fresh)
+                np.minimum.accumulate(Ms, axis=0, out=Ms)
+            # base = (2m - 1) - T - P - C + M, m = k - i items
+            bs = np.subtract(np.arange(2.0 * k0 - 1.0, 2.0 * k1 - 1.0, 2.0)[:, None], twice_start[:w])
+            np.subtract(bs, Ts[1:], out=bs)
+            np.subtract(bs, Ps[1:], out=bs)
+            np.subtract(bs, Cs[1:], out=bs)
+            np.add(bs, Ms[1:], out=bs)
+        else:  # (1 + m) - m P, less P_head (1 - qlast) for Dp
+            m = np.subtract(index[k0:k1, None], index[lo:w])
+            bs = m * Ps[1:]
+            np.add(m, 1.0, out=m)
+            np.subtract(m, bs, out=bs)
+            if procedure == "Dp":  # the head product is the row before's P
+                head = np.multiply(Ps[:-1], 1.0 - qk, out=Ps[:-1])
+                np.subtract(bs, head, out=bs)
+        _take_rows(bs, F, k0, stops, cost, split)
+        carry, carry_lo = sums[..., b, :].copy(), lo  # a copy, so the slab is freed
     return cost, split

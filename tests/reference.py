@@ -153,29 +153,33 @@ def pair_costs(q1: float, q2: float, q3: float, q4: float) -> tuple[float, float
 def uncut_dorfman_table(qs, procedure: str) -> tuple[list[float], list[int]]:
     """The ordered-partition DP for D or Dp on descending ``qs``, one cell
     at a time, trying every start i = k-2 .. 0 of every row in
-    ``dp_table``'s arithmetic and tie rule: its cost-to-go and split lists,
-    equal to ``dp_table``'s only if the width cut skips no start that could
-    win and the slabs keep every float operation."""
+    ``dp_table``'s arithmetic and tie rule: per block start the product P
+    of the block, grown forward as the S loop grows it, the previous row's
+    P being the Dp head product. Its cost-to-go and split lists, equal to
+    ``dp_table``'s only if the width cut skips no start that could win and
+    the slabs keep every float operation."""
     n = len(qs)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
+    P = [0.0] * n
     for k in range(1, n + 1):
         qlast = qs[k - 1]
         one_minus_qlast = 1.0 - qlast
-        prod, prod_head, m = qlast, 1.0, 1.0
         best = cost[k - 1] + 1.0
         bound = best - REL_TOL * best
         best_i = k - 1
+        m = 1.0
         for i in range(k - 2, -1, -1):
-            prod *= qs[i]
-            prod_head *= qs[i]
+            head = P[i]
+            p = P[i] = head * qlast
             m += 1.0
             if procedure == "Dp":
-                cand = 1.0 + m - m * prod - prod_head * one_minus_qlast + cost[i]
+                cand = 1.0 + m - m * p - head * one_minus_qlast + cost[i]
             else:
-                cand = 1.0 + m - m * prod + cost[i]
+                cand = 1.0 + m - m * p + cost[i]
             if cand < bound:
                 best, bound, best_i = cand, cand - REL_TOL * cand, i
+        P[k - 1] = qlast
         cost[k] = best
         split[k] = best_i
     return cost, split

@@ -299,7 +299,8 @@ class TestExactOracle:
     @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
     def test_tables_within_float_error_of_exact(self, procedure, s_rule):
         # every cost-to-go entry within 1e-13 relative of the exact optimum,
-        # on uniform, tied and log-uniform risks and on risks near 1e-12
+        # on uniform, tied and log-uniform risks and on risks near 1e-12;
+        # for D and Dp also on low risks, where (1 + m) - m P cancels most
         rng = random.Random(89)
         tiny = (
             sort_ascending(validate_probability_vector(
@@ -307,7 +308,11 @@ class TestExactOracle:
             ))[0]
             for _ in range(10)
         )
-        for pv in itertools.chain(risk_corpus(rng, 30, 12), tiny):
+        low = (
+            sort_ascending(validate_probability_vector([rng.uniform(1e-6, 1e-3) for _ in range(24)]))[0]
+            for _ in range(3 if procedure != "S" else 0)
+        )
+        for pv in itertools.chain(risk_corpus(rng, 30, 12), tiny, low):
             table = dp_table(pv, procedure, s_rule)
             exact = exact_table(pv.q, procedure, s_rule)[0]
             for got, want in zip(table.cost_to_go, exact):
