@@ -28,27 +28,26 @@ tables.
 
 Each procedure's cost is written here in two forms:
 
-  given order   ``_cost_dorfman_q``, ``_cost_modified_dorfman_q`` and
-                ``_cost_sterrett_q`` cost a q sequence in test order;
-                ``group_cost`` applies them to a Group.
+  given order   ``_given_cost_q`` costs a q sequence in test order with
+                ``_cost_dorfman_q``, ``_cost_modified_dorfman_q`` or
+                ``_cost_sterrett_q``; ``group_cost`` applies it to a Group.
   arranged      ``_arranged_cost_q`` takes a block's q values ascending,
                 decides its test order (which value goes last) and costs
                 it: the given-order form on that order for D and Dp, and
                 the O(k) phi walk ``_optimal_sterrett_ascending`` for S.
                 It is the only place an arrangement is decided: both
-                exhaustive oracles in ``optimize`` call it, and
-                ``arranged_cost`` applies its order to a Group for reports
-                and simulation.
+                exhaustive oracles in ``optimize`` call it, and reports
+                take their orders from it through ``_arrange``.
+
+A plan report works on tuples of item indices and q values: ``_arrange``
+sorts each block by (q, index) once, takes its order from
+``_arranged_cost_q`` and costs that order by ``_given_cost_q``, which
+checks the DP independently. ``evaluate_plan`` checks only that the plan
+covers the population; plans and groups validate themselves when built.
 
 ``optimize.dp_table`` and ``batch.dp_totals`` keep one incremental walk
-of their own for all three procedures: it grows each block one item at a
-time, updating running sums per block start in O(1) where a one-shot
-call would start over. The block product P serves D, Dp and S alike (the
-Dp head product is the P before the newest item), and S adds the phi
-walk's other sums; smallest-last takes the new item's phi alone.
-``dp_table``'s walk (``tables.walk``) advances these sums for all block
-starts a chunk of rows at a time, one numpy accumulate per sum, which
-keeps each sum's float operations and their order.
+of these sums per block start instead, O(1) a cell for all three
+procedures; ``optimize`` and ``tables`` hold its design.
 
 The closed forms are tested against the protocol itself
 (``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over
@@ -58,18 +57,11 @@ every defect vector) and, for S, against the first-defective recursion in
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
-from .model import (
-    BlockCost,
-    CostReport,
-    Group,
-    OrderedPartition,
-    ProbabilityVector,
-    SetPartition,
-    sort_ascending,
-)
+from .model import BlockCost, CostReport, Group, OrderedPartition, ProbabilityVector, SetPartition
 
 # ---------------------------------------------------------------------------
 # closed forms on a q-sequence (test order = sequence order)
@@ -164,32 +156,17 @@ def _arranged_cost_q(v: Sequence[float], procedure: str) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# optimal within-group arrangements
+# blocks in test order and in their cheapest order
 # ---------------------------------------------------------------------------
 
 
-def arranged_cost(group: Group, pv: ProbabilityVector, procedure: str) -> tuple[Group, float]:
-    """The group in its cheapest test order under ``procedure``, and its cost.
-
-    The members are sorted by (q, index) and ``_arranged_cost_q`` picks the
-    last one, so ties go to the lower index; D, which costs the same in
-    every order, keeps the given order. The cost is that of the returned
-    order under ``group_cost``.
-    """
-    qs, items = zip(*sorted(zip(group.qs(pv), group.items)))
-    _, b = _arranged_cost_q(qs, procedure)
-    g = group if procedure == "D" else Group(items=(*items[:b], *items[b + 1 :], items[b]))
-    return g, group_cost(g, pv, procedure)
-
-
-def group_cost(group: Group, pv: ProbabilityVector, procedure: str) -> float:
-    """Cost of a group exactly as ordered, under ``procedure``.
+def _given_cost_q(q: Sequence[float], procedure: str) -> float:
+    """Cost of a block whose q values ``q`` are in test order.
 
     D costs all q sorted, since its cost ignores the order; Dp sorts the
     head and keeps the last item, whose individual test it may skip. So
     orders that cost alike in exact arithmetic cost alike in floats too.
     """
-    q = group.qs(pv)
     if procedure == "D":
         return _cost_dorfman_q(sorted(q))
     if procedure == "Dp":
@@ -199,56 +176,79 @@ def group_cost(group: Group, pv: ProbabilityVector, procedure: str) -> float:
     raise ValueError(f"unknown procedure {procedure!r}")
 
 
+def _arrange(items: tuple[int, ...], q: Sequence[float], procedure: str) -> tuple[tuple, float]:
+    """``items``, whose q values are ``q``, in their cheapest test order
+    under ``procedure``, and that order's given-order cost. The members are
+    sorted by (q, index) and ``_arranged_cost_q`` picks the last one, so
+    ties go to the lower index; D, which costs the same in every order,
+    keeps the given order."""
+    if procedure == "D":
+        return items, _given_cost_q(q, procedure)
+    v, by_q = zip(*sorted(zip(q, items)))
+    b = _arranged_cost_q(v, procedure)[1]
+    order = (*by_q[:b], *by_q[b + 1 :], by_q[b])
+    return order, _given_cost_q((*v[:b], *v[b + 1 :], v[b]), procedure)
+
+
+def arranged_cost(group: Group, pv: ProbabilityVector, procedure: str) -> tuple[Group, float]:
+    """The group in its cheapest test order under ``procedure``, and its cost."""
+    order, cost = _arrange(group.items, group.qs(pv), procedure)
+    return (group if order is group.items else Group(items=order)), cost
+
+
+def group_cost(group: Group, pv: ProbabilityVector, procedure: str) -> float:
+    """Cost of a group exactly as ordered, under ``procedure``."""
+    return _given_cost_q(group.qs(pv), procedure)
+
+
 # ---------------------------------------------------------------------------
 # plan evaluation
 # ---------------------------------------------------------------------------
 
 
-def resolve_plan(
-    plan: OrderedPartition | SetPartition, pv: ProbabilityVector
-) -> list[Group]:
-    """Turn a plan into concrete groups over original item indices.
-
-    Ordered partitions slice the population sorted ascending by p, so each
-    resulting group lists its members in ascending-p (descending-q) order.
-    Set-partition blocks keep the order in which they were written.
-    """
+def _plan_blocks(plan: OrderedPartition | SetPartition, pv: ProbabilityVector, perm=None) -> Sequence:
+    """The blocks of a plan that covers ``pv``, as tuples of item indices:
+    an ordered partition's are runs along ``perm``, the indices stably
+    sorted ascending by p (sorted here unless given); a set partition's
+    keep the order in which they were written."""
     if isinstance(plan, OrderedPartition):
         if plan.n != pv.n:
             raise ValueError(f"partition sizes sum to {plan.n}, population has {pv.n} items")
-        _, perm = sort_ascending(pv)
-        groups = []
-        pos = 0
-        for size in plan.sizes:
-            groups.append(Group(items=tuple(perm[pos : pos + size])))
-            pos += size
-        return groups
+        perm = perm or tuple(sorted(range(pv.n), key=pv.probs.__getitem__))
+        return [perm[end - k : end] for k, end in zip(plan.sizes, itertools.accumulate(plan.sizes))]
     if isinstance(plan, SetPartition):
         plan.check_cover(pv.n)
-        return [Group(items=b) for b in plan.blocks]
+        return plan.blocks
     raise TypeError(f"unsupported plan type {type(plan).__name__}")
 
 
-def evaluate_plan(
-    plan: OrderedPartition | SetPartition,
-    pv: ProbabilityVector,
-    procedure: str,
-    arrange: str = "optimal",
-) -> CostReport:
-    """Cost report for a plan: per-block arranged orders and expected tests.
+def resolve_plan(plan: OrderedPartition | SetPartition, pv: ProbabilityVector) -> list[Group]:
+    """The plan's blocks as groups over original item indices (``_plan_blocks``)."""
+    return [Group(items=b) for b in _plan_blocks(plan, pv)]
 
-    ``arrange`` is "optimal" (rearrange each block for the procedure) or
-    "given" (cost the blocks exactly as ordered).
-    """
+
+def _cost_report(blocks, pv: ProbabilityVector, procedure: str, arrange="optimal") -> CostReport:
+    """``evaluate_plan`` on ``_plan_blocks``' blocks."""
+    probs, per_block, total = pv.probs, [], 0.0
+    for items in blocks:
+        q = [1.0 - probs[i] for i in items]
+        if arrange == "optimal":
+            order, cost = _arrange(items, q, procedure)
+        else:
+            order, cost = items, _given_cost_q(q, procedure)
+        per_block.append(BlockCost(items=items, order=order, expected_tests=cost))
+        total += cost
+    return CostReport(procedure=procedure, per_block=tuple(per_block), total=total)
+
+
+def evaluate_plan(
+    plan: OrderedPartition | SetPartition, pv: ProbabilityVector, procedure: str, arrange="optimal"
+) -> CostReport:
+    """Cost report for a plan: per-block orders and expected tests, with
+    ``arrange`` "optimal" (rearrange each block for the procedure) or
+    "given" (cost the blocks exactly as ordered). A bad ``arrange`` is
+    refused first, then a plan that does not cover ``pv``, then an unknown
+    procedure."""
     if arrange not in ("optimal", "given"):
         raise ValueError(f"arrange must be 'optimal' or 'given', got {arrange!r}")
-    blocks = []
-    total = 0.0
-    for g in resolve_plan(plan, pv):
-        if arrange == "optimal":
-            ordered, cost = arranged_cost(g, pv, procedure)
-        else:
-            ordered, cost = g, group_cost(g, pv, procedure)
-        blocks.append(BlockCost(items=g.items, order=ordered.items, expected_tests=cost))
-        total += cost
-    return CostReport(procedure=procedure, per_block=tuple(blocks), total=total)
+    return _cost_report(_plan_blocks(plan, pv), pv, procedure, arrange)

@@ -210,9 +210,9 @@ class Group:
         return len(self.items)
 
     def check_against(self, pv: ProbabilityVector) -> None:
-        bad = [i for i in self.items if i >= pv.n]
-        if bad:
-            raise ValueError(f"group items {bad} out of range for population of size {pv.n}")
+        n = pv.n
+        if bad := [i for i in self.items if i >= n]:
+            raise ValueError(f"group items {bad} out of range for population of size {n}")
 
     def qs(self, pv: ProbabilityVector) -> tuple[float, ...]:
         """Good-probabilities of the group members, in test order."""
@@ -424,7 +424,7 @@ def _emit(x: Any, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(v) is int for v in x):
+        if set(map(type, x)) == {int}:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
             return
         sep = "[" + inner

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import all_above_ungar
-from .cost import _arranged_cost_q, evaluate_plan
+from .cost import _arranged_cost_q, _cost_report, _plan_blocks, evaluate_plan
 from .model import (
     PROCEDURES,
     REL_TOL,
@@ -266,7 +266,7 @@ def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     else:
         table = dp_table(sorted_pv, procedure)
         plan = OrderedPartition(sizes=table.plan_sizes())
-    report = evaluate_plan(plan, pv, procedure, arrange="optimal")
+    report = _cost_report(_plan_blocks(plan, pv, perm), pv, procedure)
     return PlanResult(plan=plan, report=report, search="dp-ordered", permutation=perm)
 
 
@@ -321,7 +321,7 @@ def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
             bound, best_mask = total - REL_TOL * total, mask
     edges = [0, *(t + 1 for t in range(n - 1) if best_mask >> t & 1), n]
     plan = OrderedPartition(sizes=tuple(b - a for a, b in zip(edges, edges[1:])))
-    report = evaluate_plan(plan, pv, procedure, arrange="optimal")
+    report = _cost_report(_plan_blocks(plan, pv, perm), pv, procedure)
     return PlanResult(plan=plan, report=report, search="exhaustive-ordered", permutation=perm)
 
 

@@ -6,7 +6,10 @@ input there and is compared with ``<input>.<case>.json``; a case that
 reads none (``counterexample``, ``study``) runs once and is compared with
 ``<case>.json``, or ``<case>.csv`` for csv output. ``tied8`` has tied
 risks, so the tie-breaking of arrangements and plan searches shows up in
-the outputs too. After a change that is meant to alter an output,
+the outputs too. ``deck150`` holds 150 risks drawn as
+``numpy.random.default_rng(150).beta(1, 19, 150)`` and written with 17
+significant digits; only the plan searches run on it, and their blocks of
+up to 31 items pin long arrangements byte for byte. After a change that is meant to alter an output,
 regenerate the goldens with
 
     PYTHONPATH=src python tests/test_cli_golden.py [CASE_ID ...]
@@ -28,6 +31,7 @@ from pooltest.model import STERRETT_RULES
 
 GOLDEN = Path(__file__).with_name("golden")
 INPUTS = ("mixed9", "tied8")
+LARGE_INPUT = "deck150"
 CASES = {
     **{f"optimize-{p}": ["optimize", "--procedure", p] for p in ("D", "Dp", "S")},
     **{
@@ -85,8 +89,10 @@ def golden(name: str | None, case: str) -> Path:
     return GOLDEN / f"{name}.{case}.json"
 
 
-RUNS = [(name, case) for name in INPUTS for case in CASES] + [
-    (None, case) for case in NO_INPUT_CASES
+RUNS = [
+    *[(name, case) for name in INPUTS for case in CASES],
+    *[(LARGE_INPUT, f"optimize-{p}") for p in ("D", "Dp", "S")],
+    *[(None, case) for case in NO_INPUT_CASES],
 ]
 IDS = [f"{n}-{c}" if n else c for n, c in RUNS]
 

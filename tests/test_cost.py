@@ -1,10 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pooltest.cost import arranged_cost, evaluate_plan, group_cost
-from pooltest.model import Group, OrderedPartition, SetPartition, validate_probability_vector
+from pooltest.cost import _arranged_cost_q, arranged_cost, evaluate_plan, group_cost
+from pooltest.model import (
+    Group,
+    OrderedPartition,
+    SetPartition,
+    sort_ascending,
+    validate_probability_vector,
+)
 from reference import cost_sterrett_equal_prob, cost_sterrett_recursive
 
 
@@ -249,3 +256,82 @@ class TestEvaluatePlan:
         pv = validate_probability_vector([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             evaluate_plan(SetPartition(blocks=((0, 1),)), pv, "S")
+
+
+def group_report(plan, pv, procedure, arrange):
+    """(items, order, expected tests) per block, built from Groups one block
+    at a time: the plan's groups over a sorted copy of the population, each
+    sorted by (q, index) with the last item from ``_arranged_cost_q``, and
+    costed by ``group_cost`` in that order. ``arranged_cost`` must agree
+    with it on every block."""
+    if isinstance(plan, OrderedPartition):
+        perm = sort_ascending(pv)[1]
+        ends = itertools.accumulate(plan.sizes)
+        groups = [Group(items=perm[end - k : end]) for k, end in zip(plan.sizes, ends)]
+    else:
+        groups = [Group(items=b) for b in plan.blocks]
+    out = []
+    for g in groups:
+        order = g
+        if arrange == "optimal" and procedure != "D":
+            qs, items = zip(*sorted(zip(g.qs(pv), g.items)))
+            b = _arranged_cost_q(qs, procedure)[1]
+            order = Group(items=(*items[:b], *items[b + 1 :], items[b]))
+        if arrange == "optimal":
+            assert arranged_cost(g, pv, procedure) == (order, group_cost(order, pv, procedure))
+        out.append((g.items, order.items, group_cost(order, pv, procedure)))
+    return out
+
+
+def random_plans(rng):
+    """Ordered and set plans over up to 60 items with distinct, tied and
+    equal risks."""
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        shape = rng.choice(("distinct", "tied", "equal"))
+        if shape == "distinct":
+            probs = [rng.uniform(1e-4, 0.4) for _ in range(n)]
+        elif shape == "tied":
+            pool = [rng.uniform(1e-3, 0.3) for _ in range(3)]
+            probs = [rng.choice(pool) for _ in range(n)]
+        else:
+            probs = [rng.uniform(1e-3, 0.3)] * n
+        pv = validate_probability_vector(probs)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        edges = [0, *cuts, n]
+        yield pv, OrderedPartition(sizes=tuple(b - a for a, b in zip(edges, edges[1:])))
+        items = list(range(n))
+        rng.shuffle(items)
+        yield pv, SetPartition(blocks=tuple(tuple(items[a:b]) for a, b in zip(edges, edges[1:])))
+
+
+@pytest.mark.parametrize("arrange", ["optimal", "given"])
+@pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+def test_report_equals_group_reference_bit_for_bit(procedure, arrange):
+    for pv, plan in random_plans(random.Random(f"{procedure}-{arrange}")):
+        report = evaluate_plan(plan, pv, procedure, arrange=arrange)
+        expected = group_report(plan, pv, procedure, arrange)
+        assert [(b.items, b.order, b.expected_tests) for b in report.per_block] == expected
+        total = 0.0
+        for _, _, cost in expected:
+            total += cost
+        assert report.total == total
+
+
+@pytest.mark.parametrize(
+    "plan, procedure, arrange, message",
+    [
+        (OrderedPartition(sizes=(1,)), "X", "optimal", "partition sizes sum to 1, population has 2"),
+        (SetPartition(blocks=((0,),)), "X", "given", "set partition misses item 2"),
+        (OrderedPartition(sizes=(1,)), "X", "Y", "arrange must be 'optimal' or 'given'"),
+        (SetPartition(blocks=((0,),)), "X", "Y", "arrange must be 'optimal' or 'given'"),
+        (OrderedPartition(sizes=(2,)), "X", "optimal", "unknown procedure 'X'"),
+        (SetPartition(blocks=((1, 0),)), "X", "given", "unknown procedure 'X'"),
+    ],
+    ids=["size-before-procedure", "cover-before-procedure", "arrange-before-size",
+         "arrange-before-cover", "procedure-optimal", "procedure-given"],
+)
+def test_plan_errors_come_in_order(plan, procedure, arrange, message):
+    pv = validate_probability_vector([0.1, 0.2])
+    with pytest.raises(ValueError, match=message):
+        evaluate_plan(plan, pv, procedure, arrange=arrange)

@@ -1,9 +1,10 @@
+import enum
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pooltest.model import (
     BlockCost,
@@ -208,6 +209,16 @@ json_values = st.recursive(
 )
 
 
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
 @given(json_values)
+# lists of plain ints are joined in one step; bools and int subclasses
+# take the general path, so True still prints as true
+@example([True, 1, 2])
+@example([1, False, 0])
+@example({"order": [Colour.RED, Colour.BLUE, 3]})
 def test_json_text_is_json_dumps_indent_2(payload):
     assert json_text(payload) == json.dumps(payload, indent=2)
