@@ -14,12 +14,7 @@ from .bounds import (
     outcome_distribution,
     ungar_threshold,
 )
-from .cost import (
-    arranged_cost,
-    evaluate_plan,
-    group_cost,
-    resolve_plan,
-)
+from .cost import arranged_cost, evaluate_plan, group_cost
 from .model import (
     PROCEDURES,
     BlockCost,

@@ -40,10 +40,12 @@ def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndar
     within NEAR_TIE of the minimum the scan ends on it, and elsewhere the
     scan is rerun in Python on that replicate's candidates.
 
-    D and Dp rows run to the widest stop that ``optimize._row_stops`` gives
-    any replicate. A start cut only for some replicates costs more than
-    their best by over 1/2, so it never wins. Every replicate is checked
-    against its procedure's cell budget, in order, before any DP work.
+    The rows end at the ``optimize._row_stops`` of the columnwise largest
+    q: a descending vector whose block products bound every replicate's
+    from above, so a start it cuts is cut for each replicate too (the proof
+    is in the ``optimize`` docstring). Its cell count, the cells every
+    replicate's table visits, is checked against the procedure's budget
+    before any DP work.
     Replicates run CHUNK_DRAWS // (16 N) at a time, at least one, so a
     chunk's scratch, at most eight (N, replicates) float arrays (S's five
     running sums, q, cost-to-go and candidates), holds CHUNK_DRAWS / 2
@@ -60,14 +62,7 @@ def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndar
     if np.count_nonzero(q[:, 1:] > q[:, :-1]):
         raise NotSortedError("population must be sorted ascending by p")
     m, n = q.shape
-    if procedure == "S":  # never cut: every table has the same N(N-1)/2 cells
-        _budgeted_stops(q[0], procedure)
-        widest = [-1] * (n + 1)
-    else:  # per row, the smallest stop of any replicate
-        widest = _budgeted_stops(q[0].tolist(), procedure)
-        for qs in q[1:]:
-            widest = list(map(min, widest, _budgeted_stops(qs.tolist(), procedure)))
-    lo = [stop + 1 for stop in widest]
+    lo = [stop + 1 for stop in _budgeted_stops(q.max(axis=0).tolist(), procedure)]
     rows = max(1, CHUNK_DRAWS // (16 * n))
     totals = np.empty(m)
     for a in range(0, m, rows):

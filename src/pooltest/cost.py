@@ -222,11 +222,6 @@ def _plan_blocks(plan: OrderedPartition | SetPartition, pv: ProbabilityVector, p
     raise TypeError(f"unsupported plan type {type(plan).__name__}")
 
 
-def resolve_plan(plan: OrderedPartition | SetPartition, pv: ProbabilityVector) -> list[Group]:
-    """The plan's blocks as groups over original item indices (``_plan_blocks``)."""
-    return [Group(items=b) for b in _plan_blocks(plan, pv)]
-
-
 def _cost_report(blocks, pv: ProbabilityVector, procedure: str, arrange="optimal") -> CostReport:
     """``evaluate_plan`` on ``_plan_blocks``' blocks."""
     probs, per_block, total = pv.probs, [], 0.0

@@ -90,7 +90,8 @@ MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2
 # near ties rescan most rows in Python, against 1.6-2.4 s for the scalar
 # loop (BENCH_20.json); the S table takes 0.09-0.18 s. The budgets still bound
 # the study's batch.dp_totals tables (0.07-0.31 s per replicate for S at
-# N = 2800), which check_dp_budget guards with them, so they are kept.
+# N = 2800), and each batch checks against them the cells it visits, those
+# of the columnwise largest q, so they are kept.
 # Full tables fit up to N = 5292 / 4899 / 2800.
 DP_CELL_BUDGETS = {
     "D": 14_000_000,

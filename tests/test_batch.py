@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -11,7 +12,7 @@ from pooltest.model import (
     sort_ascending,
     validate_probability_vector,
 )
-from pooltest.optimize import _row_stops, dp_table
+from pooltest.optimize import DP_CELL_BUDGETS, _budgeted_stops, _row_stops, dp_table
 
 PROCEDURE_RULES = (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"), ("S", "smallest-last"))
 
@@ -74,17 +75,99 @@ def test_tied_batches_rerun_the_scan(monkeypatch):
     assert calls == []
 
 
+def batch_rows(monkeypatch, q, procedure, s_rule="optimal"):
+    """``dp_totals`` on ``q``, with the first block start each row visits."""
+    seen = []
+    run = pooltest.batch._chunk_totals
+    monkeypatch.setattr(
+        pooltest.batch, "_chunk_totals", lambda qT, p, r, lo: seen.append(lo) or run(qT, p, r, lo)
+    )
+    totals = dp_totals(q, procedure, s_rule)
+    assert seen and all(lo == seen[0] for lo in seen)
+    return totals, seen[0]
+
+
 @pytest.mark.parametrize("procedure", ["D", "Dp"])
-def test_risky_batches_are_cut(procedure):
-    # the widest stop over the batch cuts rows of every replicate, and the
-    # starts cut for some replicates only are costed harmlessly
+def test_risky_batches_are_cut(monkeypatch, procedure):
+    # the stops of the columnwise largest q cut rows of every replicate,
+    # and only starts whose product is below 0.5/(N+1) in each of them
     rng = random.Random(7)
     pvs = batch(rng, "risky", 10, 100)
-    stops = [_row_stops(pv.q, procedure)[0] for pv in pvs]
-    widest = [min(column) for column in zip(*stops)]
-    assert widest[-1] >= 0
-    assert any(len(set(column)) > 1 for column in zip(*stops))
-    assert_bitwise(pvs, procedure, "optimal")
+    q = q_matrix(pvs)
+    totals, lo = batch_rows(monkeypatch, q, procedure)
+    assert totals.tolist() == [dp_table(pv, procedure).total for pv in pvs]
+    assert lo == [stop + 1 for stop in _row_stops(q.max(axis=0).tolist(), procedure)[0]]
+    assert lo[-1] > 0
+    threshold = 0.5 / len(lo)  # len(lo) = N + 1
+    for k in range(2, len(lo)):
+        end = k if procedure == "D" else k - 1  # product of q[i..end-1]
+        for i in range(lo[k]):
+            for pv in pvs:
+                assert math.prod(pv.q[i:end]) < threshold, (procedure, k, i)
+
+
+@pytest.mark.parametrize("procedure", ["D", "Dp"])
+def test_one_low_risk_replicate_leaves_no_row_cut(monkeypatch, procedure):
+    # its products bound the columnwise largest q's from below
+    rng = random.Random(13)
+    pvs = [*batch(rng, "risky", 4, 100), sort_ascending(validate_probability_vector([1e-4] * 100))[0]]
+    assert all(_row_stops(pv.q, procedure)[0][-1] >= 0 for pv in pvs[:-1])
+    totals, lo = batch_rows(monkeypatch, q_matrix(pvs), procedure)
+    assert totals.tolist() == [dp_table(pv, procedure).total for pv in pvs]
+    assert lo == [0] * 101
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+def test_one_replicate_runs_dp_tables_stops(monkeypatch, procedure, s_rule, family):
+    rng = random.Random(f"one-{procedure}-{family}")
+    for n in (1, 2, 40, 100):
+        (pv,) = batch(rng, family, 1, n)
+        totals, lo = batch_rows(monkeypatch, q_matrix([pv]), procedure, s_rule)
+        assert totals.tolist() == [dp_table(pv, procedure, s_rule).total]
+        assert lo == [stop + 1 for stop in _row_stops(pv.q, procedure)[0]]
+
+
+@pytest.mark.parametrize("m", [1, 2, 10])
+@pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+def test_one_budget_check_per_call(monkeypatch, procedure, s_rule, m):
+    calls = []
+    budgeted = pooltest.batch._budgeted_stops
+    monkeypatch.setattr(
+        pooltest.batch, "_budgeted_stops", lambda qs, p: calls.append(p) or budgeted(qs, p)
+    )
+    rng = random.Random(17)
+    for family in ("uniform", "risky"):
+        calls.clear()
+        assert_bitwise(batch(rng, family, m, 40), procedure, s_rule)
+        assert calls == [procedure]
+
+
+@pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+def test_budget_counts_the_cells_of_the_columnwise_largest_q(monkeypatch, procedure, s_rule):
+    # refused, with _budgeted_stops' message, exactly when those cells are
+    # over the budget, even where every replicate's own table fits it
+    rng = random.Random(19)
+    gaps = 0
+    for family in ("uniform", "risky", "risky"):
+        pvs = batch(rng, family, 5, 40)
+        q = q_matrix(pvs)
+        cells = _row_stops(q.max(axis=0).tolist(), procedure)[1]
+        own = max(_row_stops(pv.q, procedure)[1] for pv in pvs)
+        assert own <= cells
+        gaps += own < cells
+        for budget in sorted({own - 1, own, cells - 1, cells, cells + 1}):
+            monkeypatch.setitem(DP_CELL_BUDGETS, procedure, budget)
+            if cells <= budget:
+                assert_bitwise(pvs, procedure, s_rule)
+                continue
+            with pytest.raises(InstanceTooLargeError) as expected:
+                _budgeted_stops(q.max(axis=0).tolist(), procedure)
+            with pytest.raises(InstanceTooLargeError) as batched:
+                dp_totals(q, procedure, s_rule)
+            assert str(batched.value) == str(expected.value)
+            assert f"cell count {cells} " in str(batched.value)
+    assert (gaps > 0) == (procedure != "S")  # the S table is never cut
 
 
 @pytest.mark.parametrize("chunk, calls", [(1, 7), (16 * 40 * 3, 3), (16 * 40 * 7, 1)])

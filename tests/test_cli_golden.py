@@ -9,7 +9,9 @@ risks, so the tie-breaking of arrangements and plan searches shows up in
 the outputs too. ``deck150`` holds 150 risks drawn as
 ``numpy.random.default_rng(150).beta(1, 19, 150)`` and written with 17
 significant digits; only the plan searches run on it, and their blocks of
-up to 31 items pin long arrangements byte for byte. After a change that is meant to alter an output,
+up to 31 items pin long arrangements byte for byte. ``study-n1000`` runs
+the study on 1000 items, whose D and Dp rows end at the width cut. After a
+change that is meant to alter an output,
 regenerate the goldens with
 
     PYTHONPATH=src python tests/test_cli_golden.py [CASE_ID ...]
@@ -67,6 +69,10 @@ NO_INPUT_CASES = {
         for r in STERRETT_RULES
     },
     "study-json": ["study", "--m", "5", "--n", "12", "--format", "json"],
+    "study-n1000": [
+        "study", "--n", "1000", "--m", "3", "--p-list", "0.1,0.3", "--format", "csv",
+        "--sterrett-rule", "optimal", "--seed", "5",
+    ],
 }
 
 
