@@ -210,11 +210,14 @@ def _cmd_study(args) -> int:
         common_draws=not args.independent_draws,
         sterrett_rule=args.sterrett_rule,
     )
-    # open --out before the study runs, so a bad path costs no study
+    # open --out before the study runs, so a bad path costs no study; empty it last
     with _reading(args.out):
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
     with out as f:
-        f.write(emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config)))
+        table = emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config))
+        if args.out and f.seekable():  # a pipe or terminal holds nothing to empty
+            f.truncate(0)
+        f.write(table)
     return EXIT_OK
 
 

@@ -106,11 +106,10 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
     draws. The H column is the entropy of the sorted shared draws, or of its
     own draws as drawn.
 
-    A target draws all its replicates first, in that order. Every table is
-    then checked against its cell budget in the order replicate by
-    replicate, D, Dp, S, before any DP work, and each of the D, Dp and S
-    columns is one ``dp_totals`` batch over the replicates, equal bit for
-    bit to a ``dp_table`` call per replicate.
+    A target draws all its replicates first, in that order. Each of the D,
+    Dp and S columns is then one ``dp_totals`` batch over the replicates,
+    equal bit for bit to a ``dp_table`` call per replicate, and each batch's
+    own cell budget check runs, in the order D, Dp, S, before any DP work.
     """
     rows = []
     n, m = config.n, config.m
@@ -118,21 +117,18 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
     for t, p in enumerate(config.p_targets):
         beta = (1.0 - p) / p
         drawn = np.empty((m, keys, n))
-        ordered = np.empty((m, keys, n))
-        entropies = []
         for r in range(m):
             for c in range(keys):
                 key = (t, r) if config.common_draws else (t, r, c)
-                drawn[r, c] = risks = sample_beta_one(n, beta, stream_generator(config.seed, key))
-                ordered[r, c] = sorted_risks = sorted(risks)
-            # the sorted shared draws, or the entropy column's own draws as drawn
-            own = sorted_risks if config.common_draws else risks
-            entropies.append(entropy_bits(ProbabilityVector(tuple(own))))
+                drawn[r, c] = sample_beta_one(n, beta, stream_generator(config.seed, key))
+        ordered = np.sort(drawn)
+        # the sorted shared draws, or the entropy column's own draws as drawn
+        own = ordered[:, 0] if config.common_draws else drawn[:, -1]
+        entropies = [entropy_bits(ProbabilityVector(tuple(v))) for v in own.tolist()]
         q = 1.0 - ordered  # descending rows, as dp_table reads them
         q_columns = [q[:, c % keys] for c in range(len(PROCEDURES))]
-        for r in range(m):
-            for c, procedure in enumerate(PROCEDURES):
-                check_dp_budget(q_columns[c][r], procedure)
+        for qc, procedure in zip(q_columns, PROCEDURES):  # dp_totals's own check
+            check_dp_budget(qc.max(axis=0).tolist(), procedure)
         columns = [
             dp_totals(qc, procedure, config.sterrett_rule)
             for qc, procedure in zip(q_columns, PROCEDURES)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -582,7 +584,7 @@ class TestStudy:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            # replicate 0's D table fits its budget and its Dp table does not
+            # the batch's D rows fit and its Dp rows do not
             (["--n", "5000"], "Dp DP over 5000 items: cell count 12497500 "
              "exceeds the enumeration guard 12000000"),
             (["--n", "2801", "--sterrett-rule", "optimal"], "S DP over 2801 items: "
@@ -612,6 +614,35 @@ class TestStudy:
         assert code == 2
         assert out == ""
         assert err == f"error: {dest}: No such file or directory\n"
+
+    def test_out_file_kept_after_a_refused_study(self, capsys, tmp_path):
+        dest = tmp_path / "table.csv"
+        dest.write_bytes(b"an earlier table\n")
+        code, out, err = run_cli(
+            capsys, "study", "--p-list", "0.1", "--n", "2801", "--m", "2", "--out", str(dest)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: S DP over 2801 items")
+        assert dest.read_bytes() == b"an earlier table\n"
+        argv = ("study", "--p-list", "0.1", "--n", "5", "--m", "3", "--seed", "1")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(dest))
+        assert (code, out) == (0, "")
+        _, table, _ = run_cli(capsys, *argv)
+        assert dest.read_text() == table
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_out_to_a_pipe(self, capsys, tmp_path):
+        # a pipe holds nothing to truncate: the table is written as it is
+        fifo = tmp_path / "table.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        argv = ("study", "--p-list", "0.1", "--n", "5", "--m", "3", "--seed", "1")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(fifo))
+        reader.join(10)
+        _, table, _ = run_cli(capsys, *argv)
+        assert (code, out, got) == (0, "", [table])
 
 
 class TestCounterexample:

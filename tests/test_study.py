@@ -5,10 +5,17 @@ import time
 import numpy as np
 import pytest
 
+import pooltest.optimize
 import pooltest.study
 from pooltest.bounds import entropy_bits
-from pooltest.model import PROCEDURES, EmptyInputError, ProbabilityVector, UnknownFormatError
-from pooltest.optimize import dp_table
+from pooltest.model import (
+    PROCEDURES,
+    EmptyInputError,
+    InstanceTooLargeError,
+    ProbabilityVector,
+    UnknownFormatError,
+)
+from pooltest.optimize import _row_stops, dp_table
 from pooltest.simulate import sample_beta_one, stream_generator
 from pooltest.study import COLUMNS, P_TARGET_RANGE, StudyConfig, emit_table, run_study
 
@@ -134,6 +141,50 @@ def test_rows_equal_reference_bit_for_bit(common_draws):
     config = StudyConfig(p_targets=(0.05, 0.3), n=40, m=20, seed=3, common_draws=common_draws)
     rows = run_study(config)
     assert [list(row) for row in rows] == [reference_row(config, t) for t in range(2)]
+
+
+def test_one_budget_check_per_batch_before_any_dp_work(monkeypatch):
+    # per target: D, Dp, S checked on the columnwise largest q, then D, Dp, S run
+    calls = []
+    check, batch = pooltest.study.check_dp_budget, pooltest.study.dp_totals
+
+    def checking(qs, procedure):
+        calls.append(("check", procedure, qs))
+        return check(qs, procedure)
+
+    def running(q, procedure, s_rule):
+        calls.append(("run", procedure, q.max(axis=0).tolist()))
+        return batch(q, procedure, s_rule)
+
+    monkeypatch.setattr(pooltest.study, "check_dp_budget", checking)
+    monkeypatch.setattr(pooltest.study, "dp_totals", running)
+    run_study(StudyConfig(p_targets=(0.05, 0.3), n=12, m=5, seed=3, common_draws=False))
+    assert [call[:2] for call in calls] == 2 * [
+        (kind, procedure) for kind in ("check", "run") for procedure in PROCEDURES
+    ]
+    for t in range(2):
+        checked, ran = calls[6 * t : 6 * t + 3], calls[6 * t + 3 : 6 * t + 6]
+        assert [call[2] for call in checked] == [call[2] for call in ran]
+
+
+def test_budget_refused_on_the_batch_rows_before_any_dp_work(monkeypatch):
+    # each replicate's own Dp table fits the budget, the batch's rows do not;
+    # the D and S budgets are never reached
+    config = StudyConfig(p_targets=(0.3,), n=60, m=10, seed=3)
+    beta = (1 - 0.3) / 0.3
+    own_cells = []
+    for r in range(config.m):
+        risks = sample_beta_one(config.n, beta, stream_generator(config.seed, (0, r)))
+        own_cells.append(_row_stops(tuple(1.0 - p for p in sorted(risks)), "Dp")[1])
+    assert max(own_cells) == 926
+    budgets = {"D": 10**9, "Dp": max(own_cells), "S": 10**9}
+    monkeypatch.setattr(pooltest.optimize, "DP_CELL_BUDGETS", budgets)
+    monkeypatch.setattr(pooltest.study, "dp_totals", lambda *a: pytest.fail("DP ran"))
+    with pytest.raises(InstanceTooLargeError) as excinfo:
+        run_study(config)
+    assert str(excinfo.value) == (
+        "Dp DP over 60 items: cell count 956 exceeds the enumeration guard 926"
+    )
 
 
 def test_independent_draws_mode_changes_values_not_contracts():
