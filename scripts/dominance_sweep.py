@@ -15,7 +15,7 @@ import argparse
 import random
 
 from pooltest.model import sort_ascending, validate_probability_vector
-from pooltest.optimize import dp_table, exhaustive_set
+from pooltest.optimize import MAX_EXHAUSTIVE_SET, dp_table, exhaustive_set
 
 
 def main() -> int:
@@ -29,6 +29,14 @@ def main() -> int:
         help="run the set-partition oracle for instances up to this size",
     )
     args = ap.parse_args()
+    if args.instances < 1:
+        ap.error("--instances must be at least 1")
+    if args.max_n < 2:
+        ap.error("--max-n must be at least 2")
+    if not 0 < args.p_max < 1:
+        ap.error("--p-max must lie strictly between 0 and 1")
+    if args.oracle_n > MAX_EXHAUSTIVE_SET:
+        ap.error(f"--oracle-n must be at most {MAX_EXHAUSTIVE_SET}, the oracle's guard")
 
     rng = random.Random(args.seed)
     violations = 0

@@ -44,8 +44,8 @@ def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndar
     q: a descending vector whose block products bound every replicate's
     from above, so a start it cuts is cut for each replicate too (the proof
     is in the ``optimize`` docstring). Its cell count, the cells every
-    replicate's table visits, is checked against the procedure's budget
-    before any DP work, as ``study.run_study`` checks it before any batch.
+    replicate's table visits, is checked against DP_CELL_BUDGET before any
+    DP work.
     Replicates run CHUNK_DRAWS // (16 N) at a time, at least one, so a
     chunk's scratch, at most eight (N, replicates) float arrays (S's five
     running sums, q, cost-to-go and candidates), holds CHUNK_DRAWS / 2

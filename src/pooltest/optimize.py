@@ -34,7 +34,7 @@ visit O(N log N) cells; low-risk ones, whose products never fall that
 far, visit them all.
 
 Every table refuses, with InstanceTooLargeError, to run when its exact
-cell count exceeds its procedure's budget in DP_CELL_BUDGETS.
+cell count exceeds DP_CELL_BUDGET.
 
 Every table runs in ``tables.walk``, in chunks of rows of numpy slabs
 that equal the one-cell-at-a-time loop bit for bit; D and Dp run inside
@@ -81,23 +81,14 @@ from .tables import walk
 
 MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
 MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
-# Cells (block start, block end) one dp_table call may visit, per procedure.
-# Each was set at about 2 s of scalar cells: 1.4-2.1 s (D, 100-150 ns a
-# cell), 1.9-2.4 s (Dp, 160-200 ns) and, for S, the full table at N = 2800,
-# 1.3-1.7 s under either rule (Python 3.11, 2 vCPUs). In slabs the full
-# low-risk tables at the D and Dp budgets (N = 5292 / 4899) take
-# 0.13-0.22 s on U(1e-6, 1e-3) risks and 0.9-1.1 s on equal risks, whose
-# near ties rescan most rows in Python, against 1.6-2.4 s for the scalar
-# loop (BENCH_20.json); the S table takes 0.09-0.18 s. The budgets still bound
-# the study's batch.dp_totals tables (0.07-0.31 s per replicate for S at
-# N = 2800), and each batch checks against them the cells it visits, those
-# of the columnwise largest q, so they are kept.
-# Full tables fit up to N = 5292 / 4899 / 2800.
-DP_CELL_BUDGETS = {
-    "D": 14_000_000,
-    "Dp": 12_000_000,
-    "S": 2800 * 2799 // 2,
-}
+# Cells (block start, block end) one dp_table or dp_totals table may visit,
+# under every procedure and rule: the full table fits up to N = 5292. There
+# the slowest tables are on equal risks, whose near ties rescan most rows in
+# Python: dp_table takes 1.0-1.2 s for D and Dp and 1.4-1.6 s for S, and
+# dp_totals at m = 2 1.3-1.7 s and 1.8-2.2 s per table. Risky and
+# U(1e-6, 1e-3) rows take at most 0.9 s and 1.3 s (Python 3.11, 2 vCPUs,
+# BENCH_25.json).
+DP_CELL_BUDGET = 14_000_000
 MAX_CUT_N = 10**7  # the D and Dp cut's rounding argument holds up to here
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
@@ -214,24 +205,20 @@ def _row_stops(qs: tuple[float, ...], procedure: str) -> tuple[list[int], int]:
     return stops, cells
 
 
-def _budgeted_stops(qs: Sequence[float], procedure: str) -> list[int]:
-    """``_row_stops`` of a table, refused with InstanceTooLargeError when its
-    cells exceed the procedure's ``DP_CELL_BUDGETS`` entry."""
-    stops, cells = _row_stops(qs, procedure)
-    if cells > DP_CELL_BUDGETS[procedure]:
+def _check_cells(procedure: str, n: int, cells: int) -> None:
+    """Refuse, with InstanceTooLargeError, a ``procedure`` table over n items
+    that would visit more than DP_CELL_BUDGET cells."""
+    if cells > DP_CELL_BUDGET:
         raise InstanceTooLargeError(
-            cells, DP_CELL_BUDGETS[procedure], f"{procedure} DP over {len(qs)} items:", "cell count"
+            cells, DP_CELL_BUDGET, f"{procedure} DP over {n} items:", "cell count"
         )
+
+
+def _budgeted_stops(qs: Sequence[float], procedure: str) -> list[int]:
+    """``_row_stops`` of a table, refused by ``_check_cells`` on its cells."""
+    stops, cells = _row_stops(qs, procedure)
+    _check_cells(procedure, len(qs), cells)
     return stops
-
-
-def check_dp_budget(qs: Sequence[float], procedure: str) -> None:
-    """Raise the InstanceTooLargeError that ``dp_table`` would raise on the
-    descending ``qs``, or nothing, before any DP work. It costs one
-    comparison when the full table fits every branch's budget."""
-    n = len(qs)
-    if n * (n - 1) // 2 > min(DP_CELL_BUDGETS.values()):
-        _budgeted_stops(qs, procedure)
 
 
 def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> DpTable:
@@ -239,8 +226,8 @@ def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> 
 
     ``s_rule`` selects the within-block arrangement for Sterrett blocks
     (see the module docstring); it is ignored for D and Dp. A table that
-    would visit more cells than its procedure's ``DP_CELL_BUDGETS`` entry
-    raises InstanceTooLargeError before any work.
+    would visit more than DP_CELL_BUDGET cells raises InstanceTooLargeError
+    before any work.
     """
     _check_sorted(pv)
     if procedure not in PROCEDURES:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pooltest.batch
+import pooltest.optimize
 from pooltest.batch import dp_totals
 from pooltest.model import (
     InstanceTooLargeError,
@@ -12,7 +13,7 @@ from pooltest.model import (
     sort_ascending,
     validate_probability_vector,
 )
-from pooltest.optimize import DP_CELL_BUDGETS, _budgeted_stops, _row_stops, dp_table
+from pooltest.optimize import _budgeted_stops, _row_stops, dp_table
 
 PROCEDURE_RULES = (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"), ("S", "smallest-last"))
 
@@ -157,7 +158,7 @@ def test_budget_counts_the_cells_of_the_columnwise_largest_q(monkeypatch, proced
         assert own <= cells
         gaps += own < cells
         for budget in sorted({own - 1, own, cells - 1, cells, cells + 1}):
-            monkeypatch.setitem(DP_CELL_BUDGETS, procedure, budget)
+            monkeypatch.setattr(pooltest.optimize, "DP_CELL_BUDGET", budget)
             if cells <= budget:
                 assert_bitwise(pvs, procedure, s_rule)
                 continue
@@ -190,10 +191,9 @@ def test_replicate_chunks(monkeypatch, procedure, s_rule, chunk, calls):
 
 @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
 def test_refused_above_cell_budget_like_dp_table(procedure, s_rule):
-    # the same message as dp_table, before any DP work; both S rules share
-    # one budget
-    n = 2801 if procedure == "S" else 5300
-    pv = validate_probability_vector([1e-4] * n)
+    # the same message as dp_table, before any DP work; every procedure and
+    # rule shares one budget
+    pv = validate_probability_vector([1e-4] * 5300)
     with pytest.raises(InstanceTooLargeError) as scalar:
         dp_table(pv, procedure, s_rule)
     with pytest.raises(InstanceTooLargeError) as batched:

@@ -17,6 +17,8 @@ from pooltest.model import plan_from_json, validate_probability_vector
 
 E3_PROBS = [0.4, 0.4, 0.01, 0.01]
 GOLDEN = Path(__file__).with_name("golden")
+# the full S table one item over the DP cell budget
+S_REFUSED = "S DP over 5293 items: cell count 14005278 exceeds the enumeration guard 14000000"
 SUBCOMMANDS = ("eval", "optimize", "oracle", "simulate", "bounds", "study", "counterexample")
 
 
@@ -393,9 +395,12 @@ class TestOptimize:
         "argv", [["optimize", "--procedure", "S"], ["oracle", "--procedure", "S"], ["bounds"]]
     )
     def test_sterrett_dp_guard_exit_code(self, capsys, probs_file, argv):
-        code, _, err = run_cli(capsys, argv[0], "--probs", probs_file([0.1] * 2801), *argv[1:])
+        code, _, err = run_cli(capsys, argv[0], "--probs", probs_file([0.1] * 5293), *argv[1:])
         assert code == 3
-        assert "guard" in err
+        if argv[0] == "oracle":  # its exhaustive searches' guards come first
+            assert "guard" in err
+        else:
+            assert err == f"error: {S_REFUSED}\n"
 
     @pytest.mark.parametrize("procedure", ["D", "Dp"])
     def test_dp_cell_budget_exit_code(self, capsys, probs_file, procedure):
@@ -406,7 +411,7 @@ class TestOptimize:
         assert (code, out) == (3, "")
         assert err == (
             f"error: {procedure} DP over 5300 items: cell count 14042350 "
-            f"exceeds the enumeration guard {pooltest.optimize.DP_CELL_BUDGETS[procedure]}\n"
+            "exceeds the enumeration guard 14000000\n"
         )
 
     def test_risky_ten_thousand_items_finish(self, capsys, probs_file):
@@ -582,25 +587,20 @@ class TestStudy:
         assert payload["metadata"]["sterrett_rule"] == "smallest-last"
 
     @pytest.mark.parametrize(
-        "argv, err",
-        [
-            # the batch's D rows fit and its Dp rows do not
-            (["--n", "5000"], "Dp DP over 5000 items: cell count 12497500 "
-             "exceeds the enumeration guard 12000000"),
-            (["--n", "2801", "--sterrett-rule", "optimal"], "S DP over 2801 items: "
-             "cell count 3921400 exceeds the enumeration guard 3918600"),
-            # both Sterrett rules share one budget
-            (["--n", "2801"], "S DP over 2801 items: "
-             "cell count 3921400 exceeds the enumeration guard 3918600"),
-        ],
-        ids=["Dp", "S-optimal", "S-smallest-last"],
+        "argv",
+        [["--independent-draws"], ["--sterrett-rule", "optimal"], []],
+        ids=["independent-draws", "S-optimal", "S-smallest-last"],
     )
-    def test_cell_budget_refused_before_any_dp_work(self, capsys, monkeypatch, argv, err):
+    def test_cell_budget_refused_before_any_dp_work(self, capsys, monkeypatch, argv):
         import pooltest.study
 
+        # every draw mode and Sterrett rule is refused on its uncut S table
+        monkeypatch.setattr(pooltest.study, "sample_beta_one", lambda *a: pytest.fail("drew"))
         monkeypatch.setattr(pooltest.study, "dp_totals", lambda *a: pytest.fail("DP ran"))
-        code, out, got = run_cli(capsys, "study", "--p-list", "0.001", "--m", "2", *argv)
-        assert (code, out, got) == (3, "", f"error: {err}\n")
+        code, out, err = run_cli(
+            capsys, "study", "--p-list", "0.001", "--m", "100000", "--n", "5293", *argv
+        )
+        assert (code, out, err) == (3, "", f"error: {S_REFUSED}\n")
 
     def test_unwritable_out_file_exits_two(self, capsys, tmp_path, monkeypatch):
         import pooltest.cli
@@ -619,10 +619,10 @@ class TestStudy:
         dest = tmp_path / "table.csv"
         dest.write_bytes(b"an earlier table\n")
         code, out, err = run_cli(
-            capsys, "study", "--p-list", "0.1", "--n", "2801", "--m", "2", "--out", str(dest)
+            capsys, "study", "--p-list", "0.1", "--n", "5293", "--m", "2", "--out", str(dest)
         )
         assert (code, out) == (3, "")
-        assert err.startswith("error: S DP over 2801 items")
+        assert err == f"error: {S_REFUSED}\n"
         assert dest.read_bytes() == b"an earlier table\n"
         argv = ("study", "--p-list", "0.1", "--n", "5", "--m", "3", "--seed", "1")
         code, out, _ = run_cli(capsys, *argv, "--out", str(dest))

@@ -40,12 +40,12 @@ class TestDorfman:
         pv = pv_from_q([0.99, 0.6])
         assert group_cost(whole_group(pv), pv, "D") == pytest.approx(1.812, abs=1e-12)
 
-    @given(q_lists)
-    def test_order_invariant(self, qs):
+    @given(q_lists, st.data())
+    def test_order_invariant(self, qs, data):
+        # bit for bit, as every order of one multiset costs alike
         pv = pv_from_q(qs)
-        base = group_cost(whole_group(pv), pv, "D")
-        perm = tuple(reversed(range(pv.n)))
-        assert group_cost(Group(items=perm), pv, "D") == pytest.approx(base, rel=1e-12)
+        perm = tuple(data.draw(st.permutations(range(pv.n))))
+        assert group_cost(Group(items=perm), pv, "D") == group_cost(whole_group(pv), pv, "D")
 
 
 class TestModifiedDorfman:
@@ -60,6 +60,13 @@ class TestModifiedDorfman:
     def test_single_item(self):
         pv = validate_probability_vector([0.99])
         assert group_cost(whole_group(pv), pv, "Dp") == 1.0
+
+    @given(q_lists, st.data())
+    def test_head_order_invariant(self, qs, data):
+        # bit for bit: any order of the head, with the last item kept
+        pv = pv_from_q(qs)
+        items = (*data.draw(st.permutations(range(pv.n - 1))), pv.n - 1)
+        assert group_cost(Group(items=items), pv, "Dp") == group_cost(whole_group(pv), pv, "Dp")
 
     @given(q_lists)
     def test_never_exceeds_dorfman(self, qs):

@@ -26,8 +26,8 @@ from pooltest.model import (
     validate_probability_vector,
 )
 from pooltest.optimize import (
-    DP_CELL_BUDGETS,
     DpTable,
+    _budgeted_stops,
     _row_stops,
     dp_ordered,
     dp_table,
@@ -499,18 +499,15 @@ class TestWidthCut:
 
     @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
     def test_refused_above_cell_budget(self, procedure, s_rule):
-        # one budget per procedure: both S rules run the same loop
-        assert set(DP_CELL_BUDGETS) == {"D", "Dp", "S"}
-        budget = DP_CELL_BUDGETS[procedure]
-        n = math.isqrt(2 * budget) + 2  # the first N whose full table is over budget
-        while n * (n - 1) // 2 <= budget:
-            n += 1
-        pv = validate_probability_vector([1e-4] * n)
+        # one budget for every procedure and rule: the full table of 5292
+        # items is the largest that fits it
+        assert _budgeted_stops((1 - 1e-4,) * 5292, procedure) == [-1] * 5293
+        pv = validate_probability_vector([1e-4] * 5293)
         with pytest.raises(InstanceTooLargeError) as refused:
             dp_table(pv, procedure, s_rule)
         assert str(refused.value) == (
-            f"{procedure} DP over {n} items: cell count {n * (n - 1) // 2} "
-            f"exceeds the enumeration guard {budget}"
+            f"{procedure} DP over 5293 items: cell count 14005278 "
+            "exceeds the enumeration guard 14000000"
         )
 
 
@@ -578,7 +575,7 @@ class TestExhaustiveSet:
         pv = validate_probability_vector([0.1] * 21)
         with pytest.raises(InstanceTooLargeError):
             exhaustive_ordered(pv, "S")
-        pv = validate_probability_vector([0.1] * 2801)
+        pv = validate_probability_vector([0.1] * 5293)
         with pytest.raises(InstanceTooLargeError):
             dp_table(pv, "S")
 

@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-import pooltest.optimize
 import pooltest.study
 from pooltest.bounds import entropy_bits
 from pooltest.model import (
@@ -15,7 +14,7 @@ from pooltest.model import (
     ProbabilityVector,
     UnknownFormatError,
 )
-from pooltest.optimize import _row_stops, dp_table
+from pooltest.optimize import dp_table
 from pooltest.simulate import sample_beta_one, stream_generator
 from pooltest.study import COLUMNS, P_TARGET_RANGE, StudyConfig, emit_table, run_study
 
@@ -143,48 +142,29 @@ def test_rows_equal_reference_bit_for_bit(common_draws):
     assert [list(row) for row in rows] == [reference_row(config, t) for t in range(2)]
 
 
-def test_one_budget_check_per_batch_before_any_dp_work(monkeypatch):
-    # per target: D, Dp, S checked on the columnwise largest q, then D, Dp, S run
-    calls = []
-    check, batch = pooltest.study.check_dp_budget, pooltest.study.dp_totals
-
-    def checking(qs, procedure):
-        calls.append(("check", procedure, qs))
-        return check(qs, procedure)
-
-    def running(q, procedure, s_rule):
-        calls.append(("run", procedure, q.max(axis=0).tolist()))
-        return batch(q, procedure, s_rule)
-
-    monkeypatch.setattr(pooltest.study, "check_dp_budget", checking)
-    monkeypatch.setattr(pooltest.study, "dp_totals", running)
-    run_study(StudyConfig(p_targets=(0.05, 0.3), n=12, m=5, seed=3, common_draws=False))
-    assert [call[:2] for call in calls] == 2 * [
-        (kind, procedure) for kind in ("check", "run") for procedure in PROCEDURES
-    ]
-    for t in range(2):
-        checked, ran = calls[6 * t : 6 * t + 3], calls[6 * t + 3 : 6 * t + 6]
-        assert [call[2] for call in checked] == [call[2] for call in ran]
-
-
-def test_budget_refused_on_the_batch_rows_before_any_dp_work(monkeypatch):
-    # each replicate's own Dp table fits the budget, the batch's rows do not;
-    # the D and S budgets are never reached
-    config = StudyConfig(p_targets=(0.3,), n=60, m=10, seed=3)
-    beta = (1 - 0.3) / 0.3
-    own_cells = []
-    for r in range(config.m):
-        risks = sample_beta_one(config.n, beta, stream_generator(config.seed, (0, r)))
-        own_cells.append(_row_stops(tuple(1.0 - p for p in sorted(risks)), "Dp")[1])
-    assert max(own_cells) == 926
-    budgets = {"D": 10**9, "Dp": max(own_cells), "S": 10**9}
-    monkeypatch.setattr(pooltest.optimize, "DP_CELL_BUDGETS", budgets)
-    monkeypatch.setattr(pooltest.study, "dp_totals", lambda *a: pytest.fail("DP ran"))
+def test_refused_on_n_before_any_draw(monkeypatch):
+    # the S table is never cut, so its n(n-1)/2 cells bound every batch's
+    # and the study makes that one check, before the first draw
+    monkeypatch.setattr(pooltest.study, "stream_generator", lambda *a: pytest.fail("drew"))
+    monkeypatch.setattr(pooltest.study, "sample_beta_one", lambda *a: pytest.fail("drew"))
     with pytest.raises(InstanceTooLargeError) as excinfo:
-        run_study(config)
+        run_study(StudyConfig(p_targets=(0.1,), n=5293, m=2))
     assert str(excinfo.value) == (
-        "Dp DP over 60 items: cell count 956 exceeds the enumeration guard 926"
+        "S DP over 5293 items: cell count 14005278 exceeds the enumeration guard 14000000"
     )
+
+
+def test_one_budget_check_per_study(monkeypatch):
+    # the largest full tables pass it; the batches are stubbed, as they take seconds
+    calls = []
+    check = pooltest.study._check_cells
+    monkeypatch.setattr(
+        pooltest.study, "_check_cells", lambda *a: calls.append(a) or check(*a)
+    )
+    monkeypatch.setattr(pooltest.study, "dp_totals", lambda q, *a: np.zeros(len(q)))
+    rows = run_study(StudyConfig(p_targets=(0.1, 0.3), n=5292, m=2))
+    assert len(rows) == 2
+    assert calls == [("S", 5292, 5292 * 5291 // 2)]
 
 
 def test_independent_draws_mode_changes_values_not_contracts():
