@@ -78,7 +78,8 @@ def _print_json(payload) -> None:
 @contextlib.contextmanager
 def _reading(path: str):
     """Turn a failed open or read of ``path``, text in it that is not UTF-8,
-    or invalid JSON in it into an UnknownFormatError that names the file."""
+    or invalid or too deeply nested JSON in it into an UnknownFormatError
+    that names the file."""
     try:
         yield
     except OSError as e:
@@ -87,6 +88,8 @@ def _reading(path: str):
         raise UnknownFormatError(f"{path}, byte {e.start + 1}: not UTF-8 text") from e
     except json.JSONDecodeError as e:
         raise UnknownFormatError(f"{path}, line {e.lineno}: invalid JSON: {e.msg}") from e
+    except RecursionError as e:
+        raise UnknownFormatError(f"{path}: JSON nested too deeply") from e
 
 
 def _read_probs(path: str) -> ProbabilityVector:

@@ -22,9 +22,8 @@ picks it, so the minimizer keeps a running minimum of phi over all k
 last values (derived at ``_optimal_sterrett_ascending``). The often-quoted
 simpler rule "ascending head, smallest q last" agrees with this optimum for
 k <= 3 but is strictly beaten for most groups of four or more; only
-the ordered-partition DP (``optimize.dp_table`` and its batched form
-``batch.dp_totals``) keeps it, for reproducing published comparison
-tables.
+the ordered-partition DP (``tables``) keeps it, for reproducing published
+comparison tables.
 
 Each procedure's cost is written here in two forms:
 
@@ -45,9 +44,8 @@ sorts each block by (q, index) once, takes its order from
 checks the DP independently. ``evaluate_plan`` checks only that the plan
 covers the population; plans and groups validate themselves when built.
 
-``optimize.dp_table`` and ``batch.dp_totals`` keep one incremental walk
-of these sums per block start instead, O(1) a cell for all three
-procedures; ``optimize`` and ``tables`` hold its design.
+The ordered-partition DP keeps one incremental walk of these sums per
+block start instead, O(1) a cell; ``tables`` holds its design.
 
 The closed forms are tested against the protocol itself
 (``simulate.exact_expected_tests`` weights ``simulate.count_tests`` over

@@ -6,11 +6,7 @@ with beta = (1-p)/p by ``simulate.sample_beta_one``, so the draws average p
 with population standard deviation p * sqrt((1-p)/(1+p)). Each replicate
 optimizes an ordered partition per procedure by dynamic programming and
 records the optimal expected totals together with the entropy of the drawn
-vector. The replicates of one target are drawn first; each procedure's
-column is then one ``batch.dp_totals`` call over all of them, equal bit
-for bit to a ``dp_table`` call per replicate. At n = 100 a replicate costs
-about 0.25 ms per target with both rules (Python 3.11, 2 vCPUs), and the
-DP's share grows as n^2.
+vector.
 
 Sterrett blocks default to the "smallest-last" arrangement because the
 published comparison tables this module reproduces were computed under
@@ -27,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import dp_totals
 from .bounds import entropy_bits
 from .model import (
     PROCEDURES,
@@ -37,8 +32,8 @@ from .model import (
     UnknownFormatError,
     json_text,
 )
-from .optimize import _check_cells
 from .simulate import sample_beta_one, stream_generator
+from .tables import check_cells, dp_totals
 
 DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
@@ -114,7 +109,7 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
     """
     rows = []
     n, m = config.n, config.m
-    _check_cells("S", n, n * (n - 1) // 2)
+    check_cells("S", n, n * (n - 1) // 2)
     keys = 1 if config.common_draws else len(PROCEDURES) + 1  # streams per replicate
     for t, p in enumerate(config.p_targets):
         beta = (1.0 - p) / p

@@ -1,75 +1,83 @@
-"""The D, Dp and S tables of ``optimize.dp_table``: one walk over row
-chunks of numpy slabs.
+"""The ordered-partition DP: its recurrence, running sums, width cut, cell
+budget and tie rule, and the two engines that run it.
 
-Rows run in chunks of CHUNK. For each chunk ``walk`` builds a (rows,
-starts) slab of its candidates less F(i), every cell from the
-one-cell-at-a-time loop's float operations on the same operands in the
-same order, and hands it to the one selection step, ``_take_rows``. So
-each table equals its scalar loop bit for bit, and tests hold it to those
-loops (``tests/reference.py``).
+On a population sorted ascending by p, so descending by q (``qs``), with
+F(0) = 0, the cost-to-go of the first k items is
 
-Running sums. Per block start i the walk keeps the product
-P = qs[i] ... qs[k-1] of the block i..k-1, multiplied forward as the block
-grows. For S it also keeps the other sums that
-``cost._optimal_sterrett_ascending`` walks: C = C(i,k-1),
-T = qs[i] + ... + qs[k-1] and, under the optimal rule, M = the minimum
-over i <= a <= k-1 of phi(i,a). Smallest-last takes phi(i,k-1) alone in
-place of M (see the ``optimize`` module docstring). A chunk advances each
-sum of every start through all its rows with one ``multiply``, ``add`` or
-``minimum`` accumulate down the slab; an accumulate is sequential, so
-each cell is the scalar walk's operation in its order. Slab row 0 holds
-the sums after the row before the chunk: the previous chunk's last row.
+    F(k) = min over 0 <= i <= k-1 of  E(block i+1..k) + F(i)
 
-Candidates. With m = k - i items, a D block costs (1 + m) - m P. A Dp
-block also subtracts P_head (1 - qs[k-1]), and its head product
-P_head = qs[i] ... qs[k-2] is the slab row before's P. An S block costs
-(2m - 1) - T - P - C + M.
+with each block costed under its within-block arrangement: for D and Dp
+the cheapest order, for S "optimal" (the true minimum over block orders)
+or "smallest-last" (the ascending-head rule behind published comparison
+tables, optimal only up to three items). Row k tries the trailing
+singleton i = k-1 first, then i = k-2 down, and a later candidate wins
+only if it is cheaper by more than REL_TOL relative. This tie rule's scan
+ends within 1/(1 - REL_TOL) of the row's minimum, as a candidate it passes
+over is not below its bound. So where no other candidate lies within
+NEAR_TIE of the minimum the scan ends on it, and elsewhere the engines
+rescan the candidates in Python, in its order.
 
-The cut. The D and Dp slabs hold P alone, for the starts from
-lo = stops[k0] + 1, the first chunk row's ``optimize._row_stops`` stop.
-The stops never fall as k grows, so the slab holds every start a later
-row visits, and the carried row drops the starts cut since the last chunk
-from its left. A row cut whole (stops[k0] = k0 - 1) opens no start below
-k0. The cut starts a slab still holds for a later row need no mask: each
-costs more than F(k-1) + 1 + 1/2 (the ``optimize`` module docstring), so
-it can neither win nor lie within NEAR_TIE of a row's minimum. S is never
-cut.
+``walk`` builds one population's cost-to-go and split, for
+``optimize.dp_table`` and so for every plan. ``dp_totals`` runs many
+populations of one size at once, for the study, and keeps their totals,
+equal bit for bit to ``dp_table``'s: its numpy calls serve every
+replicate, so it wins from a few replicates up, and ``walk`` wins for one
+(``BENCH_17.json``, ``BENCH_23.json``). Both check procedure, rule and
+cell budget through ``_budgeted_stops``, before any DP work.
 
-Selection. A start i < k0-1 is settled: F(i) is final before the chunk
-begins, and no row of the chunk ends a block there, so its candidates are
-one add and a row-wise argmin. The newer starts, from k0-1 on, a triangle
-of at most CHUNK^2 / 2 cells, are scanned in Python first, in the loop's
-order; a table of one chunk has no settled start. Ties stay exact: the
-scan ends on the settled
-minimum unless that minimum is not below its bound, when the settled
-starts cannot win, or another settled candidate lies within
-``model.NEAR_TIE`` of it, when the row rescans them in Python (the
-argument at ``batch.dp_totals``). On exactly tied risks most rows
-rescan, and a table costs about half its scalar loop.
+Running sums. Per block start i both keep the product P = qs[i] ... qs[k-1]
+of the block i..k-1, multiplied forward as the block grows, so a cell
+(block start, block end) costs O(1) and a table at most N(N-1)/2 cells.
+With m = k - i items a D block costs (1 + m) - m P; a Dp block also
+subtracts P_head (1 - qs[k-1]), where P_head is P before it took qs[k-1].
+S keeps the sums of ``cost._optimal_sterrett_ascending``: C = C(i,k-1),
+T = qs[i] + ... + qs[k-1] and M = the minimum over i <= a <= k-1 of
+phi(i,a) = qs[a] + (1 - qs[a]) C(i,a) + P(i,a). phi reads no item past a,
+so the block's growth adds one candidate to M. Smallest-last fixes the
+last value to the newest item and takes phi(i,k-1) in place of M, so both
+rules run one loop. An S block costs (2m - 1) - T - P - C + M.
 
-Every chunk's slabs are new contiguous arrays, as wide as the starts the
-chunk touches: numpy runs an operation on a contiguous slab as one flat
-loop, 2-4 times faster at these sizes than on the same slab cut from an
-array N wide, which made S tables at N = 150 about 13 % slower. The
-carried row is copied out of its slab, so the slab is freed before the
-next is made: kept as a view, it held two slabs alive at once, and the
-full D table at its budget (N = 5292) ran about 18 % slower.
+The cut. Row k's ``best`` starts at F(k-1) + 1 <= F(i) + m. A D block
+costs 1 + m - m P, and a Dp block 1 + m - m P - P_head (1 - q_last)
+>= 1 + m - m P_head. So once P (D) or P_head (Dp) is below 0.5/(N+1),
+m <= N puts the candidate above F(i) + m + 1/2: it can neither win nor lie
+within NEAR_TIE of the row's minimum. The products only fall as i falls,
+so the row ends at the first such start, which ``_row_stops`` finds up
+front. The 1/2 covers the rounding in the table's own sums, below
+(2N)^2 2^-53 < 0.05 for N <= MAX_CUT_N. Risky populations then visit
+O(N log N) cells, low-risk ones all of them. S is never cut.
 
-A numpy form that paid about fifteen numpy calls per row was slower than
-the scalar loops; a chunk pays about twenty to thirty per CHUNK rows. At
-N = 150 a D or Dp table takes 0.5-1.2 ms against 0.4-2.4 ms for the scalar
-loop, and an S table 0.8-1.2 ms against 2.4-3.9 ms; only the narrow rows
-of risky populations (p ~ 0.3) are slower, by 0.04-0.25 ms. A table of
-one chunk pays the calls once: at N = 8 and 14 a D or Dp table takes
-35-75 us against 13-40 us, and an S table 55-80 us against 15-45 us for
-its scalar loop, under 1 % of a ``verify`` benchmark op
-(``BENCH_19.json``, ``BENCH_20.json``, ``BENCH_21.json``).
+The budget. A table whose exact cell count exceeds DP_CELL_BUDGET is
+refused with InstanceTooLargeError (``check_cells``). A batch cuts and
+counts its rows by the stops of the columnwise largest q, whose block
+products bound every replicate's from above: a start it cuts is cut for
+each replicate, and its count is the cells each replicate's table visits.
 
-The tables have a module of their own for memory: compiled inside
-``optimize.py``, the S slab code left 0.4 MiB more resident after
-``import pooltest.cli`` when no bytecode cache is written (29.66 against
-29.26 MiB, medians of seven processes, Python 3.11); compiled here, it
-adds 0.03 MiB.
+``walk`` runs rows in chunks of CHUNK. A chunk's (rows, starts) slab
+advances every start's sums with one ``multiply``, ``add`` or ``minimum``
+accumulate down the slab, from row 0, the previous chunk's last row; an
+accumulate is sequential, so each cell is the one-cell-at-a-time loop's
+operation in its order, and each table equals that loop bit for bit
+(``tests/reference.py``). The D and Dp slabs hold P for the starts from
+the chunk's first stop on, dropping from the left those cut since the
+last chunk; the stops never fall as k grows, and a cut start a slab still
+holds for a later row needs no mask, by the cut's proof. In
+``_take_rows`` the settled starts, i < k0-1, are one add and a row-wise
+argmin under the tie rule; the newer ones, at most CHUNK^2 / 2 cells, are
+scanned in Python first. Slabs are new contiguous arrays, which numpy
+runs as one flat loop, faster than slices of an array N wide, and the
+carried row is a copy, so each slab is freed before the next
+(``BENCH_21.json``).
+
+``dp_totals`` runs row k of every table as one set of numpy operations
+over (block start, replicate), in chunks of CHUNK_DRAWS // (16 N)
+replicates, at least one: the scratch, at most eight (N, replicates)
+float arrays, then holds CHUNK_DRAWS / 2 floats, 2 MiB, one core's L2
+cache on the 2-vCPU hosts measured, where larger chunks ran slower
+(CHANGES.md). Replicates with a near tie rerun the rule in ``_scan``.
+
+The DP has a module apart from ``optimize`` for memory: compiled inside
+``optimize.py``, its slab code stayed resident (``BENCH_19.json``).
 """
 
 from __future__ import annotations
@@ -77,17 +85,90 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from typing import Sequence
 
 import numpy as np
 
-from .model import NEAR_TIE, REL_TOL
+from .model import NEAR_TIE, PROCEDURES, REL_TOL, STERRETT_RULES, InstanceTooLargeError, NotSortedError
+from .simulate import CHUNK_DRAWS
 
-# Rows per chunk. Any chunk from 16 to 40 rows gave S optimal 1.0-1.1 ms
-# at N = 150 and 21-22 ms at N = 1000, against 3.9 ms and 0.19 s for the
-# scalar loop; at 20 to 32 rows the six D and Dp tables of the benchmark's
-# design decks (N = 150) took the same time within 4 % (Python 3.11,
-# numpy 2.4, 2 vCPUs).
+# Rows per chunk: chunks of 16 to 40 rows ran the S tables, and 20 to 32
+# rows the D and Dp tables of the benchmark's design decks, in the same
+# time within a few percent (BENCH_19.json, BENCH_20.json).
 CHUNK = 24
+# Cells (block start, block end) one table may visit, under every
+# procedure and rule: the full table fits up to N = 5292. There the
+# slowest tables, on equal risks, whose near ties rescan most rows in
+# Python, take about 2 s (BENCH_25.json).
+DP_CELL_BUDGET = 14_000_000
+MAX_CUT_N = 10**7  # the D and Dp cut's rounding argument holds up to here
+
+
+def _row_stops(qs: Sequence[float], procedure: str) -> tuple[list[int], int]:
+    """Where each row of the table ends, and the exact number of cells it visits.
+
+    Row k tries the block starts i = k-2 down to ``stops[k] + 1``. No row
+    is cut for S, nor for D and Dp when the product of every q is not below
+    the cut threshold 0.5/(N+1): then every stop is -1, and the usual
+    low-risk table pays one ``math.prod`` for the test. Otherwise the stops
+    come from an O(N) two-pointer over prefix sums of log q.
+    """
+    n = len(qs)
+    if procedure == "S" or n > MAX_CUT_N or math.prod(qs) >= 0.5 / (n + 1):
+        return [-1] * (n + 1), n * (n - 1) // 2
+    # S[j] = log qs[0] + ... + log qs[j-1], falling in j. A start i is cut
+    # when S[i] - S[k] > c: then the product of qs[i..k-1] is below
+    # 0.5/(N+1) with margin to spare. With u = 2^-53, math.log within one
+    # ulp, and L = |S[N]| (every log q has the same sign), S[k] - S[i]
+    # differs from the exact log of the product by at most 2 gamma_N L from
+    # the two running sums plus 2uL from the logs, and forming S[k] + c
+    # rounds by at most u(L + c): (2N + 6) u (L + c) in all, which the
+    # margin 512 (N + 1) u (L + c) exceeds.
+    S = list(itertools.accumulate(map(math.log, qs), initial=0.0))
+    c = math.log(2.0 * (n + 1))
+    c += 2.0**-44 * (n + 1) * (c - S[n])
+    # cut[k] = the number of starts i cut against S[k]; it never exceeds k
+    # (c > 0) and never falls as k grows, so one pointer serves every row
+    cut = [0] * (n + 1)
+    j = 0
+    for k, s in enumerate(S):
+        limit = s + c
+        while S[j] > limit:
+            j += 1
+        cut[k] = j
+    if procedure == "D":  # the product of the whole block qs[i..k-1]
+        stops = [j - 1 for j in cut]
+    else:  # Dp: the product of the head qs[i..k-2]
+        stops = [-1, *(j - 1 for j in cut[:-1])]
+    # row k visits k-2-stops[k] cells, or none where that is -1 (stops[k] = k-1)
+    cells = (n + 1) * (n - 4) // 2 - sum(stops) + sum(map(operator.eq, stops, range(-1, n)))
+    return stops, cells
+
+
+def check_cells(procedure: str, n: int, cells: int) -> None:
+    """Refuse, with InstanceTooLargeError, a ``procedure`` table over n items
+    that would visit more than DP_CELL_BUDGET cells."""
+    if cells > DP_CELL_BUDGET:
+        raise InstanceTooLargeError(
+            cells, DP_CELL_BUDGET, f"{procedure} DP over {n} items:", "cell count"
+        )
+
+
+def _budgeted_stops(q: np.ndarray, procedure: str, s_rule: str) -> list[int]:
+    """The row stops for the tables of the rows of the (m, N) array ``q``:
+    those of its columnwise largest q. Raises, in this order, on an unknown
+    procedure or rule, on a row not sorted descending, and through
+    ``check_cells`` on a table over the budget."""
+    if procedure not in PROCEDURES:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    if s_rule not in STERRETT_RULES:
+        raise ValueError(f"unknown Sterrett block rule {s_rule!r}")
+    if np.count_nonzero(q[:, 1:] > q[:, :-1]):
+        raise NotSortedError("population must be sorted ascending by p")
+    stops, cells = _row_stops(q.max(axis=0).tolist(), procedure)
+    check_cells(procedure, q.shape[1], cells)
+    return stops
 
 
 @functools.cache
@@ -140,24 +221,22 @@ def _take_rows(
     F[k0 : k0 + b] = cost[k0 : k0 + b]
 
 
-def walk(
-    qs: tuple[float, ...], procedure: str, s_rule: str, stops: list[int]
-) -> tuple[list[float], list[int]]:
+def walk(qs: tuple[float, ...], procedure: str, s_rule: str) -> tuple[list[float], list[int]]:
     """Cost-to-go and split of the D, Dp or S table on the descending
-    ``qs``, whose row k tries the starts down to ``stops[k] + 1``.
+    ``qs``, refused as ``_budgeted_stops`` refuses.
 
-    Slab row 0 holds each start's sums after the row before the chunk,
-    and slab row r those after the chunk's r-th row. Start i opens at row
-    i+1; until then it holds P = 1, C = T = 0 and M = +inf, and its
-    factors and addends read 1, 0 and +inf, so it opens on the scalar
-    loop's values exactly (C = 0 and phi(i,i) = 2 qs[i]). Under
-    smallest-last M is phi itself. D and Dp keep P alone.
+    Slab row r holds each start's sums after the chunk's r-th row, and row
+    0 those after the row before the chunk. Start i opens at row i+1;
+    until then it holds P = 1, C = T = 0 and M = +inf, whose factors and
+    addends read 1, 0 and +inf, so it opens on the scalar loop's values
+    exactly (C = 0 and phi(i,i) = 2 qs[i]). Under smallest-last M is phi.
     """
     n = len(qs)
+    q = np.array(qs)
+    stops = _budgeted_stops(q[None, :], procedure, s_rule)
     B = min(CHUNK, n)
     cost = [0.0] * (n + 1)
     split = [0] * (n + 1)
-    q = np.array(qs)
     sterrett = procedure == "S"
     optimal = s_rule == "optimal"
     opening = np.array([[1.0], [0.0], [0.0], [math.inf]])  # P, C, T, M of a start not yet open
@@ -219,3 +298,97 @@ def walk(
         _take_rows(bs, F, k0, stops, cost, split)
         carry, carry_lo = sums[..., b, :].copy(), lo  # a copy, so the slab is freed
     return cost, split
+
+
+def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndarray:
+    """``dp_table(pv, procedure, s_rule).total`` for each row of the (m, N)
+    array ``q``, bit for bit: row r holds one population's q values sorted
+    descending (its risks ascending)."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.size == 0:
+        raise ValueError("q must be a nonempty (replicates, items) array")
+    lo = [stop + 1 for stop in _budgeted_stops(q, procedure, s_rule)]
+    m, n = q.shape
+    rows = max(1, CHUNK_DRAWS // (16 * n))
+    totals = np.empty(m)
+    for a in range(0, m, rows):
+        totals[a : a + rows] = _chunk_totals(q[a : a + rows].T, procedure, s_rule, lo)
+    return totals
+
+
+def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) -> np.ndarray:
+    """The tables of one chunk of replicates, column r of ``qT`` holding
+    replicate r's q values.
+
+    cand[j] is the candidate whose last block holds the j+1 items
+    k-1-j..k-1 of row k, so the row's scan order is j = 0 (the trailing
+    singleton), 1, 2, ...; row k tries j < max(1, k - lo[k]).
+    """
+    n, m = qT.shape
+    cost = np.zeros((n + 1, m))
+    cand = np.empty((n, m))
+    size = np.arange(1.0, n + 1.0)[:, None]  # size[j] = j + 1 items
+    one_plus = 1.0 + size
+    two_less_one = 2.0 * size - 1.0
+    s_optimal = s_rule == "optimal"
+    # per start i, for the block i..k-1: P = P(i,k-1); for S also
+    # C = C(i,k-1), T = q[i] + ... + q[k-1], phi = phi(i,k-1) and M = min
+    # over i <= a <= k-1 of phi(i,a), or phi itself under smallest-last
+    P = np.zeros((n, m))
+    if procedure == "S":
+        C, T, phi = (np.zeros((n, m)) for _ in range(3))
+        M = np.zeros((n, m)) if s_optimal else phi
+    for k in range(1, n + 1):
+        w = max(1, k - lo[k])  # the singleton, when every longer block is cut
+        c = cand[:w]
+        np.add(cost[k - 1], 1.0, out=c[0])
+        body = c[1:]
+        x = body[::-1]  # start i = k-w .. k-2 ascending, m = w .. 2 items
+        qlast = qT[k - 1]
+        Pk = P[k - w : k - 1]
+        if procedure == "S":  # never cut: k - w = 0
+            Ck, Tk, Mk, ph = C[: k - 1], T[: k - 1], M[: k - 1], phi[: k - 1]
+            np.add(Ck, Pk, out=Ck)
+        elif procedure == "Dp":  # the head product, before P takes qlast
+            head = np.multiply(Pk, 1.0 - qlast)
+        np.multiply(Pk, qlast, out=Pk)
+        if procedure == "S":
+            np.add(Tk, qlast, out=Tk)
+            np.multiply(1.0 - qlast, Ck, out=ph)
+            np.add(qlast, ph, out=ph)
+            np.add(ph, Pk, out=ph)
+            if s_optimal:
+                np.minimum(Mk, ph, out=Mk)
+            np.subtract(two_less_one[w - 1 : 0 : -1], Tk, out=x)
+            np.subtract(x, Pk, out=x)
+            np.subtract(x, Ck, out=x)
+            np.add(x, Mk, out=x)
+            # the block k-1..k-1 opens: C = 0, phi(k-1,k-1) = 2 q[k-1]
+            T[k - 1] = qlast
+            np.multiply(qlast, 2.0, out=M[k - 1])
+        else:  # (1 + m) - m P, less the head term for Dp
+            np.multiply(size[w - 1 : 0 : -1], Pk, out=x)
+            np.subtract(one_plus[w - 1 : 0 : -1], x, out=x)
+            if procedure == "Dp":
+                np.subtract(x, head, out=x)
+        P[k - 1] = qlast
+        np.add(body, cost[k - w : k - 1][::-1], out=body)
+        best = np.minimum.reduce(c, axis=0)
+        near = c <= best * NEAR_TIE
+        if np.count_nonzero(near) > m:  # a replicate's scan may end elsewhere
+            for r in np.flatnonzero(np.count_nonzero(near, axis=0) > 1).tolist():
+                best[r] = _scan(c[:, r].tolist())
+        cost[k] = best
+    return cost[n]
+
+
+def _scan(cands: list[float]) -> float:
+    """The rule's choice among one row's candidates in scan order: the
+    first is the trailing singleton, and a later one wins only if it is
+    cheaper by more than REL_TOL relative."""
+    best = cands[0]
+    bound = best - REL_TOL * best
+    for cand in cands[1:]:
+        if cand < bound:
+            best, bound = cand, cand - REL_TOL * cand
+    return best

@@ -4,16 +4,15 @@ import random
 import numpy as np
 import pytest
 
-import pooltest.batch
-import pooltest.optimize
-from pooltest.batch import dp_totals
+import pooltest.tables
 from pooltest.model import (
     InstanceTooLargeError,
     NotSortedError,
     sort_ascending,
     validate_probability_vector,
 )
-from pooltest.optimize import _budgeted_stops, _row_stops, dp_table
+from pooltest.optimize import dp_table
+from pooltest.tables import _budgeted_stops, _row_stops, dp_totals
 
 PROCEDURE_RULES = (("D", "optimal"), ("Dp", "optimal"), ("S", "optimal"), ("S", "smallest-last"))
 
@@ -64,8 +63,8 @@ def test_totals_equal_dp_table_bit_for_bit(procedure, s_rule, family, m):
 def test_tied_batches_rerun_the_scan(monkeypatch):
     # near ties send rows to the sequential scan; without them the minimum stands
     calls = []
-    scan = pooltest.batch._scan
-    monkeypatch.setattr(pooltest.batch, "_scan", lambda c: calls.append(c) or scan(c))
+    scan = pooltest.tables._scan
+    monkeypatch.setattr(pooltest.tables, "_scan", lambda c: calls.append(c) or scan(c))
     rng = random.Random(5)
     for procedure, s_rule in PROCEDURE_RULES:
         calls.clear()
@@ -79,9 +78,9 @@ def test_tied_batches_rerun_the_scan(monkeypatch):
 def batch_rows(monkeypatch, q, procedure, s_rule="optimal"):
     """``dp_totals`` on ``q``, with the first block start each row visits."""
     seen = []
-    run = pooltest.batch._chunk_totals
+    run = pooltest.tables._chunk_totals
     monkeypatch.setattr(
-        pooltest.batch, "_chunk_totals", lambda qT, p, r, lo: seen.append(lo) or run(qT, p, r, lo)
+        pooltest.tables, "_chunk_totals", lambda qT, p, r, lo: seen.append(lo) or run(qT, p, r, lo)
     )
     totals = dp_totals(q, procedure, s_rule)
     assert seen and all(lo == seen[0] for lo in seen)
@@ -133,15 +132,17 @@ def test_one_replicate_runs_dp_tables_stops(monkeypatch, procedure, s_rule, fami
 @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
 def test_one_budget_check_per_call(monkeypatch, procedure, s_rule, m):
     calls = []
-    budgeted = pooltest.batch._budgeted_stops
+    budgeted = pooltest.tables._budgeted_stops
     monkeypatch.setattr(
-        pooltest.batch, "_budgeted_stops", lambda qs, p: calls.append(p) or budgeted(qs, p)
+        pooltest.tables, "_budgeted_stops", lambda q, p, r: calls.append(p) or budgeted(q, p, r)
     )
     rng = random.Random(17)
     for family in ("uniform", "risky"):
+        pvs = batch(rng, family, m, 40)
         calls.clear()
-        assert_bitwise(batch(rng, family, m, 40), procedure, s_rule)
+        totals = dp_totals(q_matrix(pvs), procedure, s_rule)
         assert calls == [procedure]
+        assert totals.tolist() == [dp_table(pv, procedure, s_rule).total for pv in pvs]
 
 
 @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
@@ -158,12 +159,12 @@ def test_budget_counts_the_cells_of_the_columnwise_largest_q(monkeypatch, proced
         assert own <= cells
         gaps += own < cells
         for budget in sorted({own - 1, own, cells - 1, cells, cells + 1}):
-            monkeypatch.setattr(pooltest.optimize, "DP_CELL_BUDGET", budget)
+            monkeypatch.setattr(pooltest.tables, "DP_CELL_BUDGET", budget)
             if cells <= budget:
                 assert_bitwise(pvs, procedure, s_rule)
                 continue
             with pytest.raises(InstanceTooLargeError) as expected:
-                _budgeted_stops(q.max(axis=0).tolist(), procedure)
+                _budgeted_stops(q.max(axis=0)[None, :], procedure, s_rule)
             with pytest.raises(InstanceTooLargeError) as batched:
                 dp_totals(q, procedure, s_rule)
             assert str(batched.value) == str(expected.value)
@@ -176,11 +177,11 @@ def test_budget_counts_the_cells_of_the_columnwise_largest_q(monkeypatch, proced
 def test_replicate_chunks(monkeypatch, procedure, s_rule, chunk, calls):
     # CHUNK_DRAWS // (16 N) replicates at a time: one, three or all seven of
     # the 40-item batch, and at least one when N is over CHUNK_DRAWS / 16
-    monkeypatch.setattr(pooltest.batch, "CHUNK_DRAWS", chunk)
+    monkeypatch.setattr(pooltest.tables, "CHUNK_DRAWS", chunk)
     chunks = []
-    run = pooltest.batch._chunk_totals
+    run = pooltest.tables._chunk_totals
     monkeypatch.setattr(
-        pooltest.batch, "_chunk_totals", lambda qT, *a: chunks.append(qT.shape[1]) or run(qT, *a)
+        pooltest.tables, "_chunk_totals", lambda qT, *a: chunks.append(qT.shape[1]) or run(qT, *a)
     )
     rng = random.Random(11)
     for family in ("uniform", "risky"):

@@ -182,8 +182,15 @@ class TestUnreadableInput:
              "error: bad.json, line 1: invalid JSON: Expecting value\n"),
             ({"empty.txt": ""}, ["--probs", "empty.txt", "--single-group"],
              "error: empty.txt: no probabilities found\n"),
+            ({"deep.json": '{"p": ' + "[" * 100_000 + "]" * 100_000 + "}"},
+             ["--probs", "deep.json", "--single-group"],
+             "error: deep.json: JSON nested too deeply\n"),
+            ({"probs.json": '{"p": [0.1]}', "deep.json": "[" * 100_000 + "]" * 100_000},
+             ["--probs", "probs.json", "--plan", "deep.json"],
+             "error: deep.json: JSON nested too deeply\n"),
         ],
-        ids=["missing-probs", "missing-plan", "truncated-probs", "truncated-plan", "empty-probs"],
+        ids=["missing-probs", "missing-plan", "truncated-probs", "truncated-plan", "empty-probs",
+             "nested-probs", "nested-plan"],
     )
     def test_exit_two_and_message(self, capsys, tmp_path, monkeypatch, files, argv, err):
         monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,14 +28,12 @@ from pooltest.model import (
 )
 from pooltest.optimize import (
     DpTable,
-    _budgeted_stops,
-    _row_stops,
     dp_ordered,
     dp_table,
     exhaustive_ordered,
     exhaustive_set,
 )
-from pooltest.tables import CHUNK
+from pooltest.tables import CHUNK, _budgeted_stops, _row_stops
 from reference import (
     exact_block_cost,
     exact_sterrett,
@@ -501,7 +500,7 @@ class TestWidthCut:
     def test_refused_above_cell_budget(self, procedure, s_rule):
         # one budget for every procedure and rule: the full table of 5292
         # items is the largest that fits it
-        assert _budgeted_stops((1 - 1e-4,) * 5292, procedure) == [-1] * 5293
+        assert _budgeted_stops(np.full((1, 5292), 1 - 1e-4), procedure, s_rule) == [-1] * 5293
         pv = validate_probability_vector([1e-4] * 5293)
         with pytest.raises(InstanceTooLargeError) as refused:
             dp_table(pv, procedure, s_rule)
@@ -566,6 +565,21 @@ class TestExhaustiveSet:
                 ordered = dp_ordered(pv, proc).total
                 assert unordered <= ordered + 1e-12
                 assert ordered <= pv.n + 1e-12
+
+    def test_ordered_partition_optimal_for_dorfman(self):
+        # Hwang (1975): under D some optimal set partition is ordered, its
+        # blocks runs of the population sorted by risk; half the corpus is tied
+        rng = random.Random(37)
+        for trial in range(200):
+            n = rng.randint(1, 10)
+            if trial % 2:
+                pool = rng.sample(TIED_RISKS, rng.randint(1, 3))
+                pv = validate_probability_vector([rng.choice(pool) for _ in range(n)])
+            else:
+                pv = random_pv(rng, n, hi=rng.choice((0.05, 0.3, 0.5, 0.9)))
+            ordered = dp_ordered(pv, "D").total
+            unordered = exhaustive_set(pv, "D").total
+            assert abs(ordered - unordered) <= REL_TOL * unordered, pv.probs
 
     def test_guards(self):
         for n in (16, 18):

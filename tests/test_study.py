@@ -157,10 +157,8 @@ def test_refused_on_n_before_any_draw(monkeypatch):
 def test_one_budget_check_per_study(monkeypatch):
     # the largest full tables pass it; the batches are stubbed, as they take seconds
     calls = []
-    check = pooltest.study._check_cells
-    monkeypatch.setattr(
-        pooltest.study, "_check_cells", lambda *a: calls.append(a) or check(*a)
-    )
+    check = pooltest.study.check_cells
+    monkeypatch.setattr(pooltest.study, "check_cells", lambda *a: calls.append(a) or check(*a))
     monkeypatch.setattr(pooltest.study, "dp_totals", lambda q, *a: np.zeros(len(q)))
     rows = run_study(StudyConfig(p_targets=(0.1, 0.3), n=5292, m=2))
     assert len(rows) == 2
