@@ -8,14 +8,13 @@ H <= L <= H + 1. L is exact but needs the full outcome distribution, so
 it is guarded at N <= 20. It is built by van Leeuwen's (1976) two-queue
 Huffman merge after one sort of the 2^N pattern probabilities.
 
-The merge runs on numpy arrays in rounds of many merges each (under 300
-rounds on random risks at N = 14 and 20, against 2^N - 1 merges), and L
-is bit-identical to a binary-heap Huffman (see ``huffman_length``). At
-N = 20 the leaves, the merged weights and one round's scratch peak at
-about 24 MiB, and L takes about 0.05 s (Python 3.11, numpy 2.4, one core
-of a 2-vCPU host). Inputs where every pattern outweighs all lighter ones
-together merge one pair per round; the float range bounds such a chain
-at about 11 items, where it takes about 20 ms.
+The merge runs on numpy arrays in rounds of many merges each, far fewer
+rounds than the 2^N - 1 merges on random risks, and L is bit-identical to
+a binary-heap Huffman (see ``huffman_length``). The leaves, the merged
+weights and one round's scratch bound its memory; the README gives its
+time and memory at N = 20. Inputs where every pattern outweighs all
+lighter ones together merge one pair per round; the float range bounds
+such a chain at about 11 items (times in ``BENCH_19.json``).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def _read_probs(path: str) -> ProbabilityVector:
         try:
             values.append(float(s))
         except ValueError:
-            raise UnknownFormatError(f"{path}, line {lineno}: not a decimal number: {s!r}")
+            raise UnknownFormatError(f"{path}, line {lineno}: not a decimal number: {reprlib.repr(s)}")
         linenos.append(lineno)
     if not values:
         raise EmptyInputError(f"{path}: no probabilities found")

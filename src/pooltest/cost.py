@@ -38,11 +38,13 @@ Each procedure's cost is written here in two forms:
                 exhaustive oracles in ``optimize`` call it, and reports
                 take their orders from it through ``_arrange``.
 
-A plan report works on tuples of item indices and q values: ``_arrange``
-sorts each block by (q, index) once, takes its order from
-``_arranged_cost_q`` and costs that order by ``_given_cost_q``, which
-checks the DP independently. ``evaluate_plan`` checks only that the plan
-covers the population; plans and groups validate themselves when built.
+``evaluate_plan`` builds every plan report: ``eval``, ``simulate`` and
+all three plan searches in ``optimize`` cost their plans through it. It
+works on tuples of item indices and q values: ``_arrange`` sorts each
+block by (q, index) once, takes its order from ``_arranged_cost_q`` and
+costs that order by ``_given_cost_q``, which checks the DP independently.
+It checks only that the plan covers the population; plans and groups
+validate themselves when built.
 
 The ordered-partition DP keeps one incremental walk of these sums per
 block start instead, O(1) a cell; ``tables`` holds its design.
@@ -111,10 +113,10 @@ def _optimal_sterrett_ascending(v: Sequence[float]) -> tuple[float, int]:
         phi(a) = qs[a] + (1 - qs[a]) C(a) + P(a).
 
     phi(a) reads nothing past a, so the walk keeps its running minimum in
-    O(k). ``optimize.dp_table`` keeps the same minimum per block start in
-    the same arithmetic order, so a one-shot cost equals its increment bit
-    for bit. Ties go to the smallest b; a run of equal values is one order
-    by value and stands as its smallest b.
+    O(k). ``tables.walk`` and ``tables.dp_totals`` keep the same minimum
+    per block start in the same arithmetic order, so a one-shot cost equals
+    their increment bit for bit. Ties go to the smallest b; a run of equal
+    values is one order by value and stands as its smallest b.
     """
     m = len(v)
     if m == 1:
@@ -204,25 +206,30 @@ def group_cost(group: Group, pv: ProbabilityVector, procedure: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _plan_blocks(plan: OrderedPartition | SetPartition, pv: ProbabilityVector, perm=None) -> Sequence:
-    """The blocks of a plan that covers ``pv``, as tuples of item indices:
-    an ordered partition's are runs along ``perm``, the indices stably
-    sorted ascending by p (sorted here unless given); a set partition's
-    keep the order in which they were written."""
+def evaluate_plan(
+    plan: OrderedPartition | SetPartition, pv: ProbabilityVector, procedure: str, arrange="optimal"
+) -> CostReport:
+    """Cost report for a plan: per-block orders and expected tests, with
+    ``arrange`` "optimal" (rearrange each block for the procedure) or
+    "given" (cost the blocks exactly as ordered). An ordered partition's
+    blocks are runs of the items stably sorted ascending by p; a set
+    partition's keep the order in which they were written. A bad
+    ``arrange`` is refused first, then a plan that does not cover ``pv``,
+    then an unknown procedure."""
+    if arrange not in ("optimal", "given"):
+        raise ValueError(f"arrange must be 'optimal' or 'given', got {arrange!r}")
+    probs = pv.probs
     if isinstance(plan, OrderedPartition):
         if plan.n != pv.n:
             raise ValueError(f"partition sizes sum to {plan.n}, population has {pv.n} items")
-        perm = perm or tuple(sorted(range(pv.n), key=pv.probs.__getitem__))
-        return [perm[end - k : end] for k, end in zip(plan.sizes, itertools.accumulate(plan.sizes))]
-    if isinstance(plan, SetPartition):
+        perm = tuple(sorted(range(pv.n), key=probs.__getitem__))
+        blocks = [perm[end - k : end] for k, end in zip(plan.sizes, itertools.accumulate(plan.sizes))]
+    elif isinstance(plan, SetPartition):
         plan.check_cover(pv.n)
-        return plan.blocks
-    raise TypeError(f"unsupported plan type {type(plan).__name__}")
-
-
-def _cost_report(blocks, pv: ProbabilityVector, procedure: str, arrange="optimal") -> CostReport:
-    """``evaluate_plan`` on ``_plan_blocks``' blocks."""
-    probs, per_block, total = pv.probs, [], 0.0
+        blocks = plan.blocks
+    else:
+        raise TypeError(f"unsupported plan type {type(plan).__name__}")
+    per_block, total = [], 0.0
     for items in blocks:
         q = [1.0 - probs[i] for i in items]
         if arrange == "optimal":
@@ -232,16 +239,3 @@ def _cost_report(blocks, pv: ProbabilityVector, procedure: str, arrange="optimal
         per_block.append(BlockCost(items=items, order=order, expected_tests=cost))
         total += cost
     return CostReport(procedure=procedure, per_block=tuple(per_block), total=total)
-
-
-def evaluate_plan(
-    plan: OrderedPartition | SetPartition, pv: ProbabilityVector, procedure: str, arrange="optimal"
-) -> CostReport:
-    """Cost report for a plan: per-block orders and expected tests, with
-    ``arrange`` "optimal" (rearrange each block for the procedure) or
-    "given" (cost the blocks exactly as ordered). A bad ``arrange`` is
-    refused first, then a plan that does not cover ``pv``, then an unknown
-    procedure."""
-    if arrange not in ("optimal", "given"):
-        raise ValueError(f"arrange must be 'optimal' or 'given', got {arrange!r}")
-    return _cost_report(_plan_blocks(plan, pv), pv, procedure, arrange)

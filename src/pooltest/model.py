@@ -25,6 +25,7 @@ Every JSON text pooltest prints is ``json_text(payload)``.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
@@ -125,7 +126,7 @@ def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
         if type(x) is int:  # the common case, without the ABC check below
             continue
         if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1:
-            raise ValueError(f"{what} entry {j}: {x!r} is not an integer")
+            raise ValueError(f"{what} entry {j}: {reprlib.repr(x)} is not an integer")
     return tuple([int(x) for x in xs])
 
 
@@ -163,7 +164,7 @@ class ProbabilityVector:
         probs = _json_array(d["p"], '"p"')
         for j, x in enumerate(probs, 1):
             if type(x) is not float and type(x) is not int:
-                raise UnknownFormatError(f"entry {j}: probability {x!r} is not a number")
+                raise UnknownFormatError(f"entry {j}: probability {reprlib.repr(x)} is not a number")
         pv = cls(probs=tuple(probs))
         if "ids" in d and len(_json_array(d["ids"], '"ids"')) != pv.n:
             raise ValueError(f"ids length {len(d['ids'])} does not match {pv.n} probabilities")

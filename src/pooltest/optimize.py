@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .bounds import all_above_ungar
-from .cost import _arranged_cost_q, _cost_report, _plan_blocks, evaluate_plan
+from .cost import _arranged_cost_q, evaluate_plan
 from .model import (
     REL_TOL,
     CostReport,
     InstanceTooLargeError,
-    NotSortedError,
     OrderedPartition,
     ProbabilityVector,
     SetPartition,
@@ -32,8 +31,8 @@ from .model import (
 )
 from .tables import walk
 
-MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans: 1.0-1.4 s for D, Dp or S (Python 3.11, 2 vCPUs)
-MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps: about 1.4 s (Python 3.11, 2 vCPUs)
+MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans; the README gives the time at this guard
+MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps; the README gives the time at this guard
 
 SEARCH_KINDS = ("dp-ordered", "exhaustive-ordered", "exhaustive-set")
 
@@ -99,21 +98,15 @@ class PlanResult:
         }
 
 
-def _check_sorted(pv: ProbabilityVector) -> None:
-    for a, b in zip(pv.probs, pv.probs[1:]):
-        if a > b:
-            raise NotSortedError("population must be sorted ascending by p")
-
-
 def dp_table(pv: ProbabilityVector, procedure: str, s_rule: str = "optimal") -> DpTable:
     """Run the ordered-partition DP on an already sorted population.
 
     ``s_rule`` selects the within-block arrangement for Sterrett blocks
-    (see ``tables``); it is ignored for D and Dp. An unknown procedure or
-    rule raises ValueError, and a table that would visit more than
-    ``tables.DP_CELL_BUDGET`` cells InstanceTooLargeError, before any work.
+    (see ``tables``); it is ignored for D and Dp. Before any work, an
+    unknown procedure or rule raises ValueError, then an unsorted
+    population NotSortedError, then a table that would visit more than
+    ``tables.DP_CELL_BUDGET`` cells InstanceTooLargeError.
     """
-    _check_sorted(pv)
     cost, split = walk(pv.q, procedure, s_rule)
     return DpTable(cost_to_go=tuple(cost), split=tuple(split))
 
@@ -133,7 +126,7 @@ def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     else:
         table = dp_table(sorted_pv, procedure)
         plan = OrderedPartition(sizes=table.plan_sizes())
-    report = _cost_report(_plan_blocks(plan, pv, perm), pv, procedure)
+    report = evaluate_plan(plan, pv, procedure)
     return PlanResult(plan=plan, report=report, search="dp-ordered", permutation=perm)
 
 
@@ -188,7 +181,7 @@ def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
             bound, best_mask = total - REL_TOL * total, mask
     edges = [0, *(t + 1 for t in range(n - 1) if best_mask >> t & 1), n]
     plan = OrderedPartition(sizes=tuple(b - a for a, b in zip(edges, edges[1:])))
-    report = _cost_report(_plan_blocks(plan, pv, perm), pv, procedure)
+    report = evaluate_plan(plan, pv, procedure)
     return PlanResult(plan=plan, report=report, search="exhaustive-ordered", permutation=perm)
 
 
@@ -234,5 +227,5 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
         blocks.append(tuple(i for i in range(n) if T >> (n - 1 - i) & 1))
         S ^= T
     plan = SetPartition(blocks=tuple(blocks))
-    report = evaluate_plan(plan, pv, procedure, arrange="optimal")
+    report = evaluate_plan(plan, pv, procedure)
     return PlanResult(plan=plan, report=report, search="exhaustive-set")

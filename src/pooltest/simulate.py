@@ -57,8 +57,8 @@ class RngSpec:
 
 # Defect-vector entries held at once, as whole rows (Monte Carlo replicates
 # or exact-oracle outcomes), but at least one row. ``estimate_cost`` holds as
-# many uniforms (4 MiB): 4096 whole replicates at N = 2000 raised its peak
-# RSS from 44 to 106 MiB.
+# many uniforms (4 MiB), so its memory does not grow with m: uncapped chunks
+# of whole replicates raised its peak RSS (BENCH_12.json).
 CHUNK_DRAWS = 1 << 19
 
 
@@ -142,10 +142,8 @@ def estimate_cost(
     depends on m or on the chunk size; ``count_tests`` counts a chunk at once.
     Only the exact integer sums of the test counts and of their squares are
     kept, so memory does not grow with m, and the mean equals the float mean
-    of all m counts bit for bit. Time is linear in m and in the items: about
-    6-16 ns per replicate per item for D and Dp plans and 16-27 ns for S,
-    measured on DP plans of 14 to 1000 items at risks U(0.001, 0.2)
-    (Python 3.11, numpy 2.4, 2 vCPUs).
+    of all m counts bit for bit. Time is linear in m and in the items; the
+    README gives the measured rates.
     """
     if m < 2:
         raise ValueError("at least two replicates are required")

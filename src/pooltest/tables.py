@@ -22,8 +22,9 @@ rescan the candidates in Python, in its order.
 populations of one size at once, for the study, and keeps their totals,
 equal bit for bit to ``dp_table``'s: its numpy calls serve every
 replicate, so it wins from a few replicates up, and ``walk`` wins for one
-(``BENCH_17.json``, ``BENCH_23.json``). Both check procedure, rule and
-cell budget through ``_budgeted_stops``, before any DP work.
+(``BENCH_17.json``, ``BENCH_23.json``). Both check their input through
+``_budgeted_stops`` alone, before any DP work: procedure, rule, order,
+then cell budget.
 
 Running sums. Per block start i both keep the product P = qs[i] ... qs[k-1]
 of the block i..k-1, multiplied forward as the block grows, so a cell
@@ -75,9 +76,6 @@ replicates, at least one: the scratch, at most eight (N, replicates)
 float arrays, then holds CHUNK_DRAWS / 2 floats, 2 MiB, one core's L2
 cache on the 2-vCPU hosts measured, where larger chunks ran slower
 (CHANGES.md). Replicates with a near tie rerun the rule in ``_scan``.
-
-The DP has a module apart from ``optimize`` for memory: compiled inside
-``optimize.py``, its slab code stayed resident (``BENCH_19.json``).
 """
 
 from __future__ import annotations

@@ -217,3 +217,18 @@ def test_rejects_bad_input(call, error, match):
     q = q_matrix(batch(random.Random(3), "uniform", 2, 5))
     with pytest.raises(error, match=match):
         call(q)
+
+
+@pytest.mark.parametrize(
+    "procedure, s_rule", [("X", "optimal"), ("S", "largest-last")], ids=["procedure", "s_rule"]
+)
+def test_both_engines_refuse_in_one_order(procedure, s_rule):
+    # unsorted and also a bad procedure or rule: both engines name the
+    # procedure or rule, which they check before the order
+    pv = validate_probability_vector([0.3, 0.1, 0.2])
+    with pytest.raises(ValueError) as scalar:
+        dp_table(pv, procedure, s_rule)
+    with pytest.raises(ValueError) as batched:
+        dp_totals(q_matrix([pv, pv]), procedure, s_rule)
+    assert type(scalar.value) is type(batched.value) is ValueError
+    assert str(scalar.value) == str(batched.value)

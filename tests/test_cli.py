@@ -270,6 +270,29 @@ class TestStrictSchema:
         argv = ["eval", "--probs", probs, "--procedure", "S", *plan]
         assert run_cli(capsys, *argv) == (2, "", "error: bad.txt, byte 5: not UTF-8 text\n")
 
+    # a long bad value is echoed shortened, so its error stays one short line
+    @pytest.mark.parametrize(
+        "probs, plan",
+        [
+            (json.dumps({"p": [[0.1] * 200_000]}), None),
+            (json.dumps({"p": ["x" * 100_000]}), None),
+            ("x" * 100_000 + "\n", None),
+            ("0.1\n0.2\n0.3\n", {"ordered_sizes": [[1] * 100_000]}),
+        ],
+        ids=["entry-long-array", "entry-long-string", "line-long-text", "sizes-long-array"],
+    )
+    def test_long_bad_value(self, capsys, tmp_path, plan_file, probs, plan):
+        path = tmp_path / "probs.json"
+        path.write_text(probs)
+        if plan is None:
+            argv = ["optimize", "--probs", str(path), "--procedure", "S"]
+        else:
+            argv = ["eval", "--probs", str(path), "--procedure", "S", "--plan", plan_file(plan)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
+
 
 def run_main(argv):
     """``main(argv)`` with its stdout and stderr captured, for tests that

@@ -43,7 +43,8 @@ CASES = {
     },
     **{f"oracle-{p}": ["oracle", "--procedure", p] for p in ("D", "Dp", "S")},
     **{
-        f"exhaustive-set-{p}": ["optimize", "--procedure", p, "--search", "exhaustive-set"]
+        f"exhaustive-{kind}-{p}": ["optimize", "--procedure", p, "--search", f"exhaustive-{kind}"]
+        for kind in ("set", "ordered")
         for p in ("D", "Dp", "S")
     },
     **{
