@@ -121,8 +121,8 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
         ordered = np.sort(drawn)
         # the sorted shared draws, or the entropy column's own draws as drawn
         own = ordered[:, 0] if config.common_draws else drawn[:, -1]
-        entropies = [entropy_bits(ProbabilityVector(tuple(v))) for v in own.tolist()]
-        q = 1.0 - ordered  # descending rows, as dp_table reads them
+        entropies = [entropy_bits(ProbabilityVector(tuple(v.tolist()))) for v in own]
+        q = np.subtract(1.0, ordered, out=ordered)  # descending rows, as dp_table reads them
         columns = [
             dp_totals(q[:, c % keys], procedure, config.sterrett_rule)
             for c, procedure in enumerate(PROCEDURES)

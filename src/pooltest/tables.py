@@ -176,18 +176,16 @@ def _upper(B: int) -> np.ndarray:
     return np.array([[c >= r for c in range(B)] for r in range(B + 1)])
 
 
-def _take_rows(
-    bs: np.ndarray, F: np.ndarray, k0: int, stops: list[int], cost: list[float], split: list[int]
-) -> None:
-    """Choose rows k0..k0+b-1 of a table, b = len(bs), into ``cost``,
-    ``split`` and ``F``, from bs[r, i - lo]: start i's candidate in row
-    k0 + r, less F(i), for the starts lo..k0+b-2, lo = stops[k0] + 1.
-    Row k scans its newer starts down to stops[k] + 1 only."""
+def _take_rows(bs: np.ndarray, k0: int, stops: list[int], cost: list[float], split: list[int]) -> None:
+    """Choose rows k0..k0+b-1 of a table, b = len(bs), into ``cost`` and
+    ``split``, from bs[r, i - lo]: start i's candidate in row k0 + r, less
+    F(i) = cost[i], for the starts lo..k0+b-2, lo = stops[k0] + 1. Row k
+    scans its newer starts down to stops[k] + 1 only."""
     b = len(bs)
     lo = stops[k0] + 1
     first = max(k0 - 1, lo)  # the newer starts: first..k0+b-2
     s = first - lo  # the settled starts lo..first-1, one column each
-    cs = bs[:, :s] + F[lo:first]  # their candidates
+    cs = bs[:, :s] + cost[lo:first]  # their candidates
     if s:
         arg = cs.argmin(axis=1)
         flat, where = cs.reshape(-1), np.arange(0, b * s, s) + arg
@@ -216,7 +214,6 @@ def _take_rows(
                         best, bound, best_i = x, x - REL_TOL * x, i
         cost[k] = best
         split[k] = best_i
-    F[k0 : k0 + b] = cost[k0 : k0 + b]
 
 
 def walk(qs: tuple[float, ...], procedure: str, s_rule: str) -> tuple[list[float], list[int]]:
@@ -243,7 +240,6 @@ def walk(qs: tuple[float, ...], procedure: str, s_rule: str) -> tuple[list[float
     upper = _upper(B)
     index = np.arange(n + 1.0)  # k and i, as floats
     twice_start = np.arange(0.0, 2.0 * n, 2.0)
-    F = np.zeros(n + 1)  # cost, filled chunk by chunk
     for k0 in range(1, n + 1, B):
         k1 = min(k0 + B, n + 1)  # the chunk runs rows k0..k1-1
         b, w = k1 - k0, k1 - 1  # rows, and starts lo..k1-2 touched
@@ -293,7 +289,7 @@ def walk(qs: tuple[float, ...], procedure: str, s_rule: str) -> tuple[list[float
             if procedure == "Dp":  # the head product is the row before's P
                 head = np.multiply(Ps[:-1], 1.0 - qk, out=Ps[:-1])
                 np.subtract(bs, head, out=bs)
-        _take_rows(bs, F, k0, stops, cost, split)
+        _take_rows(bs, k0, stops, cost, split)
         carry, carry_lo = sums[..., b, :].copy(), lo  # a copy, so the slab is freed
     return cost, split
 

@@ -222,3 +222,27 @@ class Colour(enum.IntEnum):
 @example({"order": [Colour.RED, Colour.BLUE, 3]})
 def test_json_text_is_json_dumps_indent_2(payload):
     assert json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "leaf", [object(), {1}, np.int64(1), 1j], ids=["object", "set", "int64", "complex"]
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda x: x, lambda x: [1, x], lambda x: {"a": [0.5, {"b": x}]}],
+    ids=["bare", "in-list", "nested"],
+)
+def test_json_text_refuses_as_json_dumps(leaf, wrap):
+    # an unserializable leaf raises json.dumps's own TypeError
+    payload = wrap(leaf)
+    with pytest.raises(TypeError) as want:
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError) as got:
+        json_text(payload)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("key", [1, None, (1, 2), 0.5])
+def test_json_text_refuses_non_str_keys(key):
+    # json.dumps would write 1, None and 0.5 as strings; json_text takes str keys only
+    with pytest.raises(TypeError):
+        json_text({"a": {key: 1}})

@@ -266,6 +266,20 @@ class TestDpAgainstExhaustive:
             _, sizes = ordered_oracle(pv, procedure, s_rule)
             assert dp.plan_sizes() == sizes, (pv.probs, procedure, s_rule)
 
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    def test_ordered_oracle_breaks_ties_as_the_dp(self, procedure):
+        # exhaustive_ordered keeps the first of equal-looking totals, and its
+        # docstring says ties go as in the DP; half the corpus is tied
+        rng = random.Random(67)
+        for trial in range(1000):
+            n = rng.randint(2, 10)
+            if trial % 2:
+                pool = rng.sample(TIED_RISKS, rng.randint(1, 3))
+                pv = validate_probability_vector([rng.choice(pool) for _ in range(n)])
+            else:
+                pv = random_pv(rng, n, hi=rng.choice((0.05, 0.3, 0.5, 0.9)))
+            assert exhaustive_ordered(pv, procedure).plan == dp_ordered(pv, procedure).plan, pv.probs
+
 
 class TestDpAgainstReference:
     @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)

@@ -1,11 +1,13 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pooltest.study
+import pooltest.tables
 from pooltest.bounds import entropy_bits
 from pooltest.model import (
     PROCEDURES,
@@ -163,6 +165,22 @@ def test_one_budget_check_per_study(monkeypatch):
     rows = run_study(StudyConfig(p_targets=(0.1, 0.3), n=5292, m=2))
     assert len(rows) == 2
     assert calls == [("S", 5292, 5292 * 5291 // 2)]
+
+
+def test_memory_per_draw(monkeypatch):
+    # one target holds its draws and their sorted copy, 16 bytes a draw,
+    # plus the DP scratch or the draw std's temporary; the batches run 32
+    # replicates a chunk, so the scratch stays small beside the m * n draws
+    monkeypatch.setattr(pooltest.tables, "CHUNK_DRAWS", 16 * 40 * 32)
+    config = StudyConfig(p_targets=(0.1,), n=40, m=500, seed=3)
+    run_study(config)  # warm-up: caches and first-call allocations
+    tracemalloc.start()
+    try:
+        run_study(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * config.n * config.m, peak / (config.n * config.m)
 
 
 def test_independent_draws_mode_changes_values_not_contracts():
