@@ -42,8 +42,6 @@ from .optimize import (
     exhaustive_set,
 )
 from .simulate import (
-    RngSpec,
-    beta_one_quantile,
     count_tests,
     estimate_cost,
     exact_expected_tests,

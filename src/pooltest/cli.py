@@ -44,7 +44,7 @@ from .model import (
     validate_probability_vector,
 )
 from .optimize import check_guard, dp_ordered, exhaustive_ordered, exhaustive_set
-from .simulate import RngSpec, estimate_cost
+from .simulate import estimate_cost
 from .study import DEFAULT_P_TARGETS, StudyConfig, emit_table, run_study
 
 EXIT_OK = 0
@@ -176,9 +176,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_simulate(args) -> int:
     pv = _read_probs(args.probs)
     plan = _plan_from_args(args, pv)
-    summary = estimate_cost(
-        plan, pv, args.procedure, args.replicates, RngSpec(seed=args.seed), arrange=args.arrange
-    )
+    summary = estimate_cost(plan, pv, args.procedure, args.replicates, args.seed, arrange=args.arrange)
     _print_json(summary.to_json())
     return EXIT_OK
 
@@ -210,14 +208,18 @@ def _cmd_study(args) -> int:
         common_draws=not args.independent_draws,
         sterrett_rule=args.sterrett_rule,
     )
-    # open --out before the study runs, so a bad path costs no study; empty it last
+    # --out is held open through the study, so a bad path costs no study and
+    # a refused one leaves the file as it was; the table goes through a
+    # second handle, which a pipe's reader, kept open by the first, awaits
     with _reading(args.out):
-        out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
-    with out as f:
+        held = open(args.out, "a") if args.out else contextlib.nullcontext()
+    with held:
         table = emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config))
-        if args.out and f.seekable():  # a pipe or terminal holds nothing to empty
-            f.truncate(0)
-        f.write(table)
+        if args.out:
+            with _reading(args.out), open(args.out, "w") as f:
+                f.write(table)
+        else:
+            sys.stdout.write(table)
     return EXIT_OK
 
 

@@ -37,8 +37,6 @@ PROCEDURES = ("D", "Dp", "S")  # Dorfman, modified Dorfman, Sterrett
 STERRETT_RULES = ("optimal", "smallest-last")
 
 REL_TOL = 1e-12  # default relative tolerance for cost comparisons
-# A second candidate this close to a minimum may end a REL_TOL scan on it.
-NEAR_TIE = 1.0 + 4.0 * REL_TOL
 
 
 class EmptyInputError(ValueError):
@@ -103,18 +101,13 @@ def _json_array(x: Any, what: str) -> list:
 # lists, about 2 MiB over a few hundred `pooltest optimize` calls in one
 # process, faster than exact-size allocations take them back out.
 def _as_float_tuple(xs: Iterable[float]) -> tuple[float, ...]:
-    xs = tuple(xs)  # no copy when xs is a tuple already
-    try:
-        return tuple([float(x) for x in xs])
-    except OverflowError:  # an integer too large for a float, such as 10**400
-        for j, x in enumerate(xs, 1):
-            try:
-                float(x)
-            except OverflowError as e:
-                raise ValueError(
-                    f"entry {j}: probability is not strictly inside (0, 1): {e}"
-                ) from None
-        raise
+    out = []
+    for j, x in enumerate(xs, 1):
+        try:
+            out.append(float(x))
+        except OverflowError as e:  # an integer too large for a float, such as 10**400
+            raise ValueError(f"entry {j}: probability is not strictly inside (0, 1): {e}") from None
+    return tuple(out)
 
 
 def _as_int_tuple(xs: Iterable[Any], what: str) -> tuple[int, ...]:
@@ -303,6 +296,8 @@ def plan_from_json(d: dict[str, Any]) -> OrderedPartition | SetPartition:
     """Parse either plan form from its JSON dict."""
     if type(d) is not dict:
         raise UnknownFormatError(f"plan JSON must be an object, not {_json_type(d)}")
+    if "ordered_sizes" in d and "blocks" in d:
+        raise UnknownFormatError('plan JSON must have an "ordered_sizes" or "blocks" key, not both')
     if "ordered_sizes" in d:
         return OrderedPartition.from_json(d)
     if "blocks" in d:
@@ -373,14 +368,6 @@ class SimulationSummary:
     std_error: float
     seed: int
     expected_total: float
-
-    def __post_init__(self):
-        if self.procedure not in PROCEDURES:
-            raise ValueError(f"unknown procedure {self.procedure!r}")
-        if self.replicates < 2:
-            raise ValueError("at least two replicates are required")
-        if self.std_error < 0:
-            raise ValueError("standard error cannot be negative")
 
     def to_json(self) -> dict[str, Any]:
         return {**asdict(self), "plan": self.plan.to_json()}

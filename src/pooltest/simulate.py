@@ -10,15 +10,15 @@ took. The primary validator is ``exact_expected_tests``: it counts all 2^k
 defect vectors of a group and weights each count by its probability, which
 must reproduce the closed forms without any sampling noise. Monte Carlo
 (``estimate_cost``) is for whole plans and larger groups; it draws a whole
-run from one stream and counts a chunk of replicates at once. Both hold at
-most ``CHUNK_DRAWS`` defect-vector entries at a time, so their memory grows
-neither with the replicate count nor with 2^k.
+run from the child stream (0,) of its seed and counts a chunk of
+replicates at once. Both hold at most ``CHUNK_DRAWS`` defect-vector
+entries at a time, so their memory grows neither with the replicate count
+nor with 2^k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +38,6 @@ def stream_generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     """Generator of the child stream ``key`` of base ``seed``, built directly
     from its address, so no sibling streams are spawned."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """Deterministic stream addressing under a base ``seed``: one run of
-    ``estimate_cost`` draws every replicate from the child stream (stream,)."""
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.stream < 0:
-            raise ValueError("stream index must be nonnegative")
 
 
 # Defect-vector entries held at once, as whole rows (Monte Carlo replicates
@@ -125,14 +110,14 @@ def estimate_cost(
     pv: ProbabilityVector,
     procedure: str,
     m: int,
-    rng: RngSpec,
+    seed: int,
     arrange: str = "optimal",
 ) -> SimulationSummary:
     """Monte Carlo estimate of a plan's expected total tests.
 
     Each block runs in the test order that ``evaluate_plan`` reports for
     ``arrange`` ("optimal" or "given"). Replicate r takes uniforms
-    r·n … (r+1)·n - 1 of the child stream (rng.stream,) of ``rng.seed``,
+    r·n … (r+1)·n - 1 of the child stream (0,) of ``seed``,
     item i being defective when its uniform is below p_i, and runs the
     protocol on every block. The standard error is the sample standard
     deviation over replicates divided by sqrt(m). ``expected_total`` is the
@@ -145,12 +130,14 @@ def estimate_cost(
     of all m counts bit for bit. Time is linear in m and in the items; the
     README gives the measured rates.
     """
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in 64 unsigned bits")
     if m < 2:
         raise ValueError("at least two replicates are required")
     report = evaluate_plan(plan, pv, procedure, arrange=arrange)  # checks the procedure
     p = np.asarray(pv.probs)
     block_items = [list(b.order) for b in report.per_block]
-    draw = stream_generator(rng.seed, (rng.stream,)).random
+    draw = stream_generator(seed, (0,)).random
     rows = max(1, min(CHUNK_DRAWS // pv.n, m))
     uniforms = np.empty((rows, pv.n))
     defects = np.empty((rows, pv.n), dtype=bool)
@@ -166,30 +153,27 @@ def estimate_cost(
         replicates=m,
         mean_tests=s / m,
         std_error=math.sqrt((m * sq - s * s) / (m * (m - 1))) / math.sqrt(m),
-        seed=rng.seed,
+        seed=seed,
         expected_total=report.total,
     )
-
-
-def beta_one_quantile(u: float, beta: float) -> float:
-    """Inverse CDF of the Beta(1, beta) distribution: 1 - (1-u)^(1/beta)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return 1.0 - (1.0 - u) ** (1.0 / beta)
 
 
 def sample_beta_one(n: int, beta: float, rng: np.random.Generator) -> list[float]:
     """n Beta(1, beta) draws strictly inside (0, 1) by inverse transform.
 
-    One ``rng.random`` call, each uniform mapped by ``beta_one_quantile``
-    (``np.power`` can differ in the last bits). Values landing exactly on 0
-    or 1 are replaced by further draws, so one call of n draws equals n
-    calls of one draw on the same generator.
+    One ``rng.random`` call, each uniform u mapped to the Beta(1, beta)
+    quantile 1 - (1-u)^(1/beta) in Python floats (``np.power`` can differ
+    in the last bits). Values landing exactly on 0 or 1 are replaced by
+    further draws, so one call of n draws equals n calls of one draw on the
+    same generator.
     """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    power = 1.0 / beta
     draws: list[float] = []
     while len(draws) < n:
         for u in rng.random(n - len(draws)).tolist():
-            x = beta_one_quantile(u, beta)
+            x = 1.0 - (1.0 - u) ** power
             if 0.0 < x < 1.0:
                 draws.append(x)
     return draws

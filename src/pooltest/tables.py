@@ -88,8 +88,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NEAR_TIE, PROCEDURES, REL_TOL, STERRETT_RULES, InstanceTooLargeError, NotSortedError
-from .simulate import CHUNK_DRAWS
+from .model import PROCEDURES, REL_TOL, STERRETT_RULES, InstanceTooLargeError, NotSortedError
 
 # Rows per chunk: chunks of 16 to 40 rows ran the S tables, and 20 to 32
 # rows the D and Dp tables of the benchmark's design decks, in the same
@@ -101,6 +100,11 @@ CHUNK = 24
 # Python, take about 2 s (BENCH_25.json).
 DP_CELL_BUDGET = 14_000_000
 MAX_CUT_N = 10**7  # the D and Dp cut's rounding argument holds up to here
+# A second candidate this close to a minimum may end a REL_TOL scan on it.
+NEAR_TIE = 1.0 + 4.0 * REL_TOL
+# Sizes the ``dp_totals`` replicate chunks, as the module docstring says;
+# the Monte Carlo's ``simulate.CHUNK_DRAWS`` is sized apart, for its memory.
+CHUNK_DRAWS = 1 << 19
 
 
 def _row_stops(qs: Sequence[float], procedure: str) -> tuple[list[int], int]:

@@ -250,9 +250,12 @@ class TestStrictSchema:
             ('{"blocks": [[1, 2, 3, 5, 4]]}',
              "error: set partition names item 4; the items are 1..3\n"),
             ('{"blocks": [[3], [1]]}', "error: set partition misses item 2; the items are 1..3\n"),
+            ('{"ordered_sizes": [3], "blocks": [[1, 2, 3]]}',
+             'error: plan JSON must have an "ordered_sizes" or "blocks" key, not both\n'),
         ],
         ids=["block-number", "blocks-string", "entry-zero", "entry-negative", "sizes-number",
-             "sizes-string", "top-array", "top-string", "cover-stray", "cover-missing"],
+             "sizes-string", "top-array", "top-string", "cover-stray", "cover-missing",
+             "both-keys"],
     )
     def test_plan_json(self, capsys, tmp_path, probs_file, plan, err):
         path = tmp_path / "plan.json"
@@ -659,6 +662,12 @@ class TestStudy:
         assert (code, out) == (0, "")
         _, table, _ = run_cli(capsys, *argv)
         assert dest.read_text() == table
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_exits_two(self, capsys):
+        # /dev/full opens but refuses every write
+        code, out, err = run_cli(capsys, "study", "--n", "5", "--m", "2", "--out", "/dev/full")
+        assert (code, out, err) == (2, "", "error: /dev/full: No space left on device\n")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_out_to_a_pipe(self, capsys, tmp_path):

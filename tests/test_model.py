@@ -52,6 +52,12 @@ def test_validate_rejects_boundary_one():
     assert exc.value.index == 2
 
 
+def test_first_entry_too_large_for_a_float_is_named():
+    # the first of two integers that overflow a float, in one pass
+    with pytest.raises(ValueError, match="^entry 2: probability is not strictly inside"):
+        ProbabilityVector([0.1, 10**400, 10**500])
+
+
 def test_validate_rejects_empty():
     with pytest.raises(EmptyInputError):
         validate_probability_vector([])

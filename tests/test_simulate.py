@@ -21,8 +21,6 @@ from pooltest.model import (
 from pooltest.optimize import dp_ordered
 from pooltest.simulate import (
     CHUNK_DRAWS,
-    RngSpec,
-    beta_one_quantile,
     count_tests,
     estimate_cost,
     exact_expected_tests,
@@ -216,8 +214,8 @@ class TestExactExpectation:
             exact_expected_tests(Group(items=(0, 5)), pv, "S")
 
 
-class TestRngSpec:
-    def test_same_spec_same_draws(self):
+class TestStreamGenerator:
+    def test_same_address_same_draws(self):
         a = stream_generator(9, (3,)).random(5)
         b = stream_generator(9, (3,)).random(5)
         assert np.array_equal(a, b)
@@ -227,57 +225,51 @@ class TestRngSpec:
         b = stream_generator(9, (1,)).random(5)
         assert not np.array_equal(a, b)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RngSpec(seed=-1)
-        with pytest.raises(ValueError):
-            RngSpec(seed=1, stream=-2)
-
 
 class TestEstimateCost:
     def test_singleton_plan_is_deterministic(self):
         pv = validate_probability_vector([0.3, 0.5, 0.7])
         plan = OrderedPartition(sizes=(1, 1, 1))
-        summary = estimate_cost(plan, pv, "S", 50, RngSpec(seed=1))
+        summary = estimate_cost(plan, pv, "S", 50, 1)
         assert summary.mean_tests == 3.0
         assert summary.std_error == 0.0
 
     def test_pair_matches_closed_form(self):
         pv = validate_probability_vector([0.1, 0.2])
         plan = OrderedPartition(sizes=(2,))
-        summary = estimate_cost(plan, pv, "S", 40_000, RngSpec(seed=11))
+        summary = estimate_cost(plan, pv, "S", 40_000, 11)
         assert summary.std_error > 0
         assert abs(summary.mean_tests - 1.38) <= 4 * summary.std_error
 
     def test_counterexample_pairing(self):
         pv = validate_probability_vector([0.4, 0.4, 0.01, 0.01])
         plan = SetPartition(blocks=((0, 2), (1, 3)))
-        summary = estimate_cost(plan, pv, "S", 40_000, RngSpec(seed=12))
+        summary = estimate_cost(plan, pv, "S", 40_000, 12)
         assert abs(summary.mean_tests - 2.832) <= 4 * summary.std_error
 
     def test_reproducible(self):
         pv = validate_probability_vector([0.2, 0.3, 0.4])
         plan = OrderedPartition(sizes=(3,))
-        a = estimate_cost(plan, pv, "Dp", 500, RngSpec(seed=5))
-        b = estimate_cost(plan, pv, "Dp", 500, RngSpec(seed=5))
+        a = estimate_cost(plan, pv, "Dp", 500, 5)
+        b = estimate_cost(plan, pv, "Dp", 500, 5)
         assert a == b
-
-    def test_stream_selects_the_draws(self):
-        pv = validate_probability_vector([0.05] * 30)
-        plan = dp_ordered(pv, "S").plan
-        a = estimate_cost(plan, pv, "S", 500, RngSpec(seed=3, stream=0))
-        b = estimate_cost(plan, pv, "S", 500, RngSpec(seed=3, stream=1))
-        assert a.mean_tests != b.mean_tests
 
     def test_rejects_single_replicate(self):
         pv = validate_probability_vector([0.2])
         with pytest.raises(ValueError):
-            estimate_cost(OrderedPartition(sizes=(1,)), pv, "S", 1, RngSpec(seed=1))
+            estimate_cost(OrderedPartition(sizes=(1,)), pv, "S", 1, 1)
 
     def test_rejects_unknown_procedure(self):
         pv = validate_probability_vector([0.2, 0.3])
         with pytest.raises(ValueError, match="unknown procedure"):
-            estimate_cost(OrderedPartition(sizes=(2,)), pv, "X", 10, RngSpec(seed=1))
+            estimate_cost(OrderedPartition(sizes=(2,)), pv, "X", 10, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seeds_outside_64_bits(self, monkeypatch, seed):
+        monkeypatch.setattr(pooltest.simulate, "stream_generator", lambda *a: pytest.fail("drew"))
+        pv = validate_probability_vector([0.2, 0.3])
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            estimate_cost(OrderedPartition(sizes=(2,)), pv, "S", 10, seed)
 
     def test_given_order_matches_its_own_closed_form(self):
         # blocks costed exactly as written: the risky item first is the
@@ -285,7 +277,7 @@ class TestEstimateCost:
         pv = validate_probability_vector([0.4, 0.01])
         plan = SetPartition(blocks=((0, 1),))
         expected = evaluate_plan(plan, pv, "S", arrange="given").total
-        summary = estimate_cost(plan, pv, "S", 40_000, RngSpec(seed=31), arrange="given")
+        summary = estimate_cost(plan, pv, "S", 40_000, 31, arrange="given")
         assert expected == pytest.approx(1.806, abs=1e-12)
         assert abs(summary.mean_tests - expected) <= 4 * summary.std_error
 
@@ -296,13 +288,13 @@ class TestEstimateCost:
         expected = evaluate_plan(plan, pv, "S", arrange="optimal").total
         hits = 0
         for seed in range(100):
-            s = estimate_cost(plan, pv, "S", 2000, RngSpec(seed=seed))
+            s = estimate_cost(plan, pv, "S", 2000, seed)
             if abs(s.mean_tests - expected) <= 4 * s.std_error:
                 hits += 1
         assert hits >= 99
 
 
-def scalar_estimate(plan, pv, procedure, m, rng, arrange="optimal"):
+def scalar_estimate(plan, pv, procedure, m, seed, arrange="optimal"):
     """Reference copy of the Monte Carlo loop: the run's stream gives one
     flat draw of m·n uniforms, row r of it is replicate r, and each defect
     vector runs through the scalar executors block by block. Returns the
@@ -310,7 +302,7 @@ def scalar_estimate(plan, pv, procedure, m, rng, arrange="optimal"):
     that list."""
     report = evaluate_plan(plan, pv, procedure, arrange=arrange)
     p = np.asarray(pv.probs)
-    uniforms = stream_generator(rng.seed, (rng.stream,)).random(m * pv.n).reshape(m, pv.n)
+    uniforms = stream_generator(seed, (0,)).random(m * pv.n).reshape(m, pv.n)
     totals = []
     for r in range(m):
         defective = uniforms[r] < p
@@ -328,9 +320,9 @@ class TestEstimateCostMatchesScalarLoop:
 
     PV = validate_probability_vector([0.02, 0.3, 0.05, 0.11, 0.4, 0.01, 0.2, 0.07, 0.15, 0.09])
 
-    def check(self, plan, procedure, m, rng, arrange="optimal", pv=PV):
-        summary = estimate_cost(plan, pv, procedure, m, rng, arrange=arrange)
-        mean, se, totals = scalar_estimate(plan, pv, procedure, m, rng, arrange=arrange)
+    def check(self, plan, procedure, m, seed, arrange="optimal", pv=PV):
+        summary = estimate_cost(plan, pv, procedure, m, seed, arrange=arrange)
+        mean, se, totals = scalar_estimate(plan, pv, procedure, m, seed, arrange=arrange)
         assert (summary.mean_tests, summary.std_error) == (mean, se)
         assert summary.mean_tests == float(np.mean(totals))
         assert summary.std_error == pytest.approx(
@@ -341,23 +333,27 @@ class TestEstimateCostMatchesScalarLoop:
     @pytest.mark.parametrize("arrange", ["optimal", "given"])
     def test_ordered_plan(self, procedure, arrange):
         plan = OrderedPartition(sizes=(1, 3, 4, 2))
-        self.check(plan, procedure, 700, RngSpec(seed=4), arrange)
+        self.check(plan, procedure, 700, 4, arrange)
 
     @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
     @pytest.mark.parametrize("arrange", ["optimal", "given"])
     def test_set_partition_plan(self, procedure, arrange):
         plan = SetPartition(blocks=((4, 0, 7), (1, 5), (2, 9, 3, 8, 6)))
-        self.check(plan, procedure, 700, RngSpec(seed=9), arrange)
+        self.check(plan, procedure, 700, 9, arrange)
 
     @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
     def test_second_stream(self, procedure):
         plan = OrderedPartition(sizes=(6, 4))
-        self.check(plan, procedure, 500, RngSpec(seed=2, stream=1))
+        self.check(plan, procedure, 500, 3)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_extreme_seeds(self, seed):
+        self.check(OrderedPartition(sizes=(3, 7)), "S", 300, seed)
 
     def test_replicates_across_a_chunk_boundary(self):
         m = CHUNK_DRAWS // self.PV.n + 3
         plan = SetPartition(blocks=((0, 2, 4, 6, 8), (1, 3, 5, 7, 9)))
-        self.check(plan, "S", m, RngSpec(seed=17, stream=3))
+        self.check(plan, "S", m, 17)
 
     def test_small_chunks(self, monkeypatch):
         # chunks of 64 replicates: three whole ones and a short last one,
@@ -365,7 +361,7 @@ class TestEstimateCostMatchesScalarLoop:
         calls = count_chunks(monkeypatch, 64 * self.PV.n)
         for procedure in ("D", "Dp", "S"):
             calls.clear()
-            self.check(OrderedPartition(sizes=(2, 5, 3)), procedure, 64 * 3 + 5, RngSpec(seed=6))
+            self.check(OrderedPartition(sizes=(2, 5, 3)), procedure, 64 * 3 + 5, 6)
             assert calls == [64] * 9 + [5] * 3
 
     def test_one_row_chunks(self, monkeypatch):
@@ -375,16 +371,25 @@ class TestEstimateCostMatchesScalarLoop:
         pv = validate_probability_vector([rng.uniform(1e-4, 0.3) for _ in range(200)])
         plan = dp_ordered(pv, "S").plan
         for procedure in ("D", "Dp", "S"):
-            self.check(plan, procedure, 150, RngSpec(seed=8, stream=2), pv=pv)
+            self.check(plan, procedure, 150, 8, pv=pv)
 
 
 class TestBetaSampler:
-    def test_quantile_median_uniform(self):
-        assert beta_one_quantile(0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+    @pytest.mark.parametrize("beta", [0.37, 1.0, 9.0, 999.0])
+    def test_quantile_bit_for_bit(self, beta):
+        # each uniform of one rng.random call through the quantile in Python
+        # floats; at these betas no draw lands on 0 or 1 and is redrawn
+        clone = stream_generator(24, (0,))
+        expected = [1.0 - (1.0 - u) ** (1.0 / beta) for u in clone.random(500).tolist()]
+        assert sample_beta_one(500, beta, stream_generator(24, (0,))) == expected
 
     def test_quantile_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            beta_one_quantile(0.5, 0.0)
+        rng = stream_generator(25, (0,))
+        state = rng.bit_generator.state
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^beta must be positive$"):
+                sample_beta_one(3, beta, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
 
     def test_mean_matches_target(self):
         # Beta(1, 9) has mean 0.1
