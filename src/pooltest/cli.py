@@ -209,17 +209,28 @@ def _cmd_study(args) -> int:
         sterrett_rule=args.sterrett_rule,
     )
     # --out is held open through the study, so a bad path costs no study and
-    # a refused one leaves the file as it was; the table goes through a
-    # second handle, which a pipe's reader, kept open by the first, awaits
-    with _reading(args.out):
-        held = open(args.out, "a") if args.out else contextlib.nullcontext()
-    with held:
-        table = emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config))
-        if args.out:
-            with _reading(args.out), open(args.out, "w") as f:
-                f.write(table)
-        else:
-            sys.stdout.write(table)
+    # a refused one leaves an existing file as it was and removes one this
+    # open made; the table goes through a second handle, which a pipe's
+    # reader, kept open by the first, awaits
+    held, made = contextlib.nullcontext(), False
+    if args.out:
+        with _reading(args.out):
+            try:
+                held, made = open(args.out, "x"), True
+            except FileExistsError:
+                held = open(args.out, "a")
+    try:
+        with held:
+            table = emit_table(run_study(config), args.format, metadata=dataclasses.asdict(config))
+            if args.out:
+                with _reading(args.out), open(args.out, "w") as f:
+                    f.write(table)
+            else:
+                sys.stdout.write(table)
+    except BaseException:
+        if made:
+            Path(args.out).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

@@ -75,7 +75,9 @@ over (block start, replicate), in chunks of CHUNK_DRAWS // (16 N)
 replicates, at least one: the scratch, at most eight (N, replicates)
 float arrays, then holds CHUNK_DRAWS / 2 floats, 2 MiB, one core's L2
 cache on the 2-vCPU hosts measured, where larger chunks ran slower
-(CHANGES.md). Replicates with a near tie rerun the rule in ``_scan``.
+(CHANGES.md). A row's candidates sit by block start, as a slab's do, so
+each write is a forward slice, one flat loop (``BENCH_30.json``). Only
+the rescan of a replicate with a near tie reads them reversed, for ``_scan``.
 """
 
 from __future__ import annotations
@@ -316,16 +318,14 @@ def dp_totals(q: np.ndarray, procedure: str, s_rule: str = "optimal") -> np.ndar
 
 def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) -> np.ndarray:
     """The tables of one chunk of replicates, column r of ``qT`` holding
-    replicate r's q values.
-
-    cand[j] is the candidate whose last block holds the j+1 items
-    k-1-j..k-1 of row k, so the row's scan order is j = 0 (the trailing
-    singleton), 1, 2, ...; row k tries j < max(1, k - lo[k]).
+    replicate r's q values. cand[i] is row k's candidate whose last block
+    starts at i, for i = a..k-1, a = min(lo[k], k-1): the trailing
+    singleton is cand[k-1], where the row's scan starts.
     """
     n, m = qT.shape
     cost = np.zeros((n + 1, m))
     cand = np.empty((n, m))
-    size = np.arange(1.0, n + 1.0)[:, None]  # size[j] = j + 1 items
+    size = np.arange(float(n), 0.0, -1.0)[:, None]  # size[n-k+i] = k - i items
     one_plus = 1.0 + size
     two_less_one = 2.0 * size - 1.0
     s_optimal = s_rule == "optimal"
@@ -337,14 +337,14 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
         C, T, phi = (np.zeros((n, m)) for _ in range(3))
         M = np.zeros((n, m)) if s_optimal else phi
     for k in range(1, n + 1):
-        w = max(1, k - lo[k])  # the singleton, when every longer block is cut
-        c = cand[:w]
-        np.add(cost[k - 1], 1.0, out=c[0])
-        body = c[1:]
-        x = body[::-1]  # start i = k-w .. k-2 ascending, m = w .. 2 items
+        a = min(lo[k], k - 1)  # the singleton alone, when every longer block is cut
+        c = cand[a:k]
+        np.add(cost[k - 1], 1.0, out=c[-1])
+        x = c[:-1]  # start i = a .. k-2, m = k-a .. 2 items
+        sizes = slice(n - k + a, n - 1)
         qlast = qT[k - 1]
-        Pk = P[k - w : k - 1]
-        if procedure == "S":  # never cut: k - w = 0
+        Pk = P[a : k - 1]
+        if procedure == "S":  # never cut: a = 0
             Ck, Tk, Mk, ph = C[: k - 1], T[: k - 1], M[: k - 1], phi[: k - 1]
             np.add(Ck, Pk, out=Ck)
         elif procedure == "Dp":  # the head product, before P takes qlast
@@ -357,7 +357,7 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
             np.add(ph, Pk, out=ph)
             if s_optimal:
                 np.minimum(Mk, ph, out=Mk)
-            np.subtract(two_less_one[w - 1 : 0 : -1], Tk, out=x)
+            np.subtract(two_less_one[sizes], Tk, out=x)
             np.subtract(x, Pk, out=x)
             np.subtract(x, Ck, out=x)
             np.add(x, Mk, out=x)
@@ -365,17 +365,17 @@ def _chunk_totals(qT: np.ndarray, procedure: str, s_rule: str, lo: list[int]) ->
             T[k - 1] = qlast
             np.multiply(qlast, 2.0, out=M[k - 1])
         else:  # (1 + m) - m P, less the head term for Dp
-            np.multiply(size[w - 1 : 0 : -1], Pk, out=x)
-            np.subtract(one_plus[w - 1 : 0 : -1], x, out=x)
+            np.multiply(size[sizes], Pk, out=x)
+            np.subtract(one_plus[sizes], x, out=x)
             if procedure == "Dp":
                 np.subtract(x, head, out=x)
         P[k - 1] = qlast
-        np.add(body, cost[k - w : k - 1][::-1], out=body)
+        np.add(x, cost[a : k - 1], out=x)
         best = np.minimum.reduce(c, axis=0)
         near = c <= best * NEAR_TIE
         if np.count_nonzero(near) > m:  # a replicate's scan may end elsewhere
             for r in np.flatnonzero(np.count_nonzero(near, axis=0) > 1).tolist():
-                best[r] = _scan(c[:, r].tolist())
+                best[r] = _scan(c[::-1, r].tolist())
         cost[k] = best
     return cost[n]
 

@@ -6,6 +6,7 @@ import pytest
 
 import pooltest.tables
 from pooltest.model import (
+    REL_TOL,
     InstanceTooLargeError,
     NotSortedError,
     sort_ascending,
@@ -51,13 +52,33 @@ def assert_bitwise(pvs, procedure, s_rule):
     assert totals.tolist() == [dp_table(pv, procedure, s_rule).total for pv in pvs]
 
 
-@pytest.mark.parametrize("m", [2, 10])
+@pytest.mark.parametrize("m", [1, 2, 5, 10])
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
 def test_totals_equal_dp_table_bit_for_bit(procedure, s_rule, family, m):
     rng = random.Random(f"{procedure}-{s_rule}-{family}-{m}")
     for n in (1, 2, 3, 17, 40, 100, rng.randint(4, 80)):
         assert_bitwise(batch(rng, family, m, n), procedure, s_rule)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("procedure,s_rule", PROCEDURE_RULES)
+def test_published_replicate_count_equals_dp_table_bit_for_bit(procedure, s_rule, family):
+    # the study's m = 1000, on tables small enough for 1000 dp_table calls
+    rng = random.Random(f"{procedure}-{s_rule}-{family}-1000")
+    for n in (1, 3, 12):
+        assert_bitwise(batch(rng, family, 1000, n), procedure, s_rule)
+
+
+def test_rescan_keeps_the_scan_order():
+    # two items whose block costs 3 - 2 q^2 = 2 - 2e-13: below the two
+    # singletons' 2, but not by REL_TOL, so the scan, which starts from the
+    # trailing singleton, keeps it; a scan from the first start would not
+    p = 1 - math.sqrt(0.5 + 1e-13)
+    pv = validate_probability_vector([p, p])
+    assert 2.0 - REL_TOL * 2.0 < 3.0 - 2.0 * (pv.q[0] * pv.q[1]) < 2.0
+    assert dp_table(pv, "D").total == 2.0
+    assert_bitwise([pv, validate_probability_vector([0.01, 0.01]), pv], "D", "optimal")
 
 
 def test_tied_batches_rerun_the_scan(monkeypatch):

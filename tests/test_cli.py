@@ -663,6 +663,15 @@ class TestStudy:
         _, table, _ = run_cli(capsys, *argv)
         assert dest.read_text() == table
 
+    def test_no_out_file_made_by_a_refused_study(self, capsys, tmp_path):
+        dest = tmp_path / "new.csv"
+        code, out, err = run_cli(
+            capsys, "study", "--p-list", "0.1", "--n", "5293", "--m", "2", "--out", str(dest)
+        )
+        assert (code, out, err) == (3, "", f"error: {S_REFUSED}\n")
+        assert not dest.exists()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_write_error_exits_two(self, capsys):
         # /dev/full opens but refuses every write
