@@ -46,8 +46,14 @@ def entropy_bits(pv: ProbabilityVector) -> float:
     By independence this is the sum of the per-item binary entropies
     p log2(1/p) + q log2(1/q); no pattern enumeration is needed.
     """
+    return entropy_of(pv.probs)
+
+
+def entropy_of(probs) -> float:
+    """``entropy_bits`` of the risks ``probs``, floats strictly inside
+    (0, 1), summed in their order without checking them again."""
     total = 0.0
-    for p in pv.probs:
+    for p in probs:
         q = 1.0 - p
         total += -p * math.log2(p) - q * math.log2(q)
     return total

@@ -93,9 +93,16 @@ def _reading(path: str):
         raise UnknownFormatError(f"{path}: JSON nested too deeply") from e
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path`` without a leading byte-order mark. It is
+    not decoded as "utf-8-sig", which would count the byte a decode error
+    names from after the mark."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+
+
 def _read_probs(path: str) -> ProbabilityVector:
     with _reading(path):
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)
     if text.lstrip().startswith("{"):
         with _reading(path):
             payload = json.loads(text)
@@ -126,7 +133,7 @@ def _plan_from_args(args, pv: ProbabilityVector) -> OrderedPartition | SetPartit
     if args.single_group:
         return SetPartition(blocks=(tuple(range(pv.n)),))
     with _reading(args.plan):
-        payload = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(args.plan))
     return plan_from_json(payload)
 
 
@@ -183,12 +190,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     pv = _read_probs(args.probs)
-    if args.achieved is not None:
-        achieved = args.achieved
-        source = "flag"
-    else:
-        achieved = dp_ordered(pv, "S").total
-        source = "dp-ordered-S"
+    achieved, source = args.achieved, "flag"
+    if achieved is None:
+        achieved, source = dp_ordered(pv, "S").total, "dp-ordered-S"
     report = check_bounds(pv, achieved)
     payload = report.to_json()
     payload["achieved_source"] = source

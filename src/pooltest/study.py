@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import entropy_bits
+from .bounds import entropy_of
 from .model import (
     PROCEDURES,
     STERRETT_RULES,
     EmptyInputError,
-    ProbabilityVector,
     UnknownFormatError,
     json_text,
 )
@@ -101,11 +100,15 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
     draws. The H column is the entropy of the sorted shared draws, or of its
     own draws as drawn.
 
-    A target draws all its replicates first, in that order. Each of the D,
-    Dp and S columns is then one ``dp_totals`` batch over the replicates,
-    equal bit for bit to a ``dp_table`` call per replicate. The S table is
-    never cut, so its n(n-1)/2 cells bound every batch's: a study whose S
-    table is over the cell budget is refused on n alone, before any draw.
+    A target draws all its replicates first, in that order, into one
+    (m, keys, n) buffer and holds them there once, 8 bytes a draw: it takes
+    the std column from the buffer, sorts the D, Dp and S columns' draws in
+    place, reads the entropies from the H column's draws one replicate at a
+    time, then complements the buffer in place. Each of the D, Dp and S
+    columns is then one ``dp_totals`` batch over the replicates, equal bit
+    for bit to a ``dp_table`` call per replicate. The S table is never cut,
+    so its n(n-1)/2 cells bound every batch's: a study whose S table is over
+    the cell budget is refused on n alone, before any draw.
     """
     rows = []
     n, m = config.n, config.m
@@ -118,17 +121,18 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
             for c in range(keys):
                 key = (t, r) if config.common_draws else (t, r, c)
                 drawn[r, c] = sample_beta_one(n, beta, stream_generator(config.seed, key))
-        ordered = np.sort(drawn)
-        # the sorted shared draws, or the entropy column's own draws as drawn
-        own = ordered[:, 0] if config.common_draws else drawn[:, -1]
-        entropies = [entropy_bits(ProbabilityVector(tuple(v.tolist()))) for v in own]
-        q = np.subtract(1.0, ordered, out=ordered)  # descending rows, as dp_table reads them
+        std = float(drawn.ravel().std(ddof=1))
+        # sort the DP columns' draws in place (under common draws that is all
+        # of them; the entropy column's own draws stay as drawn), then read
+        # the entropies one replicate's floats at a time, never all m * n
+        drawn[:, : len(PROCEDURES)].sort()
+        entropies = [entropy_of(row.tolist()) for row in drawn[:, -1]]
+        q = np.subtract(1.0, drawn, out=drawn)  # descending rows, as dp_table reads them
         columns = [
             dp_totals(q[:, c % keys], procedure, config.sterrett_rule)
             for c, procedure in enumerate(PROCEDURES)
         ]
         columns.append(entropies)
-        std = float(drawn.ravel().std(ddof=1))
         rows.append(StudyRow(p, std, *(v for column in columns for v in _mean_se(column))))
     return rows
 

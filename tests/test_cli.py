@@ -273,6 +273,32 @@ class TestStrictSchema:
         argv = ["eval", "--probs", probs, "--procedure", "S", *plan]
         assert run_cli(capsys, *argv) == (2, "", "error: bad.txt, byte 5: not UTF-8 text\n")
 
+    # a UTF-8 file may start with a byte-order mark: it reads as the same
+    # file without the mark
+    @pytest.mark.parametrize(
+        "probs, marked",
+        [('{"p": [0.4, 0.01, 0.4]}', "probs"), ("0.4\n0.01\n0.4\n", "probs"),
+         ('{"p": [0.4, 0.01, 0.4]}', "plan")],
+        ids=["probability-json", "probability-text", "plan"],
+    )
+    def test_byte_order_mark_skipped(self, capsys, tmp_path, probs, marked):
+        texts = {"probs": probs, "plan": '{"blocks": [[1, 2], [3]]}'}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = ["eval", "--probs", str(tmp_path / "probs"), "--procedure", "S",
+                "--plan", str(tmp_path / "plan")]
+        unmarked = run_cli(capsys, *argv)
+        assert unmarked[0] == 0
+        (tmp_path / marked).write_text("\ufeff" + texts[marked], encoding="utf-8")
+        assert run_cli(capsys, *argv) == unmarked
+
+    def test_file_not_utf8_after_a_byte_order_mark(self, capsys, tmp_path, monkeypatch):
+        # the bad byte is counted from the start of the file, mark included
+        monkeypatch.chdir(tmp_path)
+        Path("bad.txt").write_bytes(b"\xef\xbb\xbf0.1\n\xff\n")
+        argv = ["optimize", "--probs", "bad.txt", "--procedure", "S"]
+        assert run_cli(capsys, *argv) == (2, "", "error: bad.txt, byte 8: not UTF-8 text\n")
+
     # a long bad value is echoed shortened, so its error stays one short line
     @pytest.mark.parametrize(
         "probs, plan",

@@ -595,6 +595,18 @@ class TestExhaustiveSet:
             unordered = exhaustive_set(pv, "D").total
             assert abs(ordered - unordered) <= REL_TOL * unordered, pv.probs
 
+    @pytest.mark.parametrize("proc", ["D", "Dp", "S"])
+    def test_ordered_partition_optimal_for_equal_risks(self, proc):
+        # with all risks equal every set partition is an ordered one up to
+        # relabelling, so the DP's optimum is the set oracle's under every
+        # procedure
+        rng = random.Random(41)
+        for _ in range(80):
+            pv = validate_probability_vector([rng.uniform(0.001, 0.35)] * rng.randint(1, 10))
+            ordered = dp_ordered(pv, proc).total
+            unordered = exhaustive_set(pv, proc).total
+            assert abs(ordered - unordered) <= REL_TOL * unordered, pv.probs
+
     def test_guards(self):
         for n in (16, 18):
             pv = validate_probability_vector([0.1] * n)

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pooltest.study import COLUMNS, P_TARGET_RANGE, StudyConfig, emit_table, run
 
 SMALL = StudyConfig(p_targets=(0.05, 0.2), n=12, m=30, seed=77)
 LO, HI = P_TARGET_RANGE
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +170,10 @@ def test_one_budget_check_per_study(monkeypatch):
 
 
 def test_memory_per_draw(monkeypatch):
-    # one target holds its draws and their sorted copy, 16 bytes a draw,
-    # plus the DP scratch or the draw std's temporary; the batches run 32
-    # replicates a chunk, so the scratch stays small beside the m * n draws
+    # one target holds its draws once, in one buffer sorted and complemented
+    # in place, 8 bytes a draw, plus the draw std's temporary of the same
+    # size; the batches run 32 replicates a chunk, so the DP scratch stays
+    # small beside the m * n draws
     monkeypatch.setattr(pooltest.tables, "CHUNK_DRAWS", 16 * 40 * 32)
     config = StudyConfig(p_targets=(0.1,), n=40, m=500, seed=3)
     run_study(config)  # warm-up: caches and first-call allocations
@@ -180,7 +183,7 @@ def test_memory_per_draw(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * config.n * config.m, peak / (config.n * config.m)
+    assert peak <= 24 * config.n * config.m, peak / (config.n * config.m)
 
 
 def test_independent_draws_mode_changes_values_not_contracts():
@@ -197,6 +200,24 @@ def test_optimal_rule_lowers_s_column():
     )[0]
     assert better.s_mean < repro.s_mean
     assert better.d_mean == repro.d_mean  # D and Dp are unaffected by the rule
+
+
+@pytest.mark.parametrize("rule", ["smallest-last", "optimal"])
+def test_readme_tables_equal_the_published_scale_goldens(rule):
+    # the README shows each rule's `--format markdown` table under its
+    # command line; csv and markdown both print "%.10g", so every cell
+    # must equal the golden csv's string
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    at = lines.index(f"`pooltest study --m 1000 --sterrett-rule {rule} --format markdown`:")
+    table = []
+    for line in lines[at + 2 :]:
+        if not line.startswith("|"):
+            break
+        table.append([cell.strip() for cell in line.strip("|").split("|")])
+    golden = (ROOT / "tests" / "golden" / f"study-m1000-{rule}.csv").read_text().splitlines()
+    assert table[0] == list(COLUMNS) == golden[0].split(",")
+    assert table[1] == ["---"] * len(COLUMNS)
+    assert table[2:] == [row.split(",") for row in golden[1:]]
 
 
 class TestEmitTable:
