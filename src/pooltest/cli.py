@@ -2,7 +2,10 @@
 simulation, bounds, and the simulation study.
 
 Exit codes: 0 success, 2 input or validation error, 3 enumeration guard
-exceeded, 4 counterexample reproduction failure.
+exceeded, 4 counterexample reproduction failure, 141 (128 + SIGPIPE, as a
+shell reports a process the signal ended) stdout closed by its reader.
+Only the console script ``entry`` turns a closed stdout into 141; ``main``,
+called in process, lets the BrokenPipeError through.
 
 Probability files are either JSON ({"p": [...]}) or plain text with one
 decimal per line. Plan files are JSON: {"ordered_sizes": [...]} for
@@ -23,6 +26,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import reprlib
 import sys
 from pathlib import Path
@@ -390,7 +394,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # the recipe of the Python ``signal`` docs: flush inside the try, and
+    # point stdout at devnull so the flush at exit cannot raise again
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -789,3 +791,25 @@ class TestParser:
         assert run_any(capsys, ["counterexample", "--json"])[0] == 0
         monkeypatch.setattr(cli_mod, "_cmd_counterexample", lambda args: 7)
         assert run_any(capsys, ["counterexample", "--json"])[0] == 7
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    # the child starts with its stdout pipe's read end already closed, so
+    # its first write or its flush at exit meets a broken pipe
+    root = GOLDEN.parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pooltest.cli", "optimize",
+             "--probs", "tests/golden/mixed9.json", "--procedure", "S"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=root, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from pooltest.cost import _arranged_cost_q, arranged_cost, evaluate_plan, group_cost
 from pooltest.model import (
+    PROCEDURES,
     Group,
     OrderedPartition,
     SetPartition,
     sort_ascending,
     validate_probability_vector,
 )
+from pooltest.optimize import dp_ordered, exhaustive_ordered, exhaustive_set
 from reference import cost_sterrett_equal_prob, cost_sterrett_recursive
 
 
@@ -342,3 +344,47 @@ def test_plan_errors_come_in_order(plan, procedure, arrange, message):
     pv = validate_probability_vector([0.1, 0.2])
     with pytest.raises(ValueError, match=message):
         evaluate_plan(plan, pv, procedure, arrange=arrange)
+
+
+def assert_report_invariants(report, procedure):
+    """What the report types hold without re-checking it: the total is the
+    left-to-right sum of the block costs, each order is a permutation of
+    its block, and each cost lies in [1, k + 1] (D, Dp) or [1, 2k - 1] (S)."""
+    assert report.procedure == procedure
+    total = 0.0
+    for b in report.per_block:
+        assert sorted(b.order) == sorted(b.items)
+        k = len(b.items)
+        upper = 2 * k - 1 if procedure == "S" else k + 1
+        assert 1.0 - 1e-9 <= b.expected_tests <= upper + 1e-9
+        total += b.expected_tests
+    assert report.total == total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1, max_size=9,
+    ),
+    st.sampled_from(PROCEDURES),
+    st.data(),
+)
+def test_report_invariants_hold_for_every_plan(probs, search_procedure, data):
+    pv = validate_probability_vector(probs)
+    n = pv.n
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=n - 1)))) if n > 1 else []
+    edges = [0, *cuts, n]
+    items = data.draw(st.permutations(range(n)))
+    found = [search(pv, search_procedure) for search in (dp_ordered, exhaustive_ordered, exhaustive_set)]
+    for result in found:
+        assert_report_invariants(result.report, search_procedure)
+    plans = [
+        *(result.plan for result in found),
+        OrderedPartition(sizes=tuple(b - a for a, b in zip(edges, edges[1:]))),
+        SetPartition(blocks=tuple(tuple(items[a:b]) for a, b in zip(edges, edges[1:]))),
+    ]
+    for plan in plans:
+        for procedure in PROCEDURES:
+            for arrange in ("optimal", "given"):
+                assert_report_invariants(evaluate_plan(plan, pv, procedure, arrange=arrange), procedure)

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pooltest.model import (
-    BlockCost,
-    CostReport,
     EmptyInputError,
     Group,
     OrderedPartition,
@@ -56,6 +54,13 @@ def test_first_entry_too_large_for_a_float_is_named():
     # the first of two integers that overflow a float, in one pass
     with pytest.raises(ValueError, match="^entry 2: probability is not strictly inside"):
         ProbabilityVector([0.1, 10**400, 10**500])
+
+
+def test_first_bad_entry_is_named_whatever_its_fault():
+    # an entry out of range is named before a later one that overflows
+    with pytest.raises(OutOfRangeError) as exc:
+        ProbabilityVector([0.1, 1.5, 10**400])
+    assert exc.value.index == 2
 
 
 def test_validate_rejects_empty():
@@ -159,17 +164,6 @@ def test_plan_types_accept_integral_numbers():
     assert Group(items=tuple(np.arange(3))).items == (0, 1, 2)
     assert OrderedPartition(sizes=(2.0, np.int64(1))).sizes == (2, 1)
     assert SetPartition(blocks=((1.0, 0),)).blocks == ((1, 0),)
-
-
-def test_cost_report_total_must_match_blocks():
-    blocks = (BlockCost(items=(0,), order=(0,), expected_tests=1.0),)
-    with pytest.raises(ValueError):
-        CostReport(procedure="S", per_block=blocks, total=2.0)
-
-
-def test_block_cost_order_is_permutation():
-    with pytest.raises(ValueError):
-        BlockCost(items=(0, 1), order=(0, 2), expected_tests=1.0)
 
 
 # round-trips through the JSON forms
