@@ -2,8 +2,9 @@
 simulation, bounds, and the simulation study.
 
 Exit codes: 0 success, 2 input or validation error, 3 enumeration guard
-exceeded, 4 counterexample reproduction failure, 141 (128 + SIGPIPE, as a
-shell reports a process the signal ended) stdout closed by its reader.
+exceeded or memory that cannot be allocated, 4 counterexample reproduction
+failure, 141 (128 + SIGPIPE, as a shell reports a process the signal ended)
+stdout closed by its reader.
 Only the console script ``entry`` turns a closed stdout into 141; ``main``,
 called in process, lets the BrokenPipeError through.
 
@@ -47,7 +48,7 @@ from .model import (
     plan_from_json,
     validate_probability_vector,
 )
-from .optimize import check_guard, dp_ordered, exhaustive_ordered, exhaustive_set
+from .optimize import ORACLE_GUARDS, check_guard, dp_ordered, exhaustive_ordered, exhaustive_set
 from .simulate import estimate_cost
 from .study import DEFAULT_P_TARGETS, StudyConfig, emit_table, run_study
 
@@ -65,8 +66,8 @@ COUNTEREXAMPLE_P = (0.4, 0.4, 0.01, 0.01)
 COUNTEREXAMPLE_REFERENCES = (
     ("ordered-optimal S", "dp", "S", 2.83794),
     ("ordered-optimal Dp", "dp", "Dp", 2.8438),
-    ("unordered-optimal S", "set", "S", 2.832),
-    ("unordered-optimal Dp", "set", "Dp", 2.832),
+    ("unordered-optimal S", "exhaustive-set", "S", 2.832),
+    ("unordered-optimal Dp", "exhaustive-set", "Dp", 2.832),
 )
 COUNTEREXAMPLE_TOL = 1e-4
 
@@ -76,8 +77,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _print_json(payload) -> None:
-    print(json_text(payload))
+def _searches() -> dict:
+    """The plan searches by name. Built on every call, so that a search
+    rebound in this module is the one called."""
+    return {"dp": dp_ordered, "exhaustive-ordered": exhaustive_ordered, "exhaustive-set": exhaustive_set}
 
 
 @contextlib.contextmanager
@@ -145,30 +148,22 @@ def _cmd_eval(args) -> int:
     pv = _read_probs(args.probs)
     plan = _plan_from_args(args, pv)
     report = evaluate_plan(plan, pv, args.procedure, arrange=args.arrange)
-    _print_json(report.to_json())
+    print(json_text(report.to_json()))
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    pv = _read_probs(args.probs)
-    if args.search == "dp":
-        result = dp_ordered(pv, args.procedure)
-    elif args.search == "exhaustive-ordered":
-        result = exhaustive_ordered(pv, args.procedure)
-    else:
-        result = exhaustive_set(pv, args.procedure)
-    _print_json(result.to_json())
+    result = _searches()[args.search](_read_probs(args.probs), args.procedure)
+    print(json_text(result.to_json()))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     pv = _read_probs(args.probs)
     # refuse before any search runs, with the oracles' own messages
-    check_guard("exhaustive-ordered", pv.n)
-    check_guard("exhaustive-set", pv.n)
-    dp = dp_ordered(pv, args.procedure)
-    ordered = exhaustive_ordered(pv, args.procedure)
-    unordered = exhaustive_set(pv, args.procedure)
+    for search in ORACLE_GUARDS:
+        check_guard(search, pv.n)
+    dp, ordered, unordered = (search(pv, args.procedure) for search in _searches().values())
     payload = {
         "n": pv.n,
         "procedure": args.procedure,
@@ -180,7 +175,7 @@ def _cmd_oracle(args) -> int:
         "dp_plan": dp.plan.to_json(),
         "set_plan": unordered.plan.to_json(),
     }
-    _print_json(payload)
+    print(json_text(payload))
     return EXIT_OK
 
 
@@ -188,7 +183,7 @@ def _cmd_simulate(args) -> int:
     pv = _read_probs(args.probs)
     plan = _plan_from_args(args, pv)
     summary = estimate_cost(plan, pv, args.procedure, args.replicates, args.seed, arrange=args.arrange)
-    _print_json(summary.to_json())
+    print(json_text(summary.to_json()))
     return EXIT_OK
 
 
@@ -202,7 +197,7 @@ def _cmd_bounds(args) -> int:
     payload["achieved_source"] = source
     payload["ungar_threshold"] = ungar_threshold()
     payload["all_above_ungar"] = all_above_ungar(pv)
-    _print_json(payload)
+    print(json_text(payload))
     return EXIT_OK
 
 
@@ -244,8 +239,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     pv = validate_probability_vector(COUNTEREXAMPLE_P)
-    # built per call, so that rebound search names are the ones called
-    searches = {"dp": dp_ordered, "set": exhaustive_set}
+    searches = _searches()
     checks = []
     for name, search, proc, reference in COUNTEREXAMPLE_REFERENCES:
         computed = searches[search](pv, proc).total
@@ -259,7 +253,7 @@ def _cmd_counterexample(args) -> int:
         )
     all_ok = all(c["ok"] for c in checks)
     if args.json:
-        _print_json({"checks": checks, "pass": all_ok})
+        print(json_text({"checks": checks, "pass": all_ok}))
     else:
         for c in checks:
             verdict = "PASS" if c["ok"] else "FAIL"
@@ -321,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_procedure(p_opt)
     p_opt.add_argument(
         "--search",
-        choices=["dp", "exhaustive-ordered", "exhaustive-set"],
+        choices=list(_searches()),
         default="dp",
     )
 
@@ -389,6 +383,8 @@ def main(argv=None) -> int:
         return handler(args)
     except InstanceTooLargeError as e:
         return _fail(str(e), EXIT_GUARD)
+    except MemoryError as e:
+        return _fail(f"not enough memory: {e}" if str(e) else "not enough memory", EXIT_GUARD)
     except (ValueError, TypeError) as e:
         return _fail(str(e), EXIT_INPUT)
 

@@ -16,7 +16,6 @@ arrangement (it lowers the S column, most visibly at small p).
 
 from __future__ import annotations
 
-import io
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -137,10 +136,6 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return "%.10g" % x
-
-
 def emit_table(rows: list[StudyRow], fmt: str, metadata: dict | None = None) -> str:
     """Render study rows as csv, json, or markdown text.
 
@@ -149,19 +144,12 @@ def emit_table(rows: list[StudyRow], fmt: str, metadata: dict | None = None) -> 
     """
     if not rows:
         raise EmptyInputError("no study rows to emit")
+    lines = [COLUMNS, *(["%.10g" % v for v in row] for row in rows)]
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(",".join(COLUMNS) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
-        return out.getvalue()
+        return "".join(",".join(cells) + "\n" for cells in lines)
     if fmt == "markdown":
-        out = io.StringIO()
-        out.write("| " + " | ".join(COLUMNS) + " |\n")
-        out.write("|" + "|".join(" --- " for _ in COLUMNS) + "|\n")
-        for row in rows:
-            out.write("| " + " | ".join(_fmt(v) for v in row) + " |\n")
-        return out.getvalue()
+        lines.insert(1, ["---"] * len(COLUMNS))
+        return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
     if fmt == "json":
         payload: dict = {"columns": list(COLUMNS)}
         if metadata is not None:

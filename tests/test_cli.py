@@ -700,6 +700,23 @@ class TestStudy:
         assert not dest.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "message, err",
+        [
+            ("Unable to allocate 74.5 GiB", "error: not enough memory: Unable to allocate 74.5 GiB\n"),
+            ("", "error: not enough memory\n"),
+        ],
+        ids=["message", "empty-message"],
+    )
+    def test_memory_refused_exits_three(self, capsys, monkeypatch, message, err):
+        import pooltest.cli
+
+        def refuse(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pooltest.cli, "run_study", refuse)
+        assert run_cli(capsys, "study", "--n", "5", "--m", "2") == (3, "", err)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_write_error_exits_two(self, capsys):
         # /dev/full opens but refuses every write
@@ -785,6 +802,38 @@ class TestParser:
         assert together == alone
         assert [code for code, _, _ in alone] == [0, 2, 2, 0]
 
+    @pytest.mark.parametrize(
+        "name, flag, counts",
+        [
+            ("dp_ordered", "dp", (1, 1, 2)),
+            ("exhaustive_ordered", "exhaustive-ordered", (1, 1, 0)),
+            ("exhaustive_set", "exhaustive-set", (1, 1, 2)),
+        ],
+    )
+    def test_rebound_searches_are_the_ones_called(
+        self, capsys, monkeypatch, probs_file, name, flag, counts
+    ):
+        import pooltest.cli as cli_mod
+
+        # the first call builds the cached parser; a search rebound after it
+        # is still the one that optimize, oracle and counterexample call, as
+        # the benchmark's tracer needs
+        assert run_any(capsys, ["counterexample", "--json"])[0] == 0
+        calls = []
+        search = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name, lambda *a: calls.append(a) or search(*a))
+        path = probs_file(E3_PROBS)
+        got = []
+        for argv in (
+            ["optimize", "--probs", path, "--procedure", "S", "--search", flag],
+            ["oracle", "--probs", path, "--procedure", "S"],
+            ["counterexample"],
+        ):
+            calls.clear()
+            assert run_any(capsys, argv)[0] == 0
+            got.append(len(calls))
+        assert tuple(got) == counts
+
     def test_handler_rebound_after_first_call_runs(self, capsys, monkeypatch):
         import pooltest.cli as cli_mod
 
@@ -813,3 +862,30 @@ def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+# the child's address space: the interpreter and numpy fit in it, and the
+# (m, 1, n) draw buffer of a study at --m 100000000, 74.5 GiB, does not
+ADDRESS_SPACE_CAP = 5 * 2**29  # 2.5 GiB
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_unallocatable_study_exits_3_with_one_line(tmp_path, out):
+    resource = pytest.importorskip("resource")
+    root = GOLDEN.parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pooltest.cli", "study", "--n", "100", "--m", "100000000",
+            "--p-list", "0.1"]
+    proc = subprocess.run(
+        argv + (["--out", str(tmp_path / "new.csv")] if out else []),
+        capture_output=True, text=True, cwd=root, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP)
+        ),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: not enough memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []

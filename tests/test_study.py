@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -233,6 +234,22 @@ class TestEmitTable:
         lines = text.strip().split("\n")
         assert lines[0].startswith("| p |")
         assert len(lines) == 2 + len(small_rows)
+
+    @pytest.mark.parametrize("common_draws", [True, False], ids=["common", "independent-draws"])
+    def test_markdown_cells_equal_csv_cells(self, small_rows, common_draws):
+        rows = small_rows if common_draws else run_study(dataclasses.replace(SMALL, common_draws=False))
+        csv = [line.split(",") for line in emit_table(rows, "csv").splitlines()]
+        markdown = emit_table(rows, "markdown").splitlines()
+        cells = []
+        for line in markdown:
+            assert line.startswith("|") and line.endswith("|")
+            cells.append([cell.strip() for cell in line[1:-1].split("|")])
+        assert cells[0] == list(COLUMNS) == csv[0]
+        assert cells[1] == ["---"] * len(COLUMNS)
+        assert cells[2:] == csv[1:]
+        # one space pads each cell, and the rule row's dashes too
+        assert markdown[1] == "|" + " --- |" * len(COLUMNS)
+        assert markdown[2:] == ["| " + " | ".join(row) + " |" for row in csv[1:]]
 
     def test_json_roundtrip(self, small_rows):
         payload = json.loads(emit_table(small_rows, "json", metadata={"seed": 77}))
