@@ -40,18 +40,16 @@ def all_above_ungar(pv: ProbabilityVector) -> bool:
     return min(pv.probs) >= ungar_threshold()
 
 
-def entropy_bits(pv: ProbabilityVector) -> float:
-    """Shannon entropy of the defect-pattern distribution, in bits.
+def entropy_bits(probs) -> float:
+    """Shannon entropy of the defect-pattern distribution, in bits, for the
+    risks ``probs``: floats strictly inside (0, 1), such as ``pv.probs``,
+    which are not checked again; validate raw input with
+    ``validate_probability_vector`` first.
 
     By independence this is the sum of the per-item binary entropies
-    p log2(1/p) + q log2(1/q); no pattern enumeration is needed.
+    p log2(1/p) + q log2(1/q), in the order of ``probs``; no pattern
+    enumeration is needed.
     """
-    return entropy_of(pv.probs)
-
-
-def entropy_of(probs) -> float:
-    """``entropy_bits`` of the risks ``probs``, floats strictly inside
-    (0, 1), summed in their order without checking them again."""
     total = 0.0
     for p in probs:
         q = 1.0 - p
@@ -146,7 +144,7 @@ def check_bounds(pv: ProbabilityVector, achieved_cost: float) -> BoundReport:
     """
     if not math.isfinite(achieved_cost):
         raise ValueError(f"achieved cost must be a finite number, got {achieved_cost!r}")
-    h = entropy_bits(pv)
+    h = entropy_bits(pv.probs)
     if pv.n <= MAX_OUTCOME_N:
         length = huffman_length(pv)
         coding_ok = (h - BOUND_SLACK <= length) and (length <= h + 1.0 + BOUND_SLACK)

@@ -50,7 +50,7 @@ from .model import (
 )
 from .optimize import ORACLE_GUARDS, check_guard, dp_ordered, exhaustive_ordered, exhaustive_set
 from .simulate import estimate_cost
-from .study import DEFAULT_P_TARGETS, StudyConfig, emit_table, run_study
+from .study import StudyConfig, emit_table, run_study
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -202,9 +202,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    targets = tuple(float(x) for x in args.p_list.split(",") if x.strip())
     config = StudyConfig(
-        p_targets=targets,
+        p_targets=[x for x in args.p_list.split(",") if x.strip()],
         n=args.n,
         m=args.m,
         seed=args.seed,
@@ -278,63 +277,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_probs(p):
-        p.add_argument("--probs", required=True, help="probability file (JSON or one per line)")
-
-    def add_procedure(p):
-        p.add_argument(
-            "--procedure",
-            required=True,
-            choices=PROCEDURES,
-            help="D=Dorfman, Dp=modified Dorfman, S=Sterrett",
-        )
-
-    def add_plan(p):
-        grp = p.add_mutually_exclusive_group(required=True)
-        grp.add_argument("--plan", help="plan file (JSON)")
-        grp.add_argument(
-            "--single-group", action="store_true", help="treat the whole population as one group"
-        )
-
-    def add_arrange(p):
-        p.add_argument(
-            "--arrange",
-            choices=["given", "optimal"],
-            default="optimal",
-            help="cost blocks as ordered, or rearrange each optimally (default)",
-        )
-
-    p_eval = sub.add_parser("eval", help="expected tests of a plan")
-    add_probs(p_eval)
-    add_procedure(p_eval)
-    add_plan(p_eval)
-    add_arrange(p_eval)
-
-    p_opt = sub.add_parser("optimize", help="search for a minimum-cost plan")
-    add_probs(p_opt)
-    add_procedure(p_opt)
-    p_opt.add_argument(
-        "--search",
-        choices=list(_searches()),
-        default="dp",
+    # the arguments several subcommands share, each declared once
+    probs = argparse.ArgumentParser(add_help=False)
+    probs.add_argument("--probs", required=True, help="probability file (JSON or one per line)")
+    procedure = argparse.ArgumentParser(add_help=False)
+    procedure.add_argument(
+        "--procedure",
+        required=True,
+        choices=PROCEDURES,
+        help="D=Dorfman, Dp=modified Dorfman, S=Sterrett",
+    )
+    plan = argparse.ArgumentParser(add_help=False)
+    grp = plan.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--plan", help="plan file (JSON)")
+    grp.add_argument(
+        "--single-group", action="store_true", help="treat the whole population as one group"
+    )
+    plan.add_argument(
+        "--arrange",
+        choices=["given", "optimal"],
+        default="optimal",
+        help="cost blocks as ordered, or rearrange each optimally (default)",
     )
 
-    p_oracle = sub.add_parser(
-        "oracle", help="cross-check the DP against exhaustive enumeration"
-    )
-    add_probs(p_oracle)
-    add_procedure(p_oracle)
+    sub.add_parser("eval", help="expected tests of a plan", parents=[probs, procedure, plan])
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of a plan's cost")
-    add_probs(p_sim)
-    add_procedure(p_sim)
-    add_plan(p_sim)
-    add_arrange(p_sim)
+    p_opt = sub.add_parser(
+        "optimize", help="search for a minimum-cost plan", parents=[probs, procedure]
+    )
+    p_opt.add_argument("--search", choices=list(_searches()), default="dp")
+
+    sub.add_parser(
+        "oracle", help="cross-check the DP against exhaustive enumeration", parents=[probs, procedure]
+    )
+
+    p_sim = sub.add_parser(
+        "simulate", help="Monte Carlo estimate of a plan's cost", parents=[probs, procedure, plan]
+    )
     p_sim.add_argument("--replicates", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=1)
 
-    p_bounds = sub.add_parser("bounds", help="entropy and prefix-code lower bounds")
-    add_probs(p_bounds)
+    p_bounds = sub.add_parser("bounds", help="entropy and prefix-code lower bounds", parents=[probs])
     p_bounds.add_argument(
         "--achieved",
         type=float,
@@ -345,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("study", help="simulation study over Beta-distributed risks")
     p_study.add_argument(
         "--p-list",
-        default=",".join(str(p) for p in DEFAULT_P_TARGETS),
+        default=",".join(map(str, StudyConfig.p_targets)),
         help="comma-separated target mean risks",
     )
-    p_study.add_argument("--n", type=int, default=100)
-    p_study.add_argument("--m", type=int, default=200)
-    p_study.add_argument("--seed", type=int, default=1)
+    p_study.add_argument("--n", type=int, default=StudyConfig.n)
+    p_study.add_argument("--m", type=int, default=StudyConfig.m)
+    p_study.add_argument("--seed", type=int, default=StudyConfig.seed)
     p_study.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
     p_study.add_argument("--out", default=None, help="output file (default stdout)")
     p_study.add_argument(
@@ -361,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument(
         "--sterrett-rule",
         choices=STERRETT_RULES,
-        default="smallest-last",
+        default=StudyConfig.sterrett_rule,
         help="within-block arrangement for the S column; smallest-last "
         "reproduces published tables, optimal is strictly better",
     )

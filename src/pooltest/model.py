@@ -267,10 +267,6 @@ class SetPartition:
                     raise ValueError(f"item {i} appears in more than one block")
                 seen.add(i)
 
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
     def check_cover(self, n: int) -> None:
         items = {i for b in self.blocks for i in b}
         for i in sorted(items.symmetric_difference(range(n))):  # named from 1, as in plan files

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import entropy_of
+from .bounds import entropy_bits
 from .model import (
     PROCEDURES,
     STERRETT_RULES,
@@ -125,7 +125,7 @@ def run_study(config: StudyConfig) -> list[StudyRow]:
         # of them; the entropy column's own draws stay as drawn), then read
         # the entropies one replicate's floats at a time, never all m * n
         drawn[:, : len(PROCEDURES)].sort()
-        entropies = [entropy_of(row.tolist()) for row in drawn[:, -1]]
+        entropies = [entropy_bits(row.tolist()) for row in drawn[:, -1]]
         q = np.subtract(1.0, drawn, out=drawn)  # descending rows, as dp_table reads them
         columns = [
             dp_totals(q[:, c % keys], procedure, config.sterrett_rule)

@@ -13,8 +13,14 @@ desk scale, M=200, which widens the tolerance by sqrt(1000/200).
 import itertools
 import math
 import random
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
+
+if __name__ == "__main__":
+    # run directly: import pooltest from this checkout's src/, installed or not
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pooltest.bounds import entropy_bits, huffman_length
 from pooltest.cost import (
@@ -155,7 +161,7 @@ def test_criterion_7_information_bounds():
         for _ in range(200):
             n = rng.randint(1, 12)
             pv = validate_probability_vector([rng.uniform(0.02, 0.98) for _ in range(n)])
-            h = entropy_bits(pv)
+            h = entropy_bits(pv.probs)
             length = huffman_length(pv)
             assert h - 1e-9 <= length <= h + 1.0 + 1e-9
             for proc in ("D", "Dp", "S"):

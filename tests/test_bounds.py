@@ -26,13 +26,13 @@ def pv(probs):
 
 class TestEntropy:
     def test_fair_coin(self):
-        assert entropy_bits(pv([0.5])) == pytest.approx(1.0, abs=1e-15)
+        assert entropy_bits(pv([0.5]).probs) == pytest.approx(1.0, abs=1e-15)
 
     def test_additivity_of_fair_coins(self):
-        assert entropy_bits(pv([0.5] * 100)) == pytest.approx(100.0, abs=1e-9)
+        assert entropy_bits(pv([0.5] * 100).probs) == pytest.approx(100.0, abs=1e-9)
 
     def test_two_items(self):
-        assert entropy_bits(pv([0.1, 0.2])) == pytest.approx(1.1909, abs=1e-4)
+        assert entropy_bits(pv([0.1, 0.2]).probs) == pytest.approx(1.1909, abs=1e-4)
 
     def test_matches_outcome_distribution_entropy(self):
         # independent oracle: brute-force entropy of the full 2^N pattern
@@ -42,7 +42,7 @@ class TestEntropy:
             v = pv([rng.uniform(0.05, 0.95) for _ in range(rng.randint(1, 8))])
             dist = outcome_distribution(v)
             brute = float(-(dist * np.log2(dist)).sum())
-            assert entropy_bits(v) == pytest.approx(brute, abs=1e-9)
+            assert entropy_bits(v.probs) == pytest.approx(brute, abs=1e-9)
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=10),
@@ -50,8 +50,8 @@ class TestEntropy:
     )
     @settings(max_examples=200)
     def test_additive_over_concatenation(self, a, b):
-        assert entropy_bits(pv(a + b)) == pytest.approx(
-            entropy_bits(pv(a)) + entropy_bits(pv(b)), abs=1e-12
+        assert entropy_bits(pv(a + b).probs) == pytest.approx(
+            entropy_bits(pv(a).probs) + entropy_bits(pv(b).probs), abs=1e-12
         )
 
 
@@ -96,7 +96,7 @@ class TestHuffman:
     @settings(max_examples=150, deadline=None)
     def test_noiseless_coding_bounds(self, probs):
         v = pv(probs)
-        h = entropy_bits(v)
+        h = entropy_bits(v.probs)
         length = huffman_length(v)
         assert h - 1e-9 <= length <= h + 1.0 + 1e-9
 

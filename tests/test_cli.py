@@ -16,6 +16,7 @@ import pooltest.optimize
 from pooltest.cli import build_parser, main
 from pooltest.cost import evaluate_plan
 from pooltest.model import plan_from_json, validate_probability_vector
+from pooltest.study import StudyConfig
 
 E3_PROBS = [0.4, 0.4, 0.01, 0.01]
 GOLDEN = Path(__file__).with_name("golden")
@@ -225,9 +226,10 @@ class TestStrictSchema:
             ('{"p": [0.1, null]}', "error: entry 2: probability None is not a number\n"),
             ('{"p": [0.1, 0.2], "ids": 3}', 'error: "ids" must be an array, not a number\n'),
             ('{"p": [0.1, 0.2], "ids": "ab"}', 'error: "ids" must be an array, not a string\n'),
+            ('{"q": [0.1, 0.2]}', 'error: probability vector JSON must have a "p" key\n'),
         ],
         ids=["p-string", "p-object", "entry-string", "entry-bool", "entry-null", "ids-number",
-             "ids-string"],
+             "ids-string", "no-p"],
     )
     def test_probability_json(self, capsys, tmp_path, probs, err):
         path = tmp_path / "probs.json"
@@ -622,6 +624,12 @@ class TestStudy:
         assert out == ""
         assert "target risks must lie in [1e-12, 0.8]" in err
 
+    def test_unparsable_target_exits_two(self, capsys):
+        # blank entries are skipped; the first bad one is named as written
+        code, out, err = run_cli(capsys, "study", "--p-list", "0.1, ,abc", "--m", "2", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: could not convert string to float: 'abc'\n"
+
     @pytest.mark.parametrize("target", ["1e-12", "0.8"])
     def test_range_ends_finish(self, capsys, target):
         code, out, _ = run_cli(capsys, "study", "--p-list", target, "--m", "2", "--n", "100")
@@ -840,6 +848,40 @@ class TestParser:
         assert run_any(capsys, ["counterexample", "--json"])[0] == 0
         monkeypatch.setattr(cli_mod, "_cmd_counterexample", lambda args: 7)
         assert run_any(capsys, ["counterexample", "--json"])[0] == 7
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["eval", "--probs", "p", "--procedure", "S", "--single-group"],
+             {"probs": "p", "procedure": "S", "plan": None, "single_group": True,
+              "arrange": "optimal"}),
+            (["optimize", "--probs", "p", "--procedure", "S"],
+             {"probs": "p", "procedure": "S", "search": "dp"}),
+            (["oracle", "--probs", "p", "--procedure", "S"], {"probs": "p", "procedure": "S"}),
+            (["simulate", "--probs", "p", "--procedure", "S", "--single-group"],
+             {"probs": "p", "procedure": "S", "plan": None, "single_group": True,
+              "arrange": "optimal", "replicates": 10000, "seed": 1}),
+            (["bounds", "--probs", "p"], {"probs": "p", "achieved": None}),
+            (["study"],
+             {"p_list": "0.001,0.01,0.05,0.1,0.2,0.3", "n": 100, "m": 200, "seed": 1,
+              "format": "csv", "out": None, "independent_draws": False,
+              "sterrett_rule": "smallest-last"}),
+            (["counterexample"], {"json": False}),
+        ],
+        ids=SUBCOMMANDS,
+    )
+    def test_parsed_defaults(self, argv, expected):
+        # the help texts print no defaults, so a lost default= shows only here
+        assert vars(build_parser().parse_args(argv)) == {"command": argv[0], **expected}
+
+    def test_study_defaults_are_the_config_defaults(self, capsys, monkeypatch):
+        import pooltest.cli as cli_mod
+
+        configs = []
+        monkeypatch.setattr(cli_mod, "run_study", configs.append)
+        monkeypatch.setattr(cli_mod, "emit_table", lambda *a, **k: "")
+        assert run_cli(capsys, "study") == (0, "", "")
+        assert configs == [StudyConfig()]
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -328,21 +328,24 @@ def test_report_equals_group_reference_bit_for_bit(procedure, arrange):
 
 
 @pytest.mark.parametrize(
-    "plan, procedure, arrange, message",
+    "plan, procedure, arrange, error, message",
     [
-        (OrderedPartition(sizes=(1,)), "X", "optimal", "partition sizes sum to 1, population has 2"),
-        (SetPartition(blocks=((0,),)), "X", "given", "set partition misses item 2"),
-        (OrderedPartition(sizes=(1,)), "X", "Y", "arrange must be 'optimal' or 'given'"),
-        (SetPartition(blocks=((0,),)), "X", "Y", "arrange must be 'optimal' or 'given'"),
-        (OrderedPartition(sizes=(2,)), "X", "optimal", "unknown procedure 'X'"),
-        (SetPartition(blocks=((1, 0),)), "X", "given", "unknown procedure 'X'"),
+        (OrderedPartition(sizes=(1,)), "X", "optimal", ValueError,
+         "partition sizes sum to 1, population has 2"),
+        (SetPartition(blocks=((0,),)), "X", "given", ValueError, "set partition misses item 2"),
+        (OrderedPartition(sizes=(1,)), "X", "Y", ValueError, "arrange must be 'optimal' or 'given'"),
+        (SetPartition(blocks=((0,),)), "X", "Y", ValueError, "arrange must be 'optimal' or 'given'"),
+        (OrderedPartition(sizes=(2,)), "X", "optimal", ValueError, "unknown procedure 'X'"),
+        (SetPartition(blocks=((1, 0),)), "X", "given", ValueError, "unknown procedure 'X'"),
+        (object(), "X", "optimal", TypeError, "unsupported plan type object"),
     ],
     ids=["size-before-procedure", "cover-before-procedure", "arrange-before-size",
-         "arrange-before-cover", "procedure-optimal", "procedure-given"],
+         "arrange-before-cover", "procedure-optimal", "procedure-given",
+         "type-before-procedure"],
 )
-def test_plan_errors_come_in_order(plan, procedure, arrange, message):
+def test_plan_errors_come_in_order(plan, procedure, arrange, error, message):
     pv = validate_probability_vector([0.1, 0.2])
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         evaluate_plan(plan, pv, procedure, arrange=arrange)
 
 

@@ -111,6 +111,8 @@ def test_group_range_check():
     g = Group(items=(0, 5))
     with pytest.raises(ValueError):
         g.check_against(validate_probability_vector([0.1, 0.2]))
+    with pytest.raises(ValueError, match="group items must be nonnegative indices"):
+        Group(items=(0, -1))
 
 
 def test_ordered_partition_validation():

@@ -38,3 +38,15 @@ def test_dominance_sweep_refuses_bad_arguments(argv, message):
     proc = sweep(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert f"error: {message}" in proc.stderr
+
+
+def test_acceptance_script_runs_from_another_directory(tmp_path):
+    # a plain checkout: no PYTHONPATH, run from outside the tree
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "tests" / "test_acceptance.py")],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    passed = [line for line in proc.stdout.splitlines() if line.startswith("PASS criterion")]
+    assert len(passed) == 11

@@ -43,6 +43,9 @@ def test_config_validation():
         StudyConfig(p_targets=())
     with pytest.raises(ValueError):
         StudyConfig(sterrett_rule="fastest")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            StudyConfig(seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -131,9 +134,9 @@ def reference_row(config, t):
             if c < len(PROCEDURES):
                 column.append(dp_table(ordered, PROCEDURES[c], s_rule=config.sterrett_rule).total)
             elif config.common_draws:
-                column.append(entropy_bits(ordered))
+                column.append(entropy_bits(ordered.probs))
             else:
-                column.append(entropy_bits(ProbabilityVector(tuple(risks))))
+                column.append(entropy_bits(ProbabilityVector(tuple(risks)).probs))
     values = [p, float(np.std(spread, ddof=1))]
     for column in columns:
         values += [float(np.mean(column)), float(np.std(column, ddof=1)) / math.sqrt(config.m)]
