@@ -6,13 +6,13 @@ small-instance oracles, a protocol test counter with exact-outcome and
 Monte Carlo validation, and information-theoretic lower bounds."""
 
 from .bounds import (
+    UNGAR_THRESHOLD,
     BoundReport,
     all_above_ungar,
     check_bounds,
     entropy_bits,
     huffman_length,
     outcome_distribution,
-    ungar_threshold,
 )
 from .cost import arranged_cost, evaluate_plan, group_cost
 from .model import (

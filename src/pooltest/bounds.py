@@ -15,6 +15,9 @@ weights and one round's scratch bound its memory; the README gives its
 time and memory at N = 20. Inputs where every pattern outweighs all
 lighter ones together merge one pair per round; the float range bounds
 such a chain at about 11 items (times in ``BENCH_19.json``).
+
+``UNGAR_THRESHOLD``, (3 - sqrt(5)) / 2, is the defect probability above
+which pooling cannot beat testing every item alone (``all_above_ungar``).
 """
 
 from __future__ import annotations
@@ -29,15 +32,12 @@ from .model import InstanceTooLargeError, ProbabilityVector
 MAX_OUTCOME_N = 20
 
 
-def ungar_threshold() -> float:
-    """Defect probability (3 - sqrt(5)) / 2 above which pooling cannot beat
-    one-by-one individual testing."""
-    return (3.0 - math.sqrt(5.0)) / 2.0
+UNGAR_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def all_above_ungar(pv: ProbabilityVector) -> bool:
     """True iff every item's defect probability is at or above the threshold."""
-    return min(pv.probs) >= ungar_threshold()
+    return min(pv.probs) >= UNGAR_THRESHOLD
 
 
 def entropy_bits(probs) -> float:

@@ -32,7 +32,7 @@ import reprlib
 import sys
 from pathlib import Path
 
-from .bounds import all_above_ungar, check_bounds, ungar_threshold
+from .bounds import UNGAR_THRESHOLD, all_above_ungar, check_bounds
 from .cost import evaluate_plan
 from .model import (
     PROCEDURES,
@@ -110,10 +110,8 @@ def _read_text(path: str) -> str:
 def _read_probs(path: str) -> ProbabilityVector:
     with _reading(path):
         text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        with _reading(path):
-            payload = json.loads(text)
-        return ProbabilityVector.from_json(payload)
+        if text.lstrip().startswith("{"):
+            return ProbabilityVector.from_json(json.loads(text))
     values: list[float] = []
     linenos: list[int] = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -195,7 +193,7 @@ def _cmd_bounds(args) -> int:
     report = check_bounds(pv, achieved)
     payload = report.to_json()
     payload["achieved_source"] = source
-    payload["ungar_threshold"] = ungar_threshold()
+    payload["ungar_threshold"] = UNGAR_THRESHOLD
     payload["all_above_ungar"] = all_above_ungar(pv)
     print(json_text(payload))
     return EXIT_OK

@@ -158,15 +158,13 @@ def _arranged_cost_q(v: Sequence[float], procedure: str) -> tuple[float, int]:
 
     This is the one place a block's arrangement is decided. D costs the
     same in every order (b = k - 1 keeps v as given); Dp puts the smallest
-    q last (b = 0); S takes b from the O(k) minimizer.
+    q last (b = 0); both cost that order by ``_given_cost_q``, which
+    refuses an unknown procedure. S takes b from the O(k) minimizer.
     """
-    if procedure == "D":
-        return _cost_dorfman_q(v), len(v) - 1
-    if procedure == "Dp":
-        return _cost_modified_dorfman_q((*v[1:], v[0])), 0
     if procedure == "S":
         return _optimal_sterrett_ascending(v)
-    raise ValueError(f"unknown procedure {procedure!r}")
+    b = 0 if procedure == "Dp" else len(v) - 1
+    return _given_cost_q((*v[:b], *v[b + 1 :], v[b]), procedure), b
 
 
 # ---------------------------------------------------------------------------

@@ -258,14 +258,15 @@ class SetPartition:
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) == 0:
             raise EmptyInputError("set partition must have at least one block")
-        seen: set[int] = set()
-        for b in blocks:
+        seen: dict[int, int] = {}  # item -> its block's number
+        for j, b in enumerate(blocks, 1):
             if len(b) == 0:
                 raise ValueError("set partition blocks must be nonempty")
             for i in b:
                 if i in seen:
-                    raise ValueError(f"item {i} appears in more than one block")
-                seen.add(i)
+                    where = f"twice in block {j}" if seen[i] == j else "in more than one block"
+                    raise ValueError(f"item {i} appears {where}")
+                seen[i] = j
 
     def check_cover(self, n: int) -> None:
         items = {i for b in self.blocks for i in b}

@@ -40,6 +40,15 @@ def stream_generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+def check_run(m: int, seed: int) -> None:
+    """Refuse a run of ``m`` replicates below two, then a base ``seed``
+    outside 64 unsigned bits; Monte Carlo and the study both check here."""
+    if m < 2:
+        raise ValueError("at least two replicates are required")
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in 64 unsigned bits")
+
+
 # Defect-vector entries held at once, as whole rows (Monte Carlo replicates
 # or exact-oracle outcomes), but at least one row. ``estimate_cost`` holds as
 # many uniforms (4 MiB), so its memory does not grow with m: uncapped chunks
@@ -130,10 +139,7 @@ def estimate_cost(
     of all m counts bit for bit. Time is linear in m and in the items; the
     README gives the measured rates.
     """
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must fit in 64 unsigned bits")
-    if m < 2:
-        raise ValueError("at least two replicates are required")
+    check_run(m, seed)
     report = evaluate_plan(plan, pv, procedure, arrange=arrange)  # checks the procedure
     p = np.asarray(pv.probs)
     block_items = [list(b.order) for b in report.per_block]

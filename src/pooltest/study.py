@@ -30,10 +30,8 @@ from .model import (
     UnknownFormatError,
     json_text,
 )
-from .simulate import sample_beta_one, stream_generator
+from .simulate import check_run, sample_beta_one, stream_generator
 from .tables import check_cells, dp_totals
-
-DEFAULT_P_TARGETS = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
 
 # Targets the study accepts. A Beta(1, beta) quantile is redrawn when it
 # rounds to exactly 0 or 1; at both ends of this range about 1e-4 of the
@@ -55,7 +53,7 @@ class StudyConfig:
     published tables, "optimal" is strictly better).
     """
 
-    p_targets: tuple[float, ...] = DEFAULT_P_TARGETS
+    p_targets: tuple[float, ...] = (0.001, 0.01, 0.05, 0.10, 0.20, 0.30)
     n: int = 100
     m: int = 200
     seed: int = 1
@@ -71,10 +69,7 @@ class StudyConfig:
             raise ValueError(f"target risks must lie in [{lo:g}, {hi:g}]: {self.p_targets}")
         if self.n < 1:
             raise ValueError("population size must be >= 1")
-        if self.m < 2:
-            raise ValueError("at least two replicates are required")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_run(self.m, self.seed)
         if self.sterrett_rule not in STERRETT_RULES:
             raise ValueError(f"unknown Sterrett rule {self.sterrett_rule!r}")
 

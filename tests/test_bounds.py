@@ -13,7 +13,7 @@ from pooltest.bounds import (
     entropy_bits,
     huffman_length,
     outcome_distribution,
-    ungar_threshold,
+    UNGAR_THRESHOLD,
 )
 from pooltest.cost import group_cost
 from pooltest.model import Group, InstanceTooLargeError, validate_probability_vector
@@ -250,7 +250,7 @@ class TestCheckBounds:
 
 class TestUngar:
     def test_threshold_value(self):
-        assert ungar_threshold() == pytest.approx(0.3819660113, abs=1e-9)
+        assert UNGAR_THRESHOLD == pytest.approx(0.3819660113, abs=1e-9)
 
     def test_above(self):
         assert all_above_ungar(pv([0.39, 0.5]))

@@ -256,10 +256,12 @@ class TestStrictSchema:
             ('{"blocks": [[3], [1]]}', "error: set partition misses item 2; the items are 1..3\n"),
             ('{"ordered_sizes": [3], "blocks": [[1, 2, 3]]}',
              'error: plan JSON must have an "ordered_sizes" or "blocks" key, not both\n'),
+            ('{"blocks": [[1, 1], [2]]}', "error: item 1 appears twice in block 1\n"),
+            ('{"blocks": [[1, 2], [3, 2]]}', "error: item 2 appears in more than one block\n"),
         ],
         ids=["block-number", "blocks-string", "entry-zero", "entry-negative", "sizes-number",
              "sizes-string", "top-array", "top-string", "cover-stray", "cover-missing",
-             "both-keys"],
+             "both-keys", "blocks-repeat-within", "blocks-repeat-across"],
     )
     def test_plan_json(self, capsys, tmp_path, probs_file, plan, err):
         path = tmp_path / "plan.json"

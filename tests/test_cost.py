@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pooltest.cost import _arranged_cost_q, arranged_cost, evaluate_plan, group_cost
+from pooltest.cost import _arranged_cost_q, _given_cost_q, arranged_cost, evaluate_plan, group_cost
 from pooltest.model import (
     PROCEDURES,
     Group,
@@ -213,6 +213,34 @@ class TestArrangements:
         last = arranged_cost(whole_group(pv), pv, "S")[0].items[-1]
         assert last == qs.index(qs[last])
 
+
+def ascending_q_blocks(rng, count):
+    """``count`` blocks of 1 to 40 q values, ascending, whose risks are in
+    turn uniform, tied, all equal, near 1e-12 and near 0.8."""
+    kinds = [
+        lambda k: [rng.uniform(0.001, 0.999) for _ in range(k)],
+        lambda k: [rng.choice((0.05, 0.1, 0.3)) for _ in range(k)],
+        lambda k: [rng.uniform(0.001, 0.999)] * k,
+        lambda k: [rng.uniform(1e-12, 2e-12) for _ in range(k)],
+        lambda k: [rng.uniform(0.79, 0.8) for _ in range(k)],
+    ]
+    for j in range(count):
+        yield tuple(sorted(1.0 - p for p in kinds[j % len(kinds)](rng.randint(1, 40))))
+
+
+@pytest.mark.parametrize("procedure, last", [("D", -1), ("Dp", 0)])
+def test_arranged_d_and_dp_costs_are_the_given_order_costs(procedure, last):
+    # bit for bit: the arranged cost is the given-order cost of its order,
+    # v without v[b] and then v[b], with b = k - 1 for D and 0 for Dp
+    for v in ascending_q_blocks(random.Random(1), 500):
+        b = last % len(v)
+        arranged = (*v[:b], *v[b + 1 :], v[b])
+        assert _arranged_cost_q(v, procedure) == (_given_cost_q(arranged, procedure), b)
+
+
+def test_arranged_cost_refuses_an_unknown_procedure():
+    with pytest.raises(ValueError, match="unknown procedure 'X'"):
+        _arranged_cost_q((0.5, 0.9), "X")
 
 @given(q_lists)
 def test_cost_ranges(qs):

@@ -124,14 +124,25 @@ def test_ordered_partition_validation():
 
 
 def test_set_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^item 1 appears in more than one block$"):
         SetPartition(blocks=((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^set partition blocks must be nonempty$"):
         SetPartition(blocks=((0,), ()))
     sp = SetPartition(blocks=((0, 2), (1,)))
     sp.check_cover(3)
     with pytest.raises(ValueError):
         sp.check_cover(4)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [(((0, 0),), "item 0 appears twice in block 1"),
+     (((0, 1), (2, 3, 2)), "item 2 appears twice in block 2")],
+    ids=["first-block", "later-block"],
+)
+def test_set_partition_names_a_repeat_within_one_block(blocks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SetPartition(blocks=blocks)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sweep(*argv):
@@ -50,3 +59,94 @@ def test_acceptance_script_runs_from_another_directory(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     passed = [line for line in proc.stdout.splitlines() if line.startswith("PASS criterion")]
     assert len(passed) == 11
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert capsys.readouterr().out.startswith("(3, 1) ((0, 2), (1, 3)) ")
+    # the totals the block's comments state
+    assert abs(namespace["plan"].report.total - 2.83794) <= 1e-5
+    assert abs(namespace["oracle"].total - 2.832) <= 1e-5
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+class Point:
+    """Class docstring."""
+
+    def norm(self):
+        """Function
+        docstring."""
+        return math.hypot(
+            self.x,
+            self.y)
+'''
+
+
+def test_code_lines_counts_a_fixture_module(tmp_path):
+    # code: the import, the class and def lines and the three-line call
+    package = tmp_path / "src" / "pooltest"
+    package.mkdir(parents=True)
+    (package / "point.py").write_text(CODE_LINES_FIXTURE)
+    (package / "empty.py").write_text("")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert rows == [["empty.py", "0", "0"], ["point.py", "6", "17"], ["total", "6", "17"]]
+
+
+def bench_result(failed=0, attempted=100, **values):
+    return {"correct": True, "failed": failed, "attempted": attempted,
+            "metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_bench_pairs_alternates_which_side_runs_first():
+    bench_pairs = load_script("bench_pairs")
+    assert bench_pairs.schedule(2, ["design", "study"]) == [
+        (1, "design", "parent"), (1, "design", "change"),
+        (1, "study", "parent"), (1, "study", "change"),
+        (2, "design", "change"), (2, "design", "parent"),
+        (2, "study", "change"), (2, "study", "parent"),
+    ]
+
+
+def test_bench_pairs_summary():
+    bench_pairs = load_script("bench_pairs")
+    end_to_end = [{"name": "op_s", "better": "lower", "bound": 0.15},
+                  {"name": "ops_per_s", "better": "higher", "bound": 0.05}]
+    parent = [(4.0, 100.0), (2.0, 100.0), (3.0, 80.0), (5.0, 90.0)]
+    change = [(3.0, 90.0), (2.0, 110.0), (3.5, 70.0), (4.0, 95.0)]
+    results = {"design": {
+        "parent": [bench_result(op_s=a, ops_per_s=b) for a, b in parent],
+        "change": [bench_result(failed=i, op_s=a, ops_per_s=b) for i, (a, b) in enumerate(change)],
+    }}
+    summary = bench_pairs.summarize(results, end_to_end)["design"]
+    assert summary["pairs"] == 4
+    assert summary["seeds"] == [1, 2, 3, 4]
+    assert summary["failed_ops"] == {"parent": "0 of 400", "change": "6 of 400"}
+    op_s, ops_per_s = summary["metrics"]["op_s"], summary["metrics"]["ops_per_s"]
+    # lower is better: the change wins pairs 1 and 4, ties pair 2
+    assert op_s == {
+        "better": "lower", "bound": 0.15,
+        "parent_median": 3.5, "change_median": 3.25, "median_change_rel": 3.25 / 3.5 - 1.0,
+        "change_wins": "2/4", "parent_iqr": 4.75 - 2.25, "within_bound": True,
+        "runs": {"parent": [4.0, 2.0, 3.0, 5.0], "change": [3.0, 2.0, 3.5, 4.0]},
+    }
+    # higher is better: the change wins pairs 2 and 4; its median falls by
+    # 2.6 %, within 0.05 but not within 0.02
+    assert ops_per_s["change_wins"] == "2/4"
+    assert (ops_per_s["parent_median"], ops_per_s["change_median"]) == (95.0, 92.5)
+    assert ops_per_s["within_bound"]
+    end_to_end[1]["bound"] = 0.02
+    assert not bench_pairs.summarize(results, end_to_end)["design"]["metrics"]["ops_per_s"]["within_bound"]

@@ -27,6 +27,7 @@ from pooltest.simulate import (
     sample_beta_one,
     stream_generator,
 )
+from pooltest.study import StudyConfig
 from reference import PROTOCOLS, run_sterrett
 
 
@@ -270,6 +271,15 @@ class TestEstimateCost:
         pv = validate_probability_vector([0.2, 0.3])
         with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
             estimate_cost(OrderedPartition(sizes=(2,)), pv, "S", 10, seed)
+
+    def test_names_the_replicate_count_before_the_seed(self, monkeypatch):
+        # Monte Carlo and the study refuse a bad run by one rule: m first
+        monkeypatch.setattr(pooltest.simulate, "stream_generator", lambda *a: pytest.fail("drew"))
+        pv = validate_probability_vector([0.2, 0.3])
+        for refused in (lambda: estimate_cost(OrderedPartition(sizes=(2,)), pv, "S", 1, -1),
+                        lambda: StudyConfig(m=1, seed=2**64)):
+            with pytest.raises(ValueError, match="^at least two replicates are required$"):
+                refused()
 
     def test_given_order_matches_its_own_closed_form(self):
         # blocks costed exactly as written: the risky item first is the
