@@ -91,6 +91,10 @@ def summarize(results: dict, end_to_end: list[dict]) -> dict:
     return summary
 
 
+def machine() -> str:
+    return f"Python {platform.python_version()}, numpy {importlib.metadata.version('numpy')}, {os.cpu_count()} vCPUs"
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -125,8 +129,7 @@ def main(argv=None) -> int:
         "harness": f"python3 scripts/bench_pairs.py --pairs {args.pairs} --seconds {args.seconds:g}: "
         f"python3 benchmark/run.py --workload W --seed i --seconds {args.seconds:g} --trace 0 for "
         f"i = 1..{args.pairs}, each workload in turn, parent first on odd i and change first on even i",
-        "machine": f"Python {platform.python_version()}, numpy {importlib.metadata.version('numpy')}, "
-        f"{os.cpu_count()} vCPUs",
+        "machine": machine(),
         "claim": None,
         "end_to_end": summarize(results, spec["end_to_end"]),
     }

@@ -48,7 +48,7 @@ from .model import (
     plan_from_json,
     validate_probability_vector,
 )
-from .optimize import ORACLE_GUARDS, check_guard, dp_ordered, exhaustive_ordered, exhaustive_set
+from .optimize import dp_ordered, exhaustive_ordered, exhaustive_set
 from .simulate import estimate_cost
 from .study import StudyConfig, emit_table, run_study
 
@@ -158,10 +158,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_oracle(args) -> int:
     pv = _read_probs(args.probs)
-    # refuse before any search runs, with the oracles' own messages
-    for search in ORACLE_GUARDS:
-        check_guard(search, pv.n)
-    dp, ordered, unordered = (search(pv, args.procedure) for search in _searches().values())
+    unordered = exhaustive_set(pv, args.procedure)  # the tightest guard: refuses before any search
+    dp, ordered = dp_ordered(pv, args.procedure), exhaustive_ordered(pv, args.procedure)
     payload = {
         "n": pv.n,
         "procedure": args.procedure,

@@ -25,26 +25,31 @@ k <= 3 but is strictly beaten for most groups of four or more; only
 the ordered-partition DP (``tables``) keeps it, for reproducing published
 comparison tables.
 
-Each procedure's cost is written here in two forms:
+Each procedure's cost is written here in two forms, which meet in one
+canonical form of a block's q values, read by the kernels: D all q
+ascending; Dp the value tested last first, then the head ascending; S in
+test order. Products are taken in it, so every order of one multiset
+costs bit-identically.
 
-  given order   ``_given_cost_q`` costs a q sequence in test order with
-                ``_cost_dorfman_q``, ``_cost_modified_dorfman_q`` or
-                ``_cost_sterrett_q``; ``group_cost`` applies it to a Group.
+  given order   ``_given_cost_q`` puts q in test order into the canonical
+                form and costs it; ``group_cost`` applies it to a Group.
   arranged      ``_arranged_cost_q`` takes a block's q values ascending,
                 decides its test order (which value goes last) and costs
-                it: the given-order form on that order for D and Dp, and
-                the O(k) phi walk ``_optimal_sterrett_ascending`` for S.
-                It is the only place an arrangement is decided: both
-                exhaustive oracles in ``optimize`` call it, and reports
-                take their orders from it through ``_arrange``.
+                it. Ascending q is already the canonical form of the best
+                D and Dp orders; S takes the O(k) phi walk
+                ``_optimal_sterrett_ascending``. It is the only place an
+                arrangement is decided: both exhaustive oracles in
+                ``optimize`` call it, and reports take their orders from
+                it through ``_arrange``.
 
 ``evaluate_plan`` builds every plan report: ``eval``, ``simulate`` and
 all three plan searches in ``optimize`` cost their plans through it. It
 works on tuples of item indices and q values: ``_arrange`` sorts each
-block by (q, index) once, takes its order from ``_arranged_cost_q`` and
-costs that order by ``_given_cost_q``, which checks the DP independently.
-It checks only that the plan covers the population; plans and groups
-validate themselves when built.
+block by (q, index) once and takes its order and cost from
+``_arranged_cost_q``, but re-costs an S order in the given-order form,
+which checks the DP's phi walk independently (the two S forms differ in
+the last bits). It checks only that the plan covers the population;
+plans and groups validate themselves when built.
 
 The ordered-partition DP keeps one incremental walk of these sums per
 block start instead, O(1) a cell; ``tables`` holds its design.
@@ -58,15 +63,16 @@ Float error. Against the exact cost of the exact 1 - p, with u = 2^-53, a
 block of N items is off by O(N^2 u) at worst: each form sums up to N
 terms, each a product of up to N rounded factors, the rounding of each
 q = 1 - p among them. On distinct risks these roundings partly cancel:
-measured at most 1.4 N^1.5 u up to N = 300, though 3.2 N^1.5 u at
-N = 5000, and ``tests/test_float_error.py`` pins 4 N^1.5 u up to
-N = 300. On tied or equal risks the roundings of equal q share a sign:
-measured at most 0.7 N^2 u, pinned at 2 N^2 u. ``dp_table``'s running
-sums stay within the same bounds, so its gap to ``evaluate_plan`` stays
-within twice them. The error follows the block's products, which fall as
-p grows, and a cost is at least one test, so the relative error is
-largest on low-risk blocks, whose cost is near 1: there it passes REL_TOL
-from about 1000 distinct or 200 equal items.
+measured at most 1.4 N^1.5 u up to N = 300. At N = 5000 D and Dp reach
+4.2 N^1.5 u, over the 4 N^1.5 u pinned in ``tests/test_float_error.py``:
+a product over ascending q near 1 rounds alike step after step. On tied
+or equal risks the roundings of equal q share a sign: measured at most
+0.7 N^2 u, pinned at 2 N^2 u. ``dp_table``'s running sums stay within
+the same bounds, so its gap to ``evaluate_plan`` stays within twice
+them. The error follows the block's products, which fall as p grows,
+and a cost is at least one test, so the relative error is largest on
+low-risk blocks, whose cost is near 1: there it passes REL_TOL from
+about 1000 distinct or 200 equal items.
 """
 
 from __future__ import annotations
@@ -80,8 +86,7 @@ from .model import BlockCost, CostReport, Group, OrderedPartition, ProbabilityVe
 # ---------------------------------------------------------------------------
 # closed forms on a q-sequence (test order = sequence order)
 # ---------------------------------------------------------------------------
-# Products are taken in the order given. Callers pass the product terms
-# ascending, so that every order of one multiset costs bit-identically.
+# Products are taken in the order given: the canonical form above.
 
 
 def _cost_dorfman_q(q: Sequence[float]) -> float:
@@ -92,11 +97,12 @@ def _cost_dorfman_q(q: Sequence[float]) -> float:
 
 
 def _cost_modified_dorfman_q(q: Sequence[float]) -> float:
+    # q[0] is the value tested last, q[1:] the head
     k = len(q)
     if k == 1:
         return 1.0
-    prod_head = math.prod(q[:-1])
-    return 1.0 + k - k * prod_head * q[-1] - prod_head * (1.0 - q[-1])
+    prod_head = math.prod(q[1:])
+    return 1.0 + k - k * prod_head * q[0] - prod_head * (1.0 - q[0])
 
 
 def _cost_sterrett_q(q: Sequence[float]) -> float:
@@ -158,13 +164,17 @@ def _arranged_cost_q(v: Sequence[float], procedure: str) -> tuple[float, int]:
 
     This is the one place a block's arrangement is decided. D costs the
     same in every order (b = k - 1 keeps v as given); Dp puts the smallest
-    q last (b = 0); both cost that order by ``_given_cost_q``, which
-    refuses an unknown procedure. S takes b from the O(k) minimizer.
+    q last (b = 0). Ascending v is already the canonical form of both,
+    where ``_given_cost_q`` meets it, so v is costed as it is; D through
+    ``_given_cost_q``, which refuses an unknown procedure. S takes b from
+    the O(k) phi walk, whose cost ``_arrange`` takes again in the
+    given-order form to check the walk.
     """
     if procedure == "S":
         return _optimal_sterrett_ascending(v)
-    b = 0 if procedure == "Dp" else len(v) - 1
-    return _given_cost_q((*v[:b], *v[b + 1 :], v[b]), procedure), b
+    if procedure == "Dp":
+        return _cost_modified_dorfman_q(v), 0
+    return _given_cost_q(v, procedure), len(v) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +185,14 @@ def _arranged_cost_q(v: Sequence[float], procedure: str) -> tuple[float, int]:
 def _given_cost_q(q: Sequence[float], procedure: str) -> float:
     """Cost of a block whose q values ``q`` are in test order.
 
-    D costs all q sorted, since its cost ignores the order; Dp sorts the
-    head and keeps the last item, whose individual test it may skip. So
-    orders that cost alike in exact arithmetic cost alike in floats too.
+    D costs all q sorted, since its cost ignores the order; Dp puts the
+    last item, whose individual test it may skip, before the sorted head.
+    So orders that cost alike in exact arithmetic cost alike in floats too.
     """
     if procedure == "D":
         return _cost_dorfman_q(sorted(q))
     if procedure == "Dp":
-        return _cost_modified_dorfman_q((*sorted(q[:-1]), q[-1]))
+        return _cost_modified_dorfman_q((q[-1], *sorted(q[:-1])))
     if procedure == "S":
         return _cost_sterrett_q(q)
     raise ValueError(f"unknown procedure {procedure!r}")
@@ -192,14 +202,16 @@ def _arrange(items: tuple[int, ...], q: Sequence[float], procedure: str) -> tupl
     """``items``, whose q values are ``q``, in their cheapest test order
     under ``procedure``, and that order's given-order cost. The members are
     sorted by (q, index) and ``_arranged_cost_q`` picks the last one, so
-    ties go to the lower index; D, which costs the same in every order,
-    keeps the given order."""
+    ties go to the lower index, and costs it; only an S order is costed
+    again, by ``_cost_sterrett_q``, to check the phi walk independently. D,
+    which costs the same in every order, keeps the given order."""
     if procedure == "D":
         return items, _given_cost_q(q, procedure)
     v, by_q = zip(*sorted(zip(q, items)))
-    b = _arranged_cost_q(v, procedure)[1]
-    order = (*by_q[:b], *by_q[b + 1 :], by_q[b])
-    return order, _given_cost_q((*v[:b], *v[b + 1 :], v[b]), procedure)
+    cost, b = _arranged_cost_q(v, procedure)
+    if procedure == "S":
+        cost = _cost_sterrett_q((*v[:b], *v[b + 1 :], v[b]))
+    return (*by_q[:b], *by_q[b + 1 :], by_q[b]), cost
 
 
 def arranged_cost(group: Group, pv: ProbabilityVector, procedure: str) -> tuple[Group, float]:

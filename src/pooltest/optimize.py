@@ -10,7 +10,8 @@ arrangement, with the one-shot ``cost._arranged_cost_q``, which also
 decides the block orders that ``evaluate_plan`` reports, so the ordered
 oracle checks the DP against an independent implementation. The
 set-partition oracle is an exact DP over subsets, O(3^N) after 2^N block
-costs, and is guarded at N <= 15.
+costs. Each oracle checks its own guard, ``MAX_EXHAUSTIVE_ORDERED`` or
+``MAX_EXHAUSTIVE_SET``, before any work.
 """
 
 from __future__ import annotations
@@ -129,20 +130,6 @@ def dp_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
 # ---------------------------------------------------------------------------
 
 
-ORACLE_GUARDS = {
-    "exhaustive-ordered": (MAX_EXHAUSTIVE_ORDERED, "ordered-partition enumeration"),
-    "exhaustive-set": (MAX_EXHAUSTIVE_SET, "set-partition search"),
-}
-
-
-def check_guard(search: str, n: int) -> None:
-    """Raise the InstanceTooLargeError that the exhaustive ``search`` gives
-    a population of n items, or nothing if it would run."""
-    limit, what = ORACLE_GUARDS[search]
-    if n > limit:
-        raise InstanceTooLargeError(n, limit, what)
-
-
 def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     """Brute-force minimum over all 2^(N-1) ordered partitions, each block
     arranged optimally.
@@ -153,7 +140,8 @@ def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     REL_TOL.
     """
     n = pv.n
-    check_guard("exhaustive-ordered", n)
+    if n > MAX_EXHAUSTIVE_ORDERED:
+        raise InstanceTooLargeError(n, MAX_EXHAUSTIVE_ORDERED, "ordered-partition enumeration")
     sorted_pv, perm = sort_ascending(pv)
     qs = sorted_pv.q
     # bc[i][j] = arranged cost of sorted items i..j-1 (q descending)
@@ -193,7 +181,8 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     later T wins only if it is cheaper by more than REL_TOL relative.
     """
     n = pv.n
-    check_guard("exhaustive-set", n)
+    if n > MAX_EXHAUSTIVE_SET:
+        raise InstanceTooLargeError(n, MAX_EXHAUSTIVE_SET, "set-partition search")
     full = (1 << n) - 1
     by_q = sorted((q, 1 << (n - 1 - i)) for i, q in enumerate(pv.q))
     cost = [0.0] * (full + 1)

@@ -110,7 +110,7 @@ def test_criterion_4_arrangement_optimality():
             orders = list(itertools.permutations(pv.q))
             best_s = min(map(_cost_sterrett_q, orders))
             assert group_cost(arranged_cost(g, pv, "S")[0], pv, "S") == best_s
-            best_dp = min(_cost_modified_dorfman_q((*sorted(q[:-1]), q[-1])) for q in orders)
+            best_dp = min(_cost_modified_dorfman_q((q[-1], *sorted(q[:-1]))) for q in orders)
             arranged = arranged_cost(g, pv, "Dp")[0]
             assert group_cost(arranged, pv, "Dp") == best_dp
 

@@ -497,8 +497,8 @@ class TestOracle:
         "n, err",
         [
             (16, "error: set-partition search size 16 exceeds the enumeration guard 15\n"),
-            (21, "error: ordered-partition enumeration size 21 exceeds the enumeration guard 20\n"),
-            (5000, "error: ordered-partition enumeration size 5000 exceeds the enumeration guard 20\n"),
+            (21, "error: set-partition search size 21 exceeds the enumeration guard 15\n"),
+            (5000, "error: set-partition search size 5000 exceeds the enumeration guard 15\n"),
         ],
     )
     def test_refuses_before_any_search(self, capsys, probs_file, monkeypatch, n, err):

@@ -14,11 +14,14 @@ states, as absolute errors on a block of N items, with u = 2^-53:
 
 A cost is at least one test, so each is also a bound on the relative error.
 
-Exact products of hundreds of rationals are slow, so tier-1 stops at
-N = 300, and the exact optimum over last values, O(N^2) exact products,
-at N = 40. Above that a block is checked against the exact cost of the
-order the library chose, which measures the arithmetic; the choice itself
-is pinned exactly in ``test_optimize.py``.
+Exact products of hundreds of ``Fraction`` values are slow, so the
+rational checks stop at N = 300, and the exact optimum over last values,
+O(N^2) exact products, at N = 40. Above that a block is checked against
+the exact cost of the order the library chose, which measures the
+arithmetic; the choice itself is pinned exactly in ``test_optimize.py``.
+One-block populations of 1000 to 5000 low risks, where the closed forms
+cancel almost every leading digit, are checked against ``dyadic_cost``,
+the same exact costs in integers over one power of two.
 """
 
 import math
@@ -30,10 +33,12 @@ import pytest
 from pooltest.cost import _given_cost_q, _optimal_sterrett_ascending, evaluate_plan
 from pooltest.model import PROCEDURES, OrderedPartition, sort_ascending, validate_probability_vector
 from pooltest.optimize import dp_table
-from reference import exact_block_cost, exact_sterrett, exact_table
+from reference import dyadic_cost, exact_block_cost, exact_sterrett, exact_table
 
 U = 2.0**-53  # unit roundoff of a float
 EXACT_OPTIMUM_N = 40  # largest block whose exact optimum is computed
+TINY = math.ulp(0.0)  # one ulp above 0
+NEAR_ONE = math.nextafter(1.0, 0.0)  # one ulp below 1
 
 
 def pinned(n, shape):
@@ -59,6 +64,14 @@ def exact_given(Q, procedure):
 
 def error(x, exact):
     return abs(Fraction(x) - exact)
+
+
+def dyadic_error(x, exact):
+    """|x - c / 2^s| for ``exact`` = (c, s), correctly rounded to a float."""
+    c, s = exact
+    n, d = x.as_integer_ratio()
+    t = d.bit_length() - 1
+    return abs((n << s) - (c << t)) / (1 << (s + t))
 
 
 def population(shape, n, lo, seed=0):
@@ -92,6 +105,64 @@ def test_closed_forms_within_the_pinned_bound(shape, n, lo, seed):
         assert error(cost, exact_block_cost(Q, "S", "optimal")) <= bound
 
 
+def as_fraction(cost):
+    c, s = cost
+    return Fraction(c, 1 << s)
+
+
+def test_dyadic_cost_equals_the_rational_oracles():
+    # small blocks of arbitrary, tiny, tied and equal risks: the integer
+    # oracle agrees exactly with exact_sterrett in any order and with
+    # exact_block_cost's arrangements, the cheapest over every last value
+    rng = random.Random(7)
+    kinds = [
+        lambda k: [rng.uniform(1e-12, 0.999) for _ in range(k)],
+        lambda k: [rng.uniform(1e-10, 1e-9) for _ in range(k)],
+        lambda k: [rng.choice((TINY, 0.05, 0.5, NEAR_ONE)) for _ in range(k)],
+        lambda k: [rng.uniform(1e-6, 0.5)] * k,
+    ]
+    for j in range(200):
+        probs = kinds[j % len(kinds)](rng.randint(1, 8))
+        Q = [1 - Fraction(p) for p in probs]
+        assert as_fraction(dyadic_cost(probs, "S")) == exact_sterrett(Q)
+        assert as_fraction(dyadic_cost(probs, "D")) == exact_block_cost(Q, "D", "optimal")
+        desc = sorted(probs, reverse=True)  # q ascending
+        for procedure in ("Dp", "S"):
+            orders = [[*desc[:b], *desc[b + 1 :], desc[b]] for b in range(len(desc))]
+            best = min(as_fraction(dyadic_cost(order, procedure)) for order in orders)
+            assert best == exact_block_cost(Q, procedure, "optimal"), procedure
+
+
+# Seed 0 of the 5000 distinct risks breaks the pin under D and Dp, at
+# 4.15 and 4.10 N^1.5 u (1.63e-10 against 1.57e-10 under D). The product
+# over the ascending q is off by 292 u relative, against 0.3 u in draw
+# order: each step's rounding follows the last one's. The pin is kept and
+# the break stands as a strict xfail, so a fix shows as XPASS.
+BREAKS_PIN = {("distinct", 5000, "D"), ("distinct", 5000, "Dp")}
+BROKEN = pytest.mark.xfail(strict=True, reason="D and Dp above 4 N^1.5 u on 5000 distinct low risks")
+LARGE = [
+    pytest.param(shape, n, way, marks=[BROKEN] if (shape, n, way) in BREAKS_PIN else [])
+    for shape in ("distinct", "equal")
+    for n in (1000, 3000, 5000)
+    for way in (*PROCEDURES, "phi")
+]
+
+
+@pytest.mark.parametrize("shape, n, way", LARGE)
+def test_large_low_risk_blocks_within_the_pinned_bound(shape, n, way):
+    # risks in U(1e-10, 1e-9): every cost is near one test, so the error is
+    # also relative, and 1 + k - k * P cancels almost every leading digit;
+    # "phi" is the phi walk, on the order it picks
+    pv = population(shape, n, 1e-10)
+    q, bound = list(pv.q), pinned(n, shape)
+    if way == "phi":
+        cost, b = _optimal_sterrett_ascending(sorted(q))
+        desc = sorted(pv.probs, reverse=True)  # q ascending
+        assert dyadic_error(cost, dyadic_cost([*desc[:b], *desc[b + 1 :], desc[b]], "S")) <= bound
+    else:
+        assert dyadic_error(_given_cost_q(q, way), dyadic_cost(pv.probs, way)) <= bound
+
+
 def exact_report_total(report, Q):
     """Exact cost of a report's blocks in the orders it gives them."""
     return sum(exact_given([Q[i] for i in b.order], report.procedure) for b in report.per_block)
@@ -115,10 +186,6 @@ def test_one_block_table_and_report_agree_with_the_exact_cost(shape, n, lo):
         if n <= EXACT_OPTIMUM_N:
             assert error(table.total, exact_block_cost(Q, procedure, "optimal")) <= bound
         assert abs(report.total - table.total) <= 2 * bound
-
-
-TINY = math.ulp(0.0)  # one ulp above 0
-NEAR_ONE = math.nextafter(1.0, 0.0)  # one ulp below 1
 
 
 @pytest.mark.parametrize(

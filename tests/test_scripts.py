@@ -150,3 +150,49 @@ def test_bench_pairs_summary():
     assert ops_per_s["within_bound"]
     end_to_end[1]["bound"] = 0.02
     assert not bench_pairs.summarize(results, end_to_end)["design"]["metrics"]["ops_per_s"]["within_bound"]
+
+
+def test_bench_layers_alternates_which_side_runs_first():
+    bench_layers = load_script("bench_layers")
+    assert bench_layers.schedule(3) == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"), (3, "parent"), (3, "change"),
+    ]
+
+
+def test_bench_layers_summary():
+    bench_layers = load_script("bench_layers")
+
+    def child(**cases):
+        return {name: {"seconds": s, "digest": d} for name, (s, d) in cases.items()}
+
+    runs = {
+        "parent": [child(a=(4.0, "x"), b=(1.0, "y")), child(a=(2.0, "x"), b=(1.0, "y")),
+                   child(a=(3.0, "x"), b=(1.0, "y"))],
+        "change": [child(a=(3.0, "x"), b=(1.0, "y")), child(a=(2.0, "x"), b=(2.0, "z")),
+                   child(a=(1.0, "x"), b=(0.5, "y"))],
+    }
+    summary = bench_layers.summarize(runs)
+    # the change wins rounds 1 and 3 of a and round 3 of b; a tie wins for neither
+    assert summary["a"] == {
+        "parent_median_s": 3.0, "change_median_s": 2.0, "median_change_rel": 2.0 / 3.0 - 1.0,
+        "change_wins": "2/3", "bit_identical": True,
+        "seconds": {"parent": [4.0, 2.0, 3.0], "change": [3.0, 2.0, 1.0]},
+    }
+    assert summary["b"]["change_wins"] == "1/3"
+    assert summary["b"]["median_change_rel"] == 0.0
+    # one round of the change gave another result
+    assert not summary["b"]["bit_identical"]
+
+
+def test_bench_layers_cases_cover_the_layers():
+    # the table of cases is built, not timed: every layer is there at its sizes
+    names = set(load_script("bench_layers").cases())
+    for proc in ("D", "Dp", "S"):
+        assert {f"arranged_cost {proc} k={k}" for k in (4, 12, 60)} <= names
+        assert {f"tables.dp_totals {proc} n=100 m={m}" for m in (10, 1000)} <= names
+        assert {f"exhaustive_ordered {proc} N=16", f"exhaustive_set {proc} N=12"} <= names
+    for rule in ("D", "Dp", "S optimal", "S smallest-last"):
+        for n in (100, 400, 1000):
+            assert {f"dp_table {rule} N={n} uniform", f"dp_table {rule} N={n} equal-0.01"} <= names
+    assert {"exact_expected_tests S k=16", "estimate_cost S N=14 m=1200",
+            "huffman_length N=14", "huffman_length N=20"} <= names
