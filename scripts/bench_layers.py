@@ -1,15 +1,20 @@
-"""Time the library's layers in a change and its parent, in alternating rounds.
+"""Time the library's layers in a change and its parent, in one process.
 
     python3 scripts/bench_layers.py --parent DIR --change DIR --rounds R --out FILE
 
-Each DIR is a checkout, one of the parent and one of the change. For round
-i = 1..R it runs this script as a child once in each checkout, the parent
-first on odd i and the change first on even i, as ``bench_pairs.py`` does.
-A child imports only its checkout's ``src``, builds the fixed table of
-cases in ``cases()`` from fixed seeds, so both trees get the same inputs,
-and times each case's call: the best of five loops, each of enough calls
-to last 40 ms. It prints, per case, the seconds a call and a digest of the
-call's result (totals, plans, L, mean and SE, with every float's repr).
+Each DIR is a checkout, one of the parent and one of the change. Both
+trees' ``src/pooltest`` are imported into this one process, as the
+packages ``pooltest_parent`` and ``pooltest_change``, and ``cases()``
+builds each tree's fixed table of cases from its own package and the same
+fixed seeds, so both trees get the same inputs. For round i = 1..R
+(R >= 2), case by case, both trees' calls are timed side by side: the
+loops of the two trees alternate, each loop enough calls to last 40 ms,
+and a tree's time is its best of five loops. The parent's loop comes
+first in the first loop of odd rounds and the change's in even rounds,
+and the first tree alternates from loop to loop, so a slow phase of the
+host falls on both trees alike. Each round also reduces each tree's
+result to a digest (totals, plans, L, mean and SE, with every float's
+repr).
 
 The cases call the public API, except ``tables.dp_totals``, which has no
 public entry but ``run_study`` and is called by its module path.
@@ -18,23 +23,25 @@ FILE gets a ``layers`` section, added to the JSON object already in FILE
 (such as ``bench_pairs.py``'s output) or to a new one: ``harness`` and
 ``machine`` as ``bench_pairs.py`` writes them, and per case both medians
 over the rounds, the change's relative change, the rounds the change won
-(faster; a tie wins for neither), whether the two trees' results were
-bit-identical in every round, and every round's time. A full run at R = 5
-takes about three minutes on two vCPUs.
+(faster; a tie wins for neither), the quartile spread of the parent's
+rounds in seconds, whether the two trees' results were bit-identical in
+every round, and every round's time. A full run at R = 3 takes about
+three minutes on two vCPUs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
-import os
 import random
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import SIDES, machine  # noqa: E402
@@ -43,18 +50,28 @@ MIN_LOOP_S = 0.04
 LOOPS = 5
 
 
-def schedule(rounds: int) -> list[tuple[int, str]]:
-    """The child runs in the order they are made, as (round, side)."""
-    return [(i, side) for i in range(1, rounds + 1) for side in (SIDES if i % 2 else SIDES[::-1])]
+def load(tree: Path, name: str):
+    """Import ``tree``'s ``src/pooltest`` as the package ``name``, registered
+    in ``sys.modules`` under that name, so two trees can share a process."""
+    src = (tree / "src" / "pooltest").resolve()
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for key, module in list(sys.modules.items()):
+        if key.partition(".")[0] == name and not Path(module.__file__).resolve().is_relative_to(src):
+            raise RuntimeError(f"{name} imported {module.__file__}, outside {tree}")
+    return package
 
 
-def cases() -> dict:
-    """The cases by name, each a call of no arguments and a function that
-    reduces its result to plain values."""
-    import numpy as np
+def schedule(rounds: int, names: list[str]) -> list[tuple[int, str, str]]:
+    """The cases in the order they are timed, as (round, case, tree first)."""
+    return [(i, name, SIDES[1 - i % 2]) for i in range(1, rounds + 1) for name in names]
 
-    import pooltest as pt
-    from pooltest.tables import dp_totals  # no public entry but run_study
+
+def cases(pt) -> dict:
+    """The cases by name, each a call of no arguments into the package
+    ``pt`` and a function that reduces its result to plain values."""
 
     def risks(n, seed, lo=1e-4, hi=0.3):
         rng = random.Random(seed)
@@ -72,6 +89,7 @@ def cases() -> dict:
                 lambda g=group, pv=pv, proc=proc: pt.arranged_cost(g, pv, proc),
                 lambda r: (r[0].items, r[1]),
             )
+            table[f"group_cost {proc} k={k}"] = (lambda g=group, pv=pv, proc=proc: pt.group_cost(g, pv, proc), float)
     for n in (100, 400, 1000):
         for shape, pv in (("uniform", risks(n, n)), ("equal-0.01", pt.validate_probability_vector([0.01] * n))):
             pv = pt.sort_ascending(pv)[0]
@@ -81,12 +99,12 @@ def cases() -> dict:
                     lambda pv=pv, proc=proc, rule=rule: pt.dp_table(pv, proc, rule),
                     lambda t: (t.cost_to_go, t.split),
                 )
-    for m in (10, 1000):
-        p = np.sort(np.random.default_rng(m).uniform(1e-4, 0.3, (m, 100)))
+    for n, m in ((100, 10), (100, 1000), (2800, 2)):
+        p = np.sort(np.random.default_rng(m).uniform(1e-4, 0.3, (m, n)))
         q = 1.0 - p  # rows descending, as dp_totals reads them
         for proc in pt.PROCEDURES:
-            table[f"tables.dp_totals {proc} n=100 m={m}"] = (
-                lambda q=q, proc=proc: dp_totals(q, proc),
+            table[f"tables.dp_totals {proc} n={n} m={m}"] = (
+                lambda q=q, proc=proc: pt.tables.dp_totals(q, proc),
                 lambda t: t.tolist(),
             )
     for search, n in ((pt.exhaustive_ordered, 16), (pt.exhaustive_set, 12)):
@@ -110,42 +128,35 @@ def cases() -> dict:
     return table
 
 
-def time_call(call) -> float:
-    """Seconds a call, the best of ``LOOPS`` loops of at least ``MIN_LOOP_S``."""
-    calls = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(calls):
-            call()
-        elapsed = time.perf_counter() - start
-        if elapsed >= MIN_LOOP_S:
-            break
-        calls *= 2
-    best = elapsed
-    for _ in range(LOOPS - 1):
-        start = time.perf_counter()
-        for _ in range(calls):
-            call()
-        best = min(best, time.perf_counter() - start)
-    return best / calls
+def loop(call, calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(calls):
+        call()
+    return time.perf_counter() - start
 
 
-def child() -> dict:
-    import pooltest
-
-    out = {}
-    for name, (call, reduce) in cases().items():
-        digest = hashlib.sha256(repr(reduce(call())).encode()).hexdigest()[:16]
-        out[name] = {"seconds": time_call(call), "digest": digest}
-    return {"pooltest": pooltest.__file__, "cases": out}
+def time_case(calls: dict, first: str) -> dict:
+    """Seconds a call of each tree's ``calls[side]``, the best of ``LOOPS``
+    loops of at least ``MIN_LOOP_S`` after the loops that size them; the
+    trees' loops alternate, ``first`` first in the first loop, the other
+    tree first in the second, and so on."""
+    order = (first, SIDES[SIDES.index(first) - 1])
+    n = 1
+    while min(loop(calls[side], n) for side in order) < MIN_LOOP_S:
+        n *= 2
+    best = {side: float("inf") for side in SIDES}
+    for k in range(LOOPS):
+        for side in order if k % 2 == 0 else order[::-1]:
+            best[side] = min(best[side], loop(calls[side], n))
+    return {side: best[side] / n for side in SIDES}
 
 
 def summarize(runs: dict) -> dict:
     """The per-case part of the ``layers`` section.
 
-    ``runs[side]`` lists the child outputs of ``side`` ("parent" or
-    "change") in round order, each mapping a case name to its ``seconds``
-    a call and the ``digest`` of its result.
+    ``runs[side]`` lists the rounds of ``side`` ("parent" or "change") in
+    order, each mapping a case name to its ``seconds`` a call and the
+    ``digest`` of its result.
     """
     rounds = len(runs["parent"])
     summary = {}
@@ -153,53 +164,45 @@ def summarize(runs: dict) -> dict:
         times = {side: [r[name]["seconds"] for r in runs[side]] for side in SIDES}
         parent, change = (statistics.median(times[side]) for side in SIDES)
         wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        q1, _, q3 = statistics.quantiles(times["parent"], n=4)
         digests = {r[name]["digest"] for side in SIDES for r in runs[side]}
         summary[name] = {
             "parent_median_s": parent,
             "change_median_s": change,
             "median_change_rel": change / parent - 1.0,
             "change_wins": f"{wins}/{rounds}",
+            "parent_iqr": q3 - q1,
             "bit_identical": len(digests) == 1,
             "seconds": times,
         }
     return summary
 
 
-def run(tree: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child"]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    result = json.loads(proc.stdout)
-    if not Path(result["pooltest"]).is_relative_to(tree.resolve()):
-        raise RuntimeError(f"the child for {tree} imported {result['pooltest']}")
-    return result["cases"]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--parent", type=Path, help="checkout of the parent")
-    ap.add_argument("--change", type=Path, help="checkout of the change")
-    ap.add_argument("--rounds", type=int)
-    ap.add_argument("--out", type=Path)
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
+    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    ap.add_argument("--rounds", required=True, type=int)
+    ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
-    if args.child:
-        print(json.dumps(child()))
-        return 0
-    if None in (args.parent, args.change, args.rounds, args.out):
-        ap.error("--parent, --change, --rounds and --out are required")
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2, for the parent's quartiles")
     trees = {"parent": args.parent, "change": args.change}
-    runs = {side: [] for side in SIDES}
-    for i, side in schedule(args.rounds):
-        runs[side].append(run(trees[side]))
-        print(f"round {i} {side} done", flush=True)
+    tables = {side: cases(load(trees[side], f"pooltest_{side}")) for side in SIDES}
+    runs = {side: [{} for _ in range(args.rounds)] for side in SIDES}
+    for i, name, first in schedule(args.rounds, list(tables["parent"])):
+        seconds = time_case({side: tables[side][name][0] for side in SIDES}, first)
+        for side in SIDES:
+            call, reduce = tables[side][name]
+            digest = hashlib.sha256(repr(reduce(call())).encode()).hexdigest()[:16]
+            runs[side][i - 1][name] = {"seconds": seconds[side], "digest": digest}
+        print(f"round {i} {name}: {seconds['parent']:.3g} s parent, {seconds['change']:.3g} s change", flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["layers"] = {
-        "harness": f"python3 scripts/bench_layers.py --rounds {args.rounds}: one child per tree and round, "
-        f"parent first on odd rounds and change first on even ones; each case timed as the best of "
-        f"{LOOPS} loops of at least {MIN_LOOP_S:g} s, per call",
+        "harness": f"python3 scripts/bench_layers.py --rounds {args.rounds}: both trees in one process, "
+        f"case by case; each case timed per tree as the best of {LOOPS} loops of at least {MIN_LOOP_S:g} s, "
+        f"per call, the trees' loops alternating, parent first in the first loop of odd rounds and change "
+        f"first in that of even ones",
         "machine": machine(),
         "cases": summarize(runs),
     }

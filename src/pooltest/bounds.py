@@ -66,9 +66,15 @@ def outcome_distribution(pv: ProbabilityVector) -> np.ndarray:
     """
     if pv.n > MAX_OUTCOME_N:
         raise InstanceTooLargeError(pv.n, MAX_OUTCOME_N, "outcome enumeration")
-    dist = np.ones(1)
+    # one buffer filled in place: each item doubles the filled prefix, the
+    # products dist * p on the new half and dist * (1 - p) on the old one
+    dist = np.empty(1 << pv.n)
+    dist[0] = 1.0
+    h = 1
     for p in pv.probs:
-        dist = np.concatenate([dist * (1.0 - p), dist * p])
+        np.multiply(dist[:h], p, out=dist[h : 2 * h])
+        dist[:h] *= 1.0 - p
+        h *= 2
     return dist
 
 
@@ -91,7 +97,8 @@ def huffman_length(pv: ProbabilityVector) -> float:
     merged weight is then the same IEEE sum of the same two weights as one
     merge at a time gives, and L sums them left to right in the order made.
     """
-    leaves = np.sort(outcome_distribution(pv))
+    leaves = outcome_distribution(pv)
+    leaves.sort()
     sums = np.empty(len(leaves) - 1)
     sums[0] = leaves[0] + leaves[1]
     i, j, k = 2, 0, 1  # next leaf, next unmerged sum, sums made

@@ -73,6 +73,23 @@ class TestOutcomeDistribution:
         with pytest.raises(InstanceTooLargeError):
             outcome_distribution(pv([0.5] * 21))
 
+    @pytest.mark.parametrize("shape", ["random", "tied", "near-boundary"])
+    def test_bit_identical_to_concatenated_halves(self, shape):
+        # the in-place fill forms the same products in the same places as
+        # doubling the array by concatenation, item by item
+        rng = random.Random(shape)
+        edges = [5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
+        for n in range(1, 15):
+            probs = {
+                "random": [rng.uniform(1e-4, 0.3) for _ in range(n)],
+                "tied": [0.01] * n,
+                "near-boundary": [rng.choice(edges) for _ in range(n)],
+            }[shape]
+            dist = np.ones(1)
+            for p in probs:
+                dist = np.concatenate([dist * (1.0 - p), dist * p])
+            assert np.array_equal(outcome_distribution(pv(probs)), dist)
+
 
 class TestHuffman:
     def test_single_item(self):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -154,9 +155,55 @@ def test_bench_pairs_summary():
 
 def test_bench_layers_alternates_which_side_runs_first():
     bench_layers = load_script("bench_layers")
-    assert bench_layers.schedule(3) == [
-        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"), (3, "parent"), (3, "change"),
+    assert bench_layers.schedule(3, ["a", "b"]) == [
+        (1, "a", "parent"), (1, "b", "parent"),
+        (2, "a", "change"), (2, "b", "change"),
+        (3, "a", "parent"), (3, "b", "parent"),
     ]
+
+
+def test_bench_layers_alternates_the_trees_loop_by_loop(monkeypatch):
+    # stub calls advance a fake clock, each by its tree's next duration;
+    # every duration is over MIN_LOOP_S, so a loop is one call
+    bench_layers = load_script("bench_layers")
+    clock, log = [0.0], []
+    durations = {"parent": iter([0.045, 0.09, 0.06, 0.07, 0.05, 0.08]),
+                 "change": iter([0.045, 0.055, 0.07, 0.06, 0.09, 0.08])}
+
+    def stub(side):
+        def call():
+            log.append(side)
+            clock[0] += next(durations[side])
+        return call
+
+    monkeypatch.setattr(bench_layers, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    calls = {side: stub(side) for side in ("parent", "change")}
+    # a round that starts with the change: the sizing loops, then five loops
+    # whose first tree alternates; the sizing loops' times do not count
+    seconds = bench_layers.time_case(calls, "change")
+    assert log == ["change", "parent"] + ["change", "parent", "parent", "change"] * 2 + ["change", "parent"]
+    assert seconds == pytest.approx({"parent": 0.05, "change": 0.055})
+    log.clear()
+    durations = {side: iter([0.045] + [0.1] * 5) for side in ("parent", "change")}
+    bench_layers.time_case(calls, "parent")
+    assert log == ["parent", "change"] + ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+
+
+def test_bench_layers_loads_a_tree_twice_in_one_process():
+    bench_layers = load_script("bench_layers")
+    saved = dict(sys.modules)
+    try:
+        first = bench_layers.load(ROOT, "pooltest_first")
+        second = bench_layers.load(ROOT, "pooltest_second")
+        assert first is not second
+        assert first.dp_table is not second.dp_table
+        loaded = [m for name, m in sys.modules.items() if name.split(".")[0] in ("pooltest_first", "pooltest_second")]
+        for module in loaded:
+            assert Path(module.__file__).resolve().is_relative_to(ROOT / "src" / "pooltest")
+        assert sys.modules.get("pooltest") is saved.get("pooltest")
+    finally:
+        for name in set(sys.modules) - set(saved):
+            del sys.modules[name]
 
 
 def test_bench_layers_summary():
@@ -172,24 +219,30 @@ def test_bench_layers_summary():
                    child(a=(1.0, "x"), b=(0.5, "y"))],
     }
     summary = bench_layers.summarize(runs)
-    # the change wins rounds 1 and 3 of a and round 3 of b; a tie wins for neither
+    # the change wins rounds 1 and 3 of a and round 3 of b; a tie wins for
+    # neither; the parent's rounds of a, 2, 3 and 4 s, have quartiles 2 and 4
     assert summary["a"] == {
         "parent_median_s": 3.0, "change_median_s": 2.0, "median_change_rel": 2.0 / 3.0 - 1.0,
-        "change_wins": "2/3", "bit_identical": True,
+        "change_wins": "2/3", "parent_iqr": 2.0, "bit_identical": True,
         "seconds": {"parent": [4.0, 2.0, 3.0], "change": [3.0, 2.0, 1.0]},
     }
     assert summary["b"]["change_wins"] == "1/3"
     assert summary["b"]["median_change_rel"] == 0.0
+    assert summary["b"]["parent_iqr"] == 0.0
     # one round of the change gave another result
     assert not summary["b"]["bit_identical"]
 
 
 def test_bench_layers_cases_cover_the_layers():
     # the table of cases is built, not timed: every layer is there at its sizes
-    names = set(load_script("bench_layers").cases())
+    import pooltest
+
+    names = set(load_script("bench_layers").cases(pooltest))
     for proc in ("D", "Dp", "S"):
         assert {f"arranged_cost {proc} k={k}" for k in (4, 12, 60)} <= names
+        assert {f"group_cost {proc} k={k}" for k in (4, 12, 60)} <= names
         assert {f"tables.dp_totals {proc} n=100 m={m}" for m in (10, 1000)} <= names
+        assert f"tables.dp_totals {proc} n=2800 m=2" in names
         assert {f"exhaustive_ordered {proc} N=16", f"exhaustive_set {proc} N=12"} <= names
     for rule in ("D", "Dp", "S optimal", "S smallest-last"):
         for n in (100, 400, 1000):
