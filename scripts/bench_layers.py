@@ -107,10 +107,11 @@ def cases(pt) -> dict:
                 lambda q=q, proc=proc: pt.tables.dp_totals(q, proc),
                 lambda t: t.tolist(),
             )
-    for search, n in ((pt.exhaustive_ordered, 16), (pt.exhaustive_set, 12)):
-        pv = risks(n, n)
-        for proc in pt.PROCEDURES:
-            table[f"{search.__name__} {proc} N={n}"] = (lambda s=search, pv=pv, proc=proc: s(pv, proc), plan)
+    for search, sizes in ((pt.exhaustive_ordered, (8, 16)), (pt.exhaustive_set, (8, 12))):
+        for n in sizes:  # N = 8 is the verify workload's size
+            pv = risks(n, n)
+            for proc in pt.PROCEDURES:
+                table[f"{search.__name__} {proc} N={n}"] = (lambda s=search, pv=pv, proc=proc: s(pv, proc), plan)
     pv = risks(16, 16)
     table["exact_expected_tests S k=16"] = (
         lambda: pt.exact_expected_tests(pt.Group(items=tuple(range(16))), pv, "S"),

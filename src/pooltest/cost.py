@@ -38,9 +38,12 @@ costs bit-identically.
                 it. Ascending q is already the canonical form of the best
                 D and Dp orders; S takes the O(k) phi walk
                 ``_optimal_sterrett_ascending``. It is the only place an
-                arrangement is decided: both exhaustive oracles in
-                ``optimize`` call it, and reports take their orders from
-                it through ``_arrange``.
+                arrangement is decided: the ordered oracle in ``optimize``
+                calls it, and reports take their orders from it through
+                ``_arrange``. ``_subset_costs`` runs it over every subset
+                of a population at once in numpy, for the set-partition
+                oracle, with its float operations in its order, so each
+                subset's cost equals it bit for bit.
 
 ``evaluate_plan`` builds every plan report: ``eval``, ``simulate`` and
 all three plan searches in ``optimize`` cost their plans through it. It
@@ -80,6 +83,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .model import BlockCost, CostReport, Group, OrderedPartition, ProbabilityVector, SetPartition
 
@@ -175,6 +180,70 @@ def _arranged_cost_q(v: Sequence[float], procedure: str) -> tuple[float, int]:
     if procedure == "Dp":
         return _cost_modified_dorfman_q(v), 0
     return _given_cost_q(v, procedure), len(v) - 1
+
+
+def _subset_costs(qs: Sequence[float], procedure: str) -> np.ndarray:
+    """``_arranged_cost_q`` of every nonempty subset of the items whose q
+    values are ``qs``, at the subset's mask, bit n-1-i standing for item i,
+    equal to it bit for bit; entry 0 is meaningless.
+
+    The sums are built on rank masks, bit j standing for the j-th smallest
+    q, v[j], each from the mask one bit smaller, with the float operations
+    of ``_arranged_cost_q`` in its order. D's ascending product P grows by
+    the highest bit, P[2^j + r] = P[r] v[j]; a Dp head product is P of the
+    mask without its lowest bit. S's phi walk takes the values from the
+    largest down, so its P, C, T and M grow by the lowest bit, each mask
+    with lowest bit j from its parent at the same stride; the empty mask
+    holds P = 1, C = -1, T = 0 and M = +inf, so a walk opens on P = T =
+    v[j], C = 0 and M = 2 v[j] exactly. A singleton costs 1.0. One gather
+    then maps the rank masks to the item masks.
+    """
+    n = len(qs)
+    size = 1 << n
+    v = sorted(qs)
+    m = np.empty(size)  # the subset's size, as a float
+    m[0] = 0.0
+    for j in range(n):
+        np.add(m[: 1 << j], 1.0, out=m[1 << j : 2 << j])
+    if procedure == "S":
+        P, C, T, M = np.empty((4, size))
+        P[0], C[0], T[0], M[0] = 1.0, -1.0, 0.0, math.inf
+        for j in range(n - 1, -1, -1):
+            x, grown, parent = v[j], slice(1 << j, size, 2 << j), slice(0, size, 2 << j)
+            c = np.add(C[parent], P[parent], out=C[grown])
+            p = np.multiply(P[parent], x, out=P[grown])
+            np.add(T[parent], x, out=T[grown])
+            phi = (1.0 - x) * c
+            phi += x
+            phi += p
+            np.minimum(M[parent], phi, out=M[grown])
+        cost = 2.0 * m - 1.0 - T - P - C + M
+    elif procedure in ("D", "Dp"):
+        P = np.empty(size)
+        P[0] = 1.0
+        for j, x in enumerate(v):
+            np.multiply(P[: 1 << j], x, out=P[1 << j : 2 << j])
+        if procedure == "D":
+            cost = 1.0 + m - m * P
+        else:
+            head, last = np.empty((2, size))
+            head[0] = last[0] = 1.0  # the empty mask, so its entry stays finite
+            for j, x in enumerate(v):
+                head[1 << j :: 2 << j] = P[:: 2 << j]
+                last[1 << j :: 2 << j] = x
+            cost = 1.0 + m - m * head * last - head * (1.0 - last)
+    else:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    for j in range(n):
+        cost[1 << j] = 1.0
+    # rank[T] = the rank mask of the item mask T, grown as m is, by item bits
+    rank_bit = [0] * n
+    for r, i in enumerate(sorted(range(n), key=qs.__getitem__)):
+        rank_bit[n - 1 - i] = 1 << r
+    rank = [0]  # a list: numpy's integer add would fault in more of its code
+    for bit in rank_bit:
+        rank += [k + bit for k in rank]
+    return cost[rank]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,16 @@ and every plan comes from it.
 The exhaustive oracles cost each block afresh, always under the optimal
 arrangement, with the one-shot ``cost._arranged_cost_q``, which also
 decides the block orders that ``evaluate_plan`` reports, so the ordered
-oracle checks the DP against an independent implementation. The
-set-partition oracle is an exact DP over subsets, O(3^N) after 2^N block
-costs. Each oracle checks its own guard, ``MAX_EXHAUSTIVE_ORDERED`` or
-``MAX_EXHAUSTIVE_SET``, before any work.
+oracle checks the DP against an independent implementation. Both run
+their enumeration as whole numpy arrays, in the float operations of the
+one-at-a-time loops and in their order, so plans and totals are those
+loops' (``tests/reference.py``). The ordered oracle sums all 2^(N-1) plan
+totals by doubling over the cut positions and scans them in Python only
+on a near tie. The set-partition oracle takes all 2^N block costs at once
+from ``cost._subset_costs``, equal to ``_arranged_cost_q`` bit for bit,
+then runs an exact DP over subsets in Python, O(3^N). Each oracle checks
+its own guard, ``MAX_EXHAUSTIVE_ORDERED`` or ``MAX_EXHAUSTIVE_SET``,
+before any work.
 """
 
 from __future__ import annotations
@@ -19,8 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import all_above_ungar
-from .cost import _arranged_cost_q, evaluate_plan
+from .cost import _arranged_cost_q, _subset_costs, evaluate_plan
 from .model import (
     REL_TOL,
     CostReport,
@@ -30,10 +38,10 @@ from .model import (
     SetPartition,
     sort_ascending,
 )
-from .tables import walk
+from .tables import NEAR_TIE, walk
 
-MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plans; the README gives the time at this guard
-MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps; the README gives the time at this guard
+MAX_EXHAUSTIVE_ORDERED = 20  # 2^19 plan totals, two arrays of them; the README gives time and memory here
+MAX_EXHAUSTIVE_SET = 15  # 3^15 / 2 subset-DP steps in Python; the README gives the time at this guard
 
 
 @dataclass(frozen=True)
@@ -134,33 +142,40 @@ def exhaustive_ordered(pv: ProbabilityVector, procedure: str) -> PlanResult:
     """Brute-force minimum over all 2^(N-1) ordered partitions, each block
     arranged optimally.
 
-    Verification oracle for dp_ordered; guarded at N <= 20. Ties go as in
-    the DP: bit t of a mask cuts after sorted position t, the masks count
-    down from all cuts, and a later plan wins only if cheaper by more than
-    REL_TOL.
+    Verification oracle for dp_ordered; guarded at N <= 20. Bit t of a mask
+    cuts after sorted position t. Every mask's total is summed at once,
+    doubling over the cut positions: a mask below 2^t with highest bit s
+    leaves its block from s + 1 open (from 0 with no bit), so the masks
+    2^t + m close it after t, total[2^t + m] = total[m] + bc[s + 1, t + 1],
+    and each total is its blocks' costs summed left to right. Ties go as in
+    the DP: the masks count down from all cuts, and a later plan wins only
+    if cheaper by more than REL_TOL. That scan ends on the minimum unless
+    another total lies within ``tables.NEAR_TIE`` of it (the argument of
+    ``tables``), so only then are the totals scanned in Python.
     """
     n = pv.n
     if n > MAX_EXHAUSTIVE_ORDERED:
         raise InstanceTooLargeError(n, MAX_EXHAUSTIVE_ORDERED, "ordered-partition enumeration")
     sorted_pv, perm = sort_ascending(pv)
     qs = sorted_pv.q
-    # bc[i][j] = arranged cost of sorted items i..j-1 (q descending)
-    bc = [[0.0] * (n + 1) for _ in range(n)]
+    # bc[i, j] = arranged cost of sorted items i..j-1 (q descending)
+    bc = np.zeros((n, n + 1))
     for j in range(1, n + 1):
         for i in range(j):
-            bc[i][j] = _arranged_cost_q(qs[i:j][::-1], procedure)[0]
-    bound = math.inf
-    best_mask = 0
-    for mask in range((1 << (n - 1)) - 1, -1, -1):
-        total = 0.0
-        start = 0
-        for t in range(n - 1):
-            if mask & (1 << t):
-                total += bc[start][t + 1]
-                start = t + 1
-        total += bc[start][n]
-        if total < bound:
-            bound, best_mask = total - REL_TOL * total, mask
+            bc[i, j] = _arranged_cost_q(qs[i:j][::-1], procedure)[0]
+    runs = [1, *(1 << s for s in range(n - 1))]  # the masks by open block start
+    total = np.empty(1 << (n - 1))  # the blocks closed so far
+    total[0] = 0.0
+    for t in range(n - 1):
+        np.add(total[: 1 << t], bc[: t + 1, t + 1].repeat(runs[: t + 1]), out=total[1 << t : 2 << t])
+    total += bc[:, n].repeat(runs)
+    near = np.flatnonzero(total <= total.min() * NEAR_TIE)
+    best_mask = int(near[0])
+    if len(near) > 1:
+        bound = math.inf
+        for mask, x in zip(range(len(total) - 1, -1, -1), reversed(memoryview(total))):
+            if x < bound:
+                bound, best_mask = x - REL_TOL * x, mask
     edges = [0, *(t + 1 for t in range(n - 1) if best_mask >> t & 1), n]
     plan = OrderedPartition(sizes=tuple(b - a for a, b in zip(edges, edges[1:])))
     report = evaluate_plan(plan, pv, procedure)
@@ -171,40 +186,39 @@ def exhaustive_set(pv: ProbabilityVector, procedure: str) -> PlanResult:
     """Global minimum over ALL set partitions, each block arranged optimally.
 
     This is the unordered-plan oracle, an exact DP over subsets: every
-    nonempty subset is costed once, then f(S) = min over blocks T that hold
-    the smallest item of S of c(T) + f(S - T), O(3^N) steps after the 2^N
-    block costs; guarded at N <= 15. Ties go to the lexicographically
-    smallest restricted growth string (item i labelled with its block's
-    number, blocks numbered by smallest member) among plans within REL_TOL:
-    with bit n-1-i standing for item i, the T are tried with the submasks
-    of S's other items counting down, which prefers smaller items, and a
-    later T wins only if it is cheaper by more than REL_TOL relative.
+    nonempty subset is costed once, all at once by ``cost._subset_costs``,
+    then f(S) = min over blocks T that hold the smallest item of S of
+    c(T) + f(S - T), O(3^N) steps after the 2^N block costs; guarded at
+    N <= 15. Ties go to the lexicographically smallest restricted growth
+    string (item i labelled with its block's number, blocks numbered by
+    smallest member) among plans within REL_TOL: with bit n-1-i standing
+    for item i, the S with highest bit 2^h, the anchor, are those of
+    2^h..2^(h+1)-1, and their T are tried with the submasks of S's other
+    items counting down, which prefers smaller items; a later T wins only
+    if it is cheaper by more than REL_TOL relative.
     """
     n = pv.n
     if n > MAX_EXHAUSTIVE_SET:
         raise InstanceTooLargeError(n, MAX_EXHAUSTIVE_SET, "set-partition search")
-    full = (1 << n) - 1
-    by_q = sorted((q, 1 << (n - 1 - i)) for i, q in enumerate(pv.q))
-    cost = [0.0] * (full + 1)
-    for T in range(1, full + 1):
-        cost[T] = _arranged_cost_q([q for q, bit in by_q if T & bit], procedure)[0]
-    f = [0.0] * (full + 1)
-    choice = [0] * (full + 1)
-    for S in range(1, full + 1):
-        anchor = 1 << (S.bit_length() - 1)  # the smallest item of S
-        rest = S ^ anchor
-        best = cost[S]
-        bound = best - REL_TOL * best
-        best_t = t = rest
-        while t:
-            t = (t - 1) & rest
-            c = cost[anchor | t] + f[rest ^ t]
-            if c < bound:
-                best, bound, best_t = c, c - REL_TOL * c, t
-        f[S] = best
-        choice[S] = anchor | best_t
+    cost = _subset_costs(pv.q, procedure).tolist()
+    f = [0.0]  # f[S], S counting up
+    choice = [0]
+    for h in range(n):
+        anchor = 1 << h  # the smallest item of S
+        with_anchor = cost[anchor : 2 * anchor]  # with_anchor[t] = cost[anchor | t]
+        for rest in range(anchor):
+            best = with_anchor[rest]
+            bound = best - REL_TOL * best
+            best_t = t = rest
+            while t:
+                t = (t - 1) & rest
+                c = with_anchor[t] + f[rest ^ t]
+                if c < bound:
+                    best, bound, best_t = c, c - REL_TOL * c, t
+            f.append(best)
+            choice.append(anchor | best_t)
     blocks = []
-    S = full
+    S = (1 << n) - 1
     while S:
         T = choice[S]
         blocks.append(tuple(i for i in range(n) if T >> (n - 1 - i) & 1))

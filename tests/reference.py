@@ -9,7 +9,12 @@ comparison through the public plan evaluator; ``uncut_dorfman_table`` is
 the D and Dp loop one cell at a time that tries every block start, against
 which ``dp_table``'s width cut and chunked slabs are checked;
 ``scalar_sterrett_table`` is the S loop one cell at a time, against which
-the S table's chunked slabs are checked; ``exact_table`` is the ordered-partition DP in exact rational
+the S table's chunked slabs are checked; ``subset_costs`` costs one
+subset at a time, by ``_arranged_cost_q``, against which
+``cost._subset_costs`` is checked, and ``ordered_mask_scan`` sums and
+scans one ordered partition at a time, against which
+``exhaustive_ordered``'s numpy sums and tie scan are checked;
+``exact_table`` is the ordered-partition DP in exact rational
 arithmetic, which bounds the float error of ``dp_table`` and fixes its tie
 rule exactly; ``dyadic_cost`` is the given-order cost of the exact 1 - p
 in integers over one power of two, fast enough for blocks of thousands
@@ -20,7 +25,7 @@ of items, and is checked against ``exact_sterrett`` and
 import math
 from fractions import Fraction
 
-from pooltest.cost import evaluate_plan
+from pooltest.cost import _arranged_cost_q, evaluate_plan
 from pooltest.model import (
     REL_TOL,
     Group,
@@ -222,6 +227,44 @@ def scalar_sterrett_table(qs, s_rule: str) -> tuple[list[float], list[int]]:
         cost[k] = best
         split[k] = best_i
     return cost, split
+
+
+def subset_costs(qs, procedure: str) -> list[float]:
+    """``_arranged_cost_q`` of every nonempty subset of the items whose q
+    values are ``qs``, one subset at a time, at its mask with bit n-1-i
+    standing for item i; entry 0 is 0.0."""
+    n = len(qs)
+    by_q = sorted((q, 1 << (n - 1 - i)) for i, q in enumerate(qs))
+    cost = [0.0] * (1 << n)
+    for T in range(1, 1 << n):
+        cost[T] = _arranged_cost_q([q for q, bit in by_q if T & bit], procedure)[0]
+    return cost
+
+
+def ordered_mask_scan(qs, procedure: str) -> tuple[tuple[int, ...], float]:
+    """The cheapest ordered partition of descending ``qs``, each block
+    arranged optimally, by summing each mask's blocks left to right, bit t
+    of a mask cutting after position t, with the masks counting down from
+    all cuts and a later plan winning only if cheaper by more than
+    REL_TOL. Its block sizes and that sum."""
+    n = len(qs)
+    bc = [[0.0] * (n + 1) for _ in range(n)]
+    for j in range(1, n + 1):
+        for i in range(j):
+            bc[i][j] = _arranged_cost_q(qs[i:j][::-1], procedure)[0]
+    best, bound, best_mask = math.inf, math.inf, 0
+    for mask in range((1 << (n - 1)) - 1, -1, -1):
+        total = 0.0
+        start = 0
+        for t in range(n - 1):
+            if mask & (1 << t):
+                total += bc[start][t + 1]
+                start = t + 1
+        total += bc[start][n]
+        if total < bound:
+            best, bound, best_mask = total, total - REL_TOL * total, mask
+    edges = [0, *(t + 1 for t in range(n - 1) if best_mask >> t & 1), n]
+    return tuple(b - a for a, b in zip(edges, edges[1:])), best
 
 
 def exact_sterrett(order) -> Fraction:

@@ -11,11 +11,12 @@ from pooltest.cost import (
     _arranged_cost_q,
     _cost_sterrett_q,
     _optimal_sterrett_ascending,
+    _subset_costs,
     arranged_cost,
     evaluate_plan,
     group_cost,
 )
-from pooltest import tables
+from pooltest import optimize, tables
 from pooltest.model import (
     REL_TOL,
     STERRETT_RULES,
@@ -38,8 +39,10 @@ from reference import (
     exact_block_cost,
     exact_sterrett,
     exact_table,
+    ordered_mask_scan,
     pair_costs,
     scalar_sterrett_table,
+    subset_costs,
     uncut_dorfman_table,
 )
 
@@ -607,7 +610,13 @@ class TestExhaustiveSet:
             unordered = exhaustive_set(pv, proc).total
             assert abs(ordered - unordered) <= REL_TOL * unordered, pv.probs
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
+        # each oracle refuses before it costs any block
+        def no_work(*args):
+            raise AssertionError("a block was costed")
+
+        monkeypatch.setattr(optimize, "_subset_costs", no_work)
+        monkeypatch.setattr(optimize, "_arranged_cost_q", no_work)
         for n in (16, 18):
             pv = validate_probability_vector([0.1] * n)
             with pytest.raises(InstanceTooLargeError):
@@ -624,6 +633,39 @@ class TestExhaustiveSet:
         result = exhaustive_set(pv, "S")
         again = evaluate_plan(result.plan, pv, "S", arrange="optimal")
         assert abs(result.total - again.total) <= 1e-12 * max(1.0, result.total)
+
+
+def oracle_risks(rng, n, kind):
+    """n risks: distinct, drawn from a few values, or all equal."""
+    if kind == "distinct":
+        return [rng.uniform(0.001, 0.5) for _ in range(n)]
+    if kind == "tied":
+        pool = rng.sample(TIED_RISKS, rng.randint(1, 3))
+        return [rng.choice(pool) for _ in range(n)]
+    return [rng.uniform(0.001, 0.35)] * n
+
+
+class TestExhaustivePasses:
+    # the oracles' numpy passes against the scalar loops in ``reference``
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    def test_subset_costs_equal_the_per_subset_loop(self, procedure):
+        rng = random.Random(71)
+        for n in range(1, 13):
+            for kind in ("distinct", "tied", "equal"):
+                qs = validate_probability_vector(oracle_risks(rng, n, kind)).q
+                got = _subset_costs(qs, procedure).tolist()
+                assert got[1:] == subset_costs(qs, procedure)[1:], (qs, procedure)
+
+    @pytest.mark.parametrize("procedure", ["D", "Dp", "S"])
+    def test_ordered_plan_equals_the_mask_loop(self, procedure):
+        rng = random.Random(73)
+        for n in range(1, 15):
+            for kind in ("distinct", "tied", "equal"):
+                pv = validate_probability_vector(oracle_risks(rng, n, kind))
+                result = exhaustive_ordered(pv, procedure)
+                sizes, total = ordered_mask_scan(sort_ascending(pv)[0].q, procedure)
+                assert result.plan.sizes == sizes, (pv.probs, procedure)
+                assert abs(result.total - total) <= REL_TOL * total, (pv.probs, procedure)
 
 
 def test_fast_block_cost_matches_arrangement_route():

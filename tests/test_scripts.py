@@ -243,7 +243,8 @@ def test_bench_layers_cases_cover_the_layers():
         assert {f"group_cost {proc} k={k}" for k in (4, 12, 60)} <= names
         assert {f"tables.dp_totals {proc} n=100 m={m}" for m in (10, 1000)} <= names
         assert f"tables.dp_totals {proc} n=2800 m=2" in names
-        assert {f"exhaustive_ordered {proc} N=16", f"exhaustive_set {proc} N=12"} <= names
+        assert {f"exhaustive_ordered {proc} N={n}" for n in (8, 16)} <= names
+        assert {f"exhaustive_set {proc} N={n}" for n in (8, 12)} <= names
     for rule in ("D", "Dp", "S optimal", "S smallest-last"):
         for n in (100, 400, 1000):
             assert {f"dp_table {rule} N={n} uniform", f"dp_table {rule} N={n} equal-0.01"} <= names
